@@ -7,25 +7,20 @@ incumbent) lies below
     c + inf_{eta in (0,1)} g(eta),
     g(eta) = (pi0 + (1-pi0) eta^(T+1)) / (pi0 + (1-pi0) eta^T).
 
-g tends to 1 at both ends of (0,1) and has an interior minimum; it is
-minimized here by a log-uniform grid pass followed by golden-section
-refinement. The horizon produced by the fei module is conservative
-(possibly larger than necessary); g's minimum increases with T, so the
-emitted value remains a valid upper bound. T is surfaced in all outputs
+g tends to 1 at both ends of (0,1) and has a unique interior minimum, at
+the root of its stationarity condition (see :func:`minimize_g`). The
+horizon produced by the fei module is conservative (possibly larger than
+necessary); g's minimum increases with T, so the emitted value remains a
+valid upper bound. T is surfaced in all outputs
 so callers can substitute a sharper horizon.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fei
-from .errors import FeiHoldsNoBound, ValidationError
+from .errors import FeiHoldsNoBound, ReplabError, ValidationError
 from .model import GameParams, MonitoringStructure, RELAXED, find_violations
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -51,35 +46,21 @@ def g_ratio(pi0: float, eta: float, horizon_T: int) -> float:
     )
 
 
-def _golden_section(func, lo: float, hi: float, width: float = 1e-12) -> float:
-    """Minimizer of a unimodal function on [lo, hi] to the given bracket width."""
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = func(c)
+def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
+    """(eta_star, g(eta_star)). g'(eta) = 0 reduces to the root of
+    h(eta) = eta^(T+1) + (T+1) q eta - T q, q = pi0/(1-pi0), on (0, 1);
+    h(0) < 0 < h(1) and h' > 0, so bisection finds it to the last bit."""
+    q = pi0 / (1.0 - pi0)
+    t = horizon_T
+    lo, hi = 0.0, 1.0
+    while True:
+        eta_star = 0.5 * (lo + hi)
+        if eta_star in (lo, hi):
+            break
+        if eta_star ** (t + 1) + (t + 1) * q * eta_star - t * q < 0.0:
+            lo = eta_star
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = func(d)
-    return 0.5 * (a + b)
-
-
-def minimize_g(pi0: float, horizon_T: int, grid_points: int = 1024) -> tuple[float, float]:
-    """(eta_star, g(eta_star)): log-uniform grid sweep guarding against
-    multimodality, then golden-section to a 1e-12 bracket."""
-    grid = np.geomspace(1e-12, 1.0 - 1e-12, grid_points)
-    vals = (pi0 + (1.0 - pi0) * grid ** (horizon_T + 1)) / (
-        pi0 + (1.0 - pi0) * grid**horizon_T
-    )
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    eta_star = _golden_section(lambda e: g_ratio(pi0, e, horizon_T), lo, hi)
+            hi = eta_star
     return eta_star, g_ratio(pi0, eta_star, horizon_T)
 
 
@@ -112,7 +93,7 @@ def bound_sweep(
 ) -> list[dict]:
     """Bound table over a (pi0, c) grid for fixed (kappa, delta, monitoring).
 
-    Sanity-asserts the comparative statics the closed form guarantees:
+    Sanity-checks the comparative statics the closed form guarantees:
     the bound weakly falls as pi0 falls (at fixed c) and moves exactly
     additively in c.
     """
@@ -131,7 +112,8 @@ def bound_sweep(
         g_by_pi0[pi0] = (eta_star, g_min)
     ordered = sorted(pi0_grid, reverse=True)
     for hi, lo in zip(ordered, ordered[1:]):
-        assert g_by_pi0[hi][1] >= g_by_pi0[lo][1], "bound must fall with pi0"
+        if g_by_pi0[hi][1] < g_by_pi0[lo][1]:
+            raise ReplabError(f"bound rose as pi0 fell from {hi!r} to {lo!r}")
 
     rows = []
     for pi0 in pi0_grid:

@@ -7,8 +7,6 @@ Model inputs come from --config (TOML or JSON) and/or flags; flags win.
 Artifact-producing commands write their outputs plus a run manifest under
 --out. CSV files use '.' decimals and 17 significant digits so doubles
 round-trip exactly; JSON uses Python's shortest round-trip float repr.
-Sweep cells run on a worker pool capped by REPLAB_THREADS, with rows
-emitted in grid order regardless of completion order.
 
 Exit codes: 0 success, 2 validation/config error, 3 verification failure.
 """
@@ -18,15 +16,13 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
-from .errors import ConfigParse, ReplabError, ValidationError
+from .errors import ConfigParse, ReplabError
 from .model import GameParams, MonitoringStructure
 from .simulate import (
     SimulationConfig,
@@ -168,13 +164,6 @@ def _parse_range(spec: str) -> list[float]:
 
 def _grid_list(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok]
-
-
-def _pool_size() -> int:
-    cap = os.environ.get("REPLAB_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(4, os.cpu_count() or 1)
 
 
 def _out_dir(args) -> Optional[Path]:
@@ -346,8 +335,7 @@ def _cmd_bound_sweep(args) -> int:
     return EXIT_OK
 
 
-def _phase_cell(job):
-    precision, kappa, delta, pi0, c, tol, depth = job
+def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
     monitoring = MonitoringStructure.binary(precision)
     params = GameParams(kappa, delta, pi0, c)
     cert = fei.check_fei(params, monitoring)
@@ -369,14 +357,12 @@ def _cmd_phase_sweep(args) -> int:
     precisions = _parse_range(args.binary_precision)
     kappas = _parse_range(args.kappa)
     deltas = _parse_range(args.delta)
-    jobs = [
-        (p, k, d, pi0, c, args.tol, args.depth)
+    rows = [
+        _phase_cell(p, k, d, pi0, c, args.tol, args.depth)
         for p in precisions
         for k in kappas
         for d in deltas
     ]
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        rows = list(pool.map(_phase_cell, jobs))
     header = [
         "binary_precision", "kappa", "delta", "pi0", "c",
         "fei_holds", "fe_construction_verified", "non_efe_construction_verified",
@@ -482,9 +468,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigParse) as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
     except ReplabError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION

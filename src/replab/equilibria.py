@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
     NonContractive,
     ReplacementCostTooLargeForConstruction,
     ValidationError,
+    Violation,
 )
 from .model import GameParams, MonitoringStructure, RELAXED, bayes_update, find_violations
 
@@ -93,17 +95,47 @@ class EquilibriumAutomaton:
     def successor(self, state_id: int, signal: str) -> Optional[int]:
         return self.transitions.get((state_id, signal))
 
-    def as_arrays(self):
-        """(replace_prob, effort_prob, belief, next_state) arrays; missing
-        transitions encode as -1 in next_state."""
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(replace_prob, effort_prob, belief, next_state): per-state vectors
+        and the (n, S) next-state array, columns in ``signals`` order, with
+        -1 for a missing transition. Built once per instance, read-only.
+
+        Raises :class:`ValidationError`, one violation per bad edge, for a
+        transition with a signal not in ``signals`` or a state outside
+        [0, n).
+        """
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n = len(self.states)
-        sv = np.array([q.replace_prob for q in self.states])
-        sp = np.array([q.effort_prob for q in self.states])
-        pi = np.array([q.belief for q in self.states])
+        column = {s: i for i, s in enumerate(self.signals)}
+
+        def in_range(sid) -> bool:
+            return isinstance(sid, (int, np.integer)) and 0 <= sid < n
+
         nxt = np.full((n, len(self.signals)), -1, dtype=np.int64)
+        bad = []
         for (qid, sig), tid in self.transitions.items():
-            nxt[qid, self.signals.index(sig)] = tid
-        return sv, sp, pi, nxt
+            if sig not in column:
+                problem = f"unknown signal {sig!r}"
+            elif not (in_range(qid) and in_range(tid)):
+                problem = f"state outside [0, {n})"
+            else:
+                nxt[qid, column[sig]] = tid
+                continue
+            bad.append(Violation("BadTransition", f"{qid!r} --{sig}--> {tid!r}: {problem}"))
+        if bad:
+            raise ValidationError(bad)
+        arrays = (
+            np.array([q.replace_prob for q in self.states], dtype=float),
+            np.array([q.effort_prob for q in self.states], dtype=float),
+            np.array([q.belief for q in self.states], dtype=float),
+            nxt,
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -140,13 +172,14 @@ class ValueTable:
     solving V(q) = (1-delta)(1 - kappa sigma_P(q))
                  + delta sum_s f_{sigma_P(q)}(s) [1 - sigma_V(succ)] V(succ).
 
-    ``errors`` bounds the per-state truncation error from unmaterialized
-    branches (identically 0 on complete automata); ``cross_check`` records
+    ``values`` and ``errors`` are indexed by state id. ``errors`` bounds
+    the per-state truncation error from unmaterialized branches
+    (identically 0 on complete automata); ``cross_check`` records
     residuals against construction closed forms when those are known.
     """
 
-    values: dict[int, float]
-    errors: dict[int, float]
+    values: np.ndarray
+    errors: np.ndarray
     tail_bound: float
     cross_check: Optional[dict] = None
 
@@ -386,38 +419,36 @@ def compute_values(
     depth: int = 200,
     tol: Optional[float] = None,
 ) -> ValueTable:
-    """Solve the continuation-value recursion as a linear system over the
-    materialized states.
+    """Solve the continuation-value recursion as a sparse linear system over
+    the materialized states, built from the next-state array.
 
     Unmaterialized successors contribute 0 to the solve; their worst-case
-    influence is bounded exactly by a companion linear system whose
-    solution is reported per state in ``errors`` (all 0 when the automaton
+    influence is bounded exactly by a companion linear system, with the
+    same matrix and so the same factorization, whose solution is reported
+    per state in ``errors`` (all 0 when the automaton
     is complete). ``depth`` is advisory here because the solve is exact on
     whatever is materialized; raise :class:`DepthInsufficient` when a
     requested tolerance beats the achievable tail bound.
     """
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import splu
+
     delta, kappa = params.delta, params.kappa
     if not 0.0 < delta < 1.0:
         raise NonContractive(f"value recursion needs delta in (0, 1), got {delta!r}")
-    n = len(automaton.states)
-    m = np.zeros((n, n))
-    b = np.zeros(n)
-    miss = np.zeros(n)
-    for q in automaton.states:
-        law = monitoring.mixture(q.effort_prob)
-        b[q.id] = (1.0 - delta) * (1.0 - kappa * q.effort_prob)
-        for i, s in enumerate(monitoring.signals):
-            succ = automaton.successor(q.id, s)
-            if succ is None:
-                miss[q.id] += delta * law[i]  # successor value unknown in [0, 1]
-            else:
-                m[q.id, succ] += delta * law[i] * (1.0 - automaton.state(succ).replace_prob)
-    a = np.eye(n) - m
+    sv, sp, _, nxt = automaton.as_arrays()
+    n = len(sv)
+    law = delta * np.stack(monitoring.mixture(sp), axis=1)
+    has = nxt >= 0
+    succ = nxt[has]
+    m = csc_matrix((law[has] * (1.0 - sv[succ]), (np.nonzero(has)[0], succ)), shape=(n, n))
+    b = (1.0 - delta) * (1.0 - kappa * sp)
+    miss = np.where(has, 0.0, law).sum(axis=1)  # successor value unknown in [0, 1]
     try:
-        values = np.linalg.solve(a, b)
-        errors = np.linalg.solve(a, miss)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - delta<1 keeps A invertible
+        lu = splu(identity(n, format="csc") - m)
+    except RuntimeError as exc:  # pragma: no cover - delta<1 keeps A invertible
         raise NonContractive(str(exc)) from exc
+    values, errors = lu.solve(np.column_stack([b, miss])).T
     tail = float(errors.max()) if n else 0.0
     if tol is not None and tail > tol:
         raise DepthInsufficient(
@@ -444,8 +475,8 @@ def compute_values(
         }
 
     return ValueTable(
-        values={q.id: float(values[q.id]) for q in automaton.states},
-        errors={q.id: float(errors[q.id]) for q in automaton.states},
+        values=values,
+        errors=errors,
         tail_bound=tail,
         cross_check=cross,
     )

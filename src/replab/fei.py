@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     FeiHoldsNoHorizon,
@@ -301,6 +300,8 @@ def fei_oracle(
 def _oracle_lp(params: GameParams, monitoring: MonitoringStructure) -> bool:
     """Maximize the minimum slack t over (v, t), v in [0,1]^S; FEI holds iff
     the optimum is >= 0."""
+    from scipy.optimize import linprog
+
     kappa, delta = params.kappa, params.delta
     f0 = np.asarray(monitoring.f0)
     f1 = np.asarray(monitoring.f1)

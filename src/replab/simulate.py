@@ -30,7 +30,7 @@ import numpy as np
 from .equilibria import REGIME_FIRST, EquilibriumAutomaton
 from .errors import DepthInsufficient
 from .model import GameParams, MonitoringStructure
-from .verifier import expected_effort
+from .verifier import _on_path_states
 
 _BATCH = 4096
 _UNIFORM_SLOTS = 4  # vote, type, action, signal
@@ -278,57 +278,39 @@ class AnalyticEffort:
         return {"value": self.value, "method": self.method, "residual": self.residual}
 
 
-def _acting_chain(
-    automaton: EquilibriumAutomaton, monitoring: MonitoringStructure
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Transition matrix of the state in which the incumbent acts:
-    replacement redirects probability mass to the initial state. Missing
-    transitions are redirected too, with their mass reported separately."""
-    index: dict[int, int] = {}
-    order: list[int] = []
+def _acting_chain(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
+    """Sparse transition matrix of the state in which the incumbent acts,
+    over the acting states in id order: replacement redirects probability
+    mass to the initial state. Missing transitions are redirected too,
+    with their mass reported separately. Returns (P, missing mass,
+    expected effort)."""
+    from scipy.sparse import csr_matrix
 
-    def touch(qid: int) -> int:
-        if qid not in index:
-            index[qid] = len(order)
-            order.append(qid)
-        return index[qid]
-
-    touch(automaton.initial)
-    frontier = [automaton.initial]
-    rows: list[tuple[int, dict[int, float], float]] = []
-    while frontier:
-        nxt_frontier = []
-        for qid in frontier:
-            q = automaton.state(qid)
-            law = monitoring.mixture(expected_effort(automaton, qid))
-            row: dict[int, float] = {}
-            missing = 0.0
-            for i, s in enumerate(monitoring.signals):
-                succ = automaton.successor(qid, s)
-                if succ is None:
-                    missing += law[i]
-                    continue
-                stay = 1.0 - automaton.state(succ).replace_prob
-                if stay > 0.0:
-                    known = succ in index
-                    j = touch(succ)
-                    row[j] = row.get(j, 0.0) + law[i] * stay
-                    if not known:
-                        nxt_frontier.append(succ)
-                row[0] = row.get(0, 0.0) + law[i] * (1.0 - stay)
-            rows.append((index[qid], row, missing))
-        frontier = nxt_frontier
-
-    n = len(order)
-    p = np.zeros((n, n))
-    miss = np.zeros(n)
-    for i, row, missing in rows:
-        for j, mass in row.items():
-            p[i, j] = mass
-        miss[i] = missing
-        p[i, 0] += missing  # truncated branches approximated as renewals
-    efforts = np.array([expected_effort(automaton, qid) for qid in order])
-    return p, miss, efforts, order
+    sv, sp, pi, nxt = automaton.as_arrays()
+    acting = _on_path_states(automaton) & (sv < 1.0)
+    acting[automaton.initial] = True
+    states = np.flatnonzero(acting)
+    n = len(states)
+    local = np.full(len(sv), -1)
+    local[states] = np.arange(n)
+    efforts = pi[states] + (1.0 - pi[states]) * sp[states]
+    law = np.stack(monitoring.mixture(efforts), axis=1)
+    succ = nxt[states]
+    has = succ >= 0
+    stay = np.where(has, 1.0 - sv[succ], 0.0)  # 0 on truncated branches: renewals
+    moves = stay > 0.0
+    rows = np.broadcast_to(np.arange(n)[:, None], succ.shape)
+    p = csr_matrix(  # duplicate (from, to) pairs are summed
+        (
+            np.concatenate([(law * stay)[moves], (law * (1.0 - stay)).ravel()]),
+            (
+                np.concatenate([rows[moves], rows.ravel()]),
+                np.concatenate([local[succ[moves]], np.full(rows.size, local[automaton.initial])]),
+            ),
+        ),
+        shape=(n, n),
+    )
+    return p, np.where(has, 0.0, law).sum(axis=1), efforts
 
 
 def _stationary(p: np.ndarray) -> np.ndarray:
@@ -339,6 +321,20 @@ def _stationary(p: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     mu = np.linalg.solve(a, b)
     mu = np.clip(mu, 0.0, None)
+    return mu / mu.sum()
+
+
+def _sparse_stationary(p) -> np.ndarray:
+    """:func:`_stationary` of a sparse chain, factored sparse."""
+    from scipy.sparse import csr_matrix, identity, vstack
+    from scipy.sparse.linalg import splu
+
+    n = p.shape[0]
+    a = p.T.tocsr() - identity(n, format="csr")
+    a = vstack([a[:-1], csr_matrix(np.ones((1, n)))], format="csc")
+    b = np.zeros(n)
+    b[-1] = 1.0
+    mu = np.clip(splu(a).solve(b), 0.0, None)
     return mu / mu.sum()
 
 
@@ -358,8 +354,8 @@ def analytic_long_run_effort(
     lump = _try_lumped(automaton, monitoring)
     if lump is not None:
         return lump
-    p, miss, efforts, order = _acting_chain(automaton, monitoring)
-    mu = _stationary(p)
+    p, miss, efforts = _acting_chain(automaton, monitoring)
+    mu = _sparse_stationary(p)
     residual = float(mu @ miss)
     method = "direct" if (automaton.complete or residual == 0.0) else "truncated"
     return AnalyticEffort(value=float(mu @ efforts), method=method, residual=residual)
@@ -375,15 +371,13 @@ def _try_lumped(
         return None
     x, e_star = meta["x"], meta["e_star"]
     s_star = set(meta["s_star"])
-    u0 = expected_effort(automaton, automaton.initial)
+    sv, sp, pi, _ = automaton.as_arrays()
+    effort = pi + (1.0 - pi) * sp
+    u0 = effort[automaton.initial]
     # lumpability requires identical behavior across FirstRegime states
-    for q in automaton.states:
-        if q.regime == REGIME_FIRST:
-            if (
-                abs(expected_effort(automaton, q.id) - e_star) > 1e-10
-                or abs(q.replace_prob - x) > 1e-12
-            ):
-                return None
+    first = np.array([q.regime == REGIME_FIRST for q in automaton.states], dtype=bool)
+    if np.any(np.abs(effort[first] - e_star) > 1e-10) or np.any(np.abs(sv[first] - x) > 1e-12):
+        return None
 
     def pass_mass(e: float) -> float:
         law = monitoring.mixture(e)

@@ -28,11 +28,12 @@ truncated automata stays sound.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equilibria import EquilibriumAutomaton, ValueTable, compute_values
+import numpy as np
+
+from .equilibria import EquilibriumAutomaton, compute_values
 from .model import GameParams, MonitoringStructure
 
 
@@ -94,23 +95,29 @@ def expected_effort(automaton: EquilibriumAutomaton, state_id: int) -> float:
     return q.belief + (1.0 - q.belief) * q.effort_prob
 
 
-def _on_path_states(automaton: EquilibriumAutomaton) -> set[int]:
-    """States reachable from the initial state without crossing a
-    certain-replacement state; every other state is only consulted after
+def _on_path_states(automaton: EquilibriumAutomaton) -> np.ndarray:
+    """Mask of the states reachable from the initial state without crossing
+    a certain-replacement state; every other state is only consulted after
     the career has already ended."""
-    seen = {automaton.initial}
-    queue = deque([automaton.initial])
-    while queue:
-        qid = queue.popleft()
-        state = automaton.state(qid)
-        if qid != automaton.initial and state.replace_prob >= 1.0:
-            continue
-        for s in automaton.signals:
-            nxt = automaton.successor(qid, s)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    sv, _, _, nxt = automaton.as_arrays()
+    n = len(sv)
+    expands = ~(sv >= 1.0)
+    expands[automaton.initial] = True
+    edges = (nxt >= 0) & expands[:, None]
+    graph = csr_matrix((np.ones(edges.sum()), (np.nonzero(edges)[0], nxt[edges])), shape=(n, n))
+    seen = np.zeros(n, dtype=bool)
+    seen[breadth_first_order(graph, automaton.initial, return_predecessors=False)] = True
     return seen
+
+
+def _violation(gap: np.ndarray, mixed: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Shortfall of a signed gap against a prescribed action: zero gap where
+    the action mixes, a nonnegative gap where the up action is certain, a
+    nonpositive gap otherwise."""
+    return np.where(mixed, np.abs(gap), np.maximum(0.0, np.where(up, -gap, gap)))
 
 
 def verify(
@@ -119,104 +126,75 @@ def verify(
     monitoring: MonitoringStructure,
     tol: float = 1e-8,
     depth: int = 200,
-    values: Optional[ValueTable] = None,
 ) -> VerificationReport:
     """Check every equilibrium condition at every materialized state."""
-    if values is None:
-        values = compute_values(automaton, params, monitoring, depth=depth)
+    values = compute_values(automaton, params, monitoring, depth=depth)
+    sv, sp, pi, nxt = automaton.as_arrays()
     delta, kappa = params.delta, params.kappa
-    u0 = expected_effort(automaton, automaton.initial)
+    f0, f1 = np.array(monitoring.f0), np.array(monitoring.f1)
+    signals = monitoring.signals
+    n = len(sv)
+    initial = automaton.initial
+    has = nxt >= 0
+    succ = np.where(has, nxt, 0)
+    surv = 1.0 - sv[succ]
+    effort = pi + (1.0 - pi) * sp  # e(q)
+    u0 = float(effort[initial])
     target = u0 - params.c
+
+    # -- one-shot deviation gap for the officeholder -------------------------
+    cont = np.where(has, delta * surv * values.values[succ], 0.0)
+    gap = -(1.0 - delta) * kappa + (f1 * cont).sum(axis=1) - (f0 * cont).sum(axis=1)
+    # widening from unmaterialized successors
+    slack = delta * (f1 + f0) * np.where(has, surv * values.errors[succ], 1.0)
+    p_tol = tol + slack.sum(axis=1)
+    p_viol = _violation(gap, (0.0 < sp) & (sp < 1.0), sp >= 1.0)
+
+    # -- voter replacement choice at every state but the initial one ---------
+    voters = np.arange(n) != initial
+    v_gap = effort - target
+    v_viol = _violation(v_gap, (0.0 < sv) & (sv < 1.0), sv <= 0.0)
     on_path = _on_path_states(automaton)
 
-    politician_ic: dict[int, float] = {}
-    politician_gap: dict[int, float] = {}
-    politician_tol: dict[int, float] = {}
-    voter_ic: dict[int, float] = {}
-    voter_gap: dict[int, float] = {}
-    informational: set[int] = set()
-    bayes: dict[tuple[int, str], float] = {}
-    offenders: list[Offender] = []
-    passed = True
+    # -- Bayes consistency along edges out of states that may retain ---------
+    law = np.stack(monitoring.mixture(effort), axis=1)
+    checked = has & ((sv < 1.0) | ~voters)[:, None]
+    bayes_res = np.abs(law * pi[succ] - pi[:, None] * f1)
 
-    for q in automaton.states:
-        # -- one-shot deviation gap for the officeholder ---------------------
-        cont1 = 0.0  # discounted continuation under work
-        cont0 = 0.0  # ... under shirk
-        gap_slack = 0.0  # widening from unmaterialized successors
-        for i, s in enumerate(monitoring.signals):
-            succ = automaton.successor(q.id, s)
-            if succ is None:
-                gap_slack += delta * (monitoring.f1[i] + monitoring.f0[i])
-                continue
-            surv = 1.0 - automaton.state(succ).replace_prob
-            v = values.values[succ]
-            err = values.errors[succ]
-            cont1 += delta * monitoring.f1[i] * surv * v
-            cont0 += delta * monitoring.f0[i] * surv * v
-            gap_slack += delta * (monitoring.f1[i] + monitoring.f0[i]) * surv * err
-        gap = -(1.0 - delta) * kappa + cont1 - cont0
-        if 0.0 < q.effort_prob < 1.0:
-            violation = abs(gap)
-        elif q.effort_prob >= 1.0:
-            violation = max(0.0, -gap)
-        else:
-            violation = max(0.0, gap)
-        q_tol = tol + gap_slack
-        politician_gap[q.id] = gap
-        politician_ic[q.id] = violation
-        politician_tol[q.id] = q_tol
-        if violation > q_tol:
-            passed = False
-            offenders.append(Offender("politician_ic", str(q.id), violation, q_tol))
+    # worst ratio first; ties in (state, check, signal) order
+    found = [
+        (q, 0, 0, Offender("politician_ic", str(q), float(p_viol[q]), float(p_tol[q])))
+        for q in np.flatnonzero(p_viol > p_tol).tolist()
+    ]
+    found += [
+        (q, 1, 0, Offender("voter_ic", str(q), float(v_viol[q]), tol))
+        for q in np.flatnonzero(voters & on_path & (v_viol > tol)).tolist()
+    ]
+    found += [
+        (q, 2, i, Offender("bayes", f"{q} --{signals[i]}--> {nxt[q, i]}",
+                           float(bayes_res[q, i]), tol))
+        for q, i in zip(*(a.tolist() for a in np.nonzero(checked & (bayes_res > tol))))
+    ]
+    found.sort(key=lambda c: (-c[3].residual / max(c[3].tolerance, 1e-300), *c[:3]))
+    offenders = [c[3] for c in found]
 
-        # -- voter replacement choice ---------------------------------------
-        if q.id != automaton.initial:
-            vgap = expected_effort(automaton, q.id) - target
-            if 0.0 < q.replace_prob < 1.0:
-                vviol = abs(vgap)
-            elif q.replace_prob <= 0.0:
-                vviol = max(0.0, -vgap)
-            else:
-                vviol = max(0.0, vgap)
-            voter_gap[q.id] = vgap
-            voter_ic[q.id] = vviol
-            if q.id not in on_path:
-                informational.add(q.id)
-            elif vviol > tol:
-                passed = False
-                offenders.append(Offender("voter_ic", str(q.id), vviol, tol))
-
-        # -- Bayes consistency along outgoing edges --------------------------
-        if q.id == automaton.initial or q.replace_prob < 1.0:
-            e_q = expected_effort(automaton, q.id)
-            law = monitoring.mixture(e_q)
-            for i, s in enumerate(monitoring.signals):
-                succ = automaton.successor(q.id, s)
-                if succ is None:
-                    continue
-                residual = abs(
-                    law[i] * automaton.state(succ).belief - q.belief * monitoring.f1[i]
-                )
-                bayes[(q.id, s)] = residual
-                if residual > tol:
-                    passed = False
-                    offenders.append(
-                        Offender("bayes", f"{q.id} --{s}--> {succ}", residual, tol)
-                    )
-
-    offenders.sort(key=lambda o: o.residual / max(o.tolerance, 1e-300), reverse=True)
+    ids = range(n)
+    voter_ids = np.flatnonzero(voters).tolist()
+    edge_q, edge_i = np.nonzero(checked)
     return VerificationReport(
-        passed=passed,
+        passed=not offenders,
         tol=tol,
         tail_bound=values.tail_bound,
         outside_option=u0,
-        politician_ic=politician_ic,
-        politician_gap=politician_gap,
-        politician_tol=politician_tol,
-        voter_ic=voter_ic,
-        voter_gap=voter_gap,
-        informational_states=informational,
-        bayes=bayes,
+        politician_ic=dict(zip(ids, p_viol.tolist())),
+        politician_gap=dict(zip(ids, gap.tolist())),
+        politician_tol=dict(zip(ids, p_tol.tolist())),
+        voter_ic=dict(zip(voter_ids, v_viol[voters].tolist())),
+        voter_gap=dict(zip(voter_ids, v_gap[voters].tolist())),
+        informational_states=set(np.flatnonzero(voters & ~on_path).tolist()),
+        bayes={
+            (q, signals[i]): r
+            for q, i, r in zip(edge_q.tolist(), edge_i.tolist(), bayes_res[checked].tolist())
+        },
         offenders=offenders,
     )

@@ -3,8 +3,9 @@ import pytest
 from scipy.optimize import brentq
 
 from replab import GameParams, MonitoringStructure, bound_sweep, outside_option_bound
+from replab import bounds
 from replab.bounds import g_ratio, minimize_g
-from replab.errors import FeiHoldsNoBound
+from replab.errors import FeiHoldsNoBound, ReplabError
 
 
 def eta_star_by_stationarity(pi0: float, horizon_T: int) -> float:
@@ -24,9 +25,9 @@ class TestOutsideOptionBound:
         result = outside_option_bound(fail_params, binary75)
         assert result.horizon_T == 8
         ref_eta = eta_star_by_stationarity(0.3, 8)
-        # minimizer location is only sqrt(eps)-identifiable on a flat bowl;
-        # the minimum value itself is pinned far tighter
-        assert result.eta_star == pytest.approx(ref_eta, abs=1e-6)
+        # the minimizer is a simple root of the stationarity condition, so
+        # its location is pinned as tightly as the oracle's own root
+        assert result.eta_star == pytest.approx(ref_eta, abs=1e-10)
         assert result.g_value == pytest.approx(g_ratio(0.3, ref_eta, 8), abs=1e-12)
         assert result.bound_value == pytest.approx(0.05 + result.g_value, abs=1e-15)
         assert result.bound_value == pytest.approx(0.9913494616, abs=1e-7)
@@ -38,7 +39,7 @@ class TestOutsideOptionBound:
         ref_eta = eta_star_by_stationarity(1e-9, 8)
         assert result.eta_star == pytest.approx(ref_eta, rel=1e-6)
         assert result.bound_value == pytest.approx(g_ratio(1e-9, ref_eta, 8), rel=1e-9)
-        # recomputed via the grid/golden oracle during the pre-build pass
+        # pinned figures for this instance (T = 8)
         assert result.eta_star == pytest.approx(0.123908, abs=1e-5)
         assert result.bound_value == pytest.approx(0.1393964, abs=1e-6)
 
@@ -63,6 +64,15 @@ class TestOutsideOptionBound:
         params = GameParams(0.2, 0.3, 1e-6, 0.05)
         result = outside_option_bound(params, binary75)
         assert result.bound_value == pytest.approx(0.05 + result.g_value, abs=1e-15)
+
+
+@pytest.mark.parametrize("horizon_T", [2, 3, 7, 8, 20, 100])
+def test_minimize_g_matches_stationarity_root(horizon_T):
+    for pi0 in [3.0 * 10.0**-k for k in range(1, 15)] + [0.3, 0.5, 0.9, 0.999]:
+        eta_star, g_min = minimize_g(pi0, horizon_T)
+        ref_eta = eta_star_by_stationarity(pi0, horizon_T)
+        assert eta_star == pytest.approx(ref_eta, rel=1e-10)
+        assert g_min == pytest.approx(g_ratio(pi0, ref_eta, horizon_T), rel=1e-15)
 
 
 class TestBoundSweep:
@@ -92,6 +102,12 @@ class TestBoundSweep:
         above = bound_sweep(fail_params, binary75, [0.3], [1.01 * c_bar])[0]
         assert below["bound"] < 1.0
         assert above["bound"] >= 1.0
+
+    def test_comparative_statics_violation_is_raised(self, fail_params, binary75, monkeypatch):
+        # checked with a raised error, which survives python -O
+        monkeypatch.setattr(bounds, "minimize_g", lambda pi0, horizon_T: (0.5, -pi0))
+        with pytest.raises(ReplabError):
+            bound_sweep(fail_params, binary75, [0.3, 0.03], [0.0])
 
     def test_vanishes_along_joint_path(self, binary75):
         # bound -> 0 monotonically as (c, pi0) -> (0, 0) jointly

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -145,6 +147,24 @@ class TestConstructVerifySimulate:
         manifest_b = json.loads((out_b / "manifest.json").read_text())
         assert manifest_a["config_hash"] == manifest_b["config_hash"]
 
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    @pytest.mark.parametrize("field, value", [("to", 99999), ("signal", "Maybe")])
+    def test_malformed_transition_exits_2(
+        self, capsys, automaton_file, tmp_path, command, field, value
+    ):
+        payload = json.loads(automaton_file.read_text())
+        payload["transitions"][0][field] = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+
     def test_missing_automaton_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--automaton", str(tmp_path / "missing.json")
@@ -221,6 +241,31 @@ class TestPhaseSweep:
         lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # the CLI and a simulation on a lumpable automaton need neither solver
+    probe = """
+import sys
+import replab.cli
+from replab import GameParams, MonitoringStructure, construct_non_efe
+from replab.simulate import SimulationConfig, analytic_long_run_effort, simulate
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
+
+replab.cli.build_parser()
+print(loaded())
+params, monitoring = GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75)
+auto, _ = construct_non_efe(params, monitoring)
+simulate(auto, params, monitoring, SimulationConfig(horizon=5, paths=3, master_seed=1))
+assert analytic_long_run_effort(auto, params, monitoring).method == "lumped"
+print(loaded())
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["[]", "[]"]
 
 
 class TestArgparseContract:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from replab.errors import (
     NoFeasibleA0,
     NonContractive,
     ReplacementCostTooLargeForConstruction,
+    ValidationError,
 )
 
 THREE_SIGNAL = MonitoringStructure(("A", "B", "C"), f0=(0.2, 0.2, 0.6), f1=(0.5, 0.3, 0.2))
@@ -261,6 +263,70 @@ class TestValueRecursion:
     def test_delta_out_of_range(self, binary75, fe_automaton):
         with pytest.raises(NonContractive):
             compute_values(fe_automaton, GameParams(0.2, 1.0, 0.3, 0.05), binary75)
+
+    def test_sparse_solve_matches_dense_oracle(self):
+        auto, _ = construct_non_efe(TWO_FAIL_PARAMS, TWO_FAIL, max_depth=10)
+        assert len(auto.states) == 836 and not auto.complete
+        delta, kappa = TWO_FAIL_PARAMS.delta, TWO_FAIL_PARAMS.kappa
+        sv, sp, _, nxt = auto.as_arrays()
+        n, n_signals = nxt.shape
+        m = np.zeros((n, n))
+        miss = np.zeros(n)
+        for q in range(n):
+            for i in range(n_signals):
+                w = delta * (sp[q] * TWO_FAIL.f1[i] + (1.0 - sp[q]) * TWO_FAIL.f0[i])
+                if nxt[q, i] < 0:
+                    miss[q] += w
+                else:
+                    m[q, nxt[q, i]] += w * (1.0 - sv[nxt[q, i]])
+        a = np.eye(n) - m
+        vt = compute_values(auto, TWO_FAIL_PARAMS, TWO_FAIL)
+        np.testing.assert_allclose(
+            vt.values, np.linalg.solve(a, (1.0 - delta) * (1.0 - kappa * sp)), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(vt.errors, np.linalg.solve(a, miss), rtol=0, atol=1e-12)
+        assert vt.tail_bound == vt.errors.max() > 0.0
+
+    def test_default_depth_tree_solves_in_edge_memory(self):
+        # a dense n x n value system for this tree would take about 18 GB
+        auto, _ = construct_non_efe(TWO_FAIL_PARAMS, TWO_FAIL)
+        assert len(auto.states) == 47_525
+        tracemalloc.start()
+        try:
+            compute_values(auto, TWO_FAIL_PARAMS, TWO_FAIL)
+            report = verify(auto, TWO_FAIL_PARAMS, TWO_FAIL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 200e6
+
+
+class TestArrayForm:
+    def test_arrays_built_once_and_read_only(self, non_efe_automaton):
+        arrays = non_efe_automaton.as_arrays()
+        assert non_efe_automaton.as_arrays() is arrays
+        sv, sp, pi, nxt = arrays
+        assert nxt.shape == (len(non_efe_automaton.states), len(non_efe_automaton.signals))
+        for (qid, sig), tid in non_efe_automaton.transitions.items():
+            assert nxt[qid, non_efe_automaton.signals.index(sig)] == tid
+        with pytest.raises(ValueError):
+            sv[0] = 0.5
+
+    def test_one_violation_per_bad_edge(self, fe_automaton, ref_params, binary75):
+        transitions = dict(fe_automaton.transitions)
+        transitions[(0, "Fail")] = 99999
+        transitions[(1, "Maybe")] = 2
+        transitions[(-1, "Pass")] = 0
+        bad = EquilibriumAutomaton(
+            states=list(fe_automaton.states), transitions=transitions, initial=0,
+            signals=fe_automaton.signals, kind="custom", complete=True,
+        )
+        with pytest.raises(ValidationError) as exc:
+            bad.as_arrays()
+        assert [v.code for v in exc.value.violations] == ["BadTransition"] * 3
+        with pytest.raises(ValidationError):
+            verify(bad, ref_params, binary75)
 
 
 class TestSerialization:
