@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
-from .errors import ConfigParse, ReplabError
+from .errors import ConfigParse, ReplabError, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 from .simulate import (
     SimulationConfig,
@@ -258,9 +258,12 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     payload = json.loads(Path(args.automaton).read_text())
     automaton, params, monitoring = equilibria.automaton_from_dict(payload)
-    config = SimulationConfig(
-        horizon=args.horizon, paths=args.paths, master_seed=args.seed
-    )
+    try:
+        config = SimulationConfig(
+            horizon=args.horizon, paths=args.paths, master_seed=args.seed
+        )
+    except ValueError as exc:
+        raise ValidationError([Violation("BadSimulationConfig", str(exc))]) from exc
     stats = run_simulation(automaton, params, monitoring, config)
     analytic = analytic_long_run_effort(automaton, params, monitoring)
     summary = {

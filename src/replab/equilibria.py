@@ -102,7 +102,7 @@ class EquilibriumAutomaton:
 
         Raises :class:`ValidationError`, one violation per bad edge, for a
         transition with a signal not in ``signals`` or a state outside
-        [0, n).
+        [0, n), and one for an initial state outside [0, n).
         """
         return self._arrays
 
@@ -125,6 +125,8 @@ class EquilibriumAutomaton:
                 nxt[qid, column[sig]] = tid
                 continue
             bad.append(Violation("BadTransition", f"{qid!r} --{sig}--> {tid!r}: {problem}"))
+        if not in_range(self.initial):
+            bad.append(Violation("BadInitial", f"initial state {self.initial!r} outside [0, {n})"))
         if bad:
             raise ValidationError(bad)
         arrays = (

@@ -10,8 +10,14 @@ t = 0 there is no vote.
 
 Determinism contract: path p consumes a fixed layout of uniforms,
 (horizon x 4) slots [vote, type, action, signal], from a counter-based
-Philox stream keyed by (master_seed, p). Results are therefore
-bit-identical regardless of batching or scheduling.
+Philox stream keyed by (master_seed, p). Paths run in batches of
+``_BATCH``; one Philox per batch is rekeyed to (master_seed, p) for each
+path, and the batch is held period-major, (horizon, 4, paths), so that each
+period reads contiguous slots. Every reduction is exact or per path:
+per-period counts are integers, ``mean_belief`` is formed once from the
+integer state occupancy, and per-path aggregates are reduced once at the
+end. The stats, ``mean_belief`` included, are therefore bit-identical under
+any batching or scheduling.
 
 The belief-martingale residual averages one-step increments of the acting
 incumbent's reputation, pi(successor) - pi(state), over every acting
@@ -32,7 +38,10 @@ from .errors import DepthInsufficient
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states
 
-_BATCH = 4096
+# paths per batch and per staging block: the (horizon, 4, _BATCH) batch plus
+# the (_BLOCK, horizon, 4) block stay within 64 MB at horizon 500
+_BATCH = 3840
+_BLOCK = 128
 _UNIFORM_SLOTS = 4  # vote, type, action, signal
 TENURE_THRESHOLDS = (10, 50, 100, 200)
 
@@ -47,6 +56,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.paths < 1:
             raise ValueError("horizon and paths must both be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must lie in [0, 2^64)")
 
 
 @dataclass
@@ -104,11 +115,52 @@ class SimulationStats:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _path_uniforms(master_seed: int, path_index: int, horizon: int) -> np.ndarray:
-    key = np.array([master_seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(
-        (horizon, _UNIFORM_SLOTS)
+def _fill_uniforms(master_seed: int, start: int, u: np.ndarray) -> None:
+    """Fill the period-major batch ``u``, shape (horizon, 4, nb), with the
+    streams of paths ``start`` .. ``start + nb - 1``.
+
+    Column ``i`` of ``u`` equals
+    ``Generator(Philox(key=[master_seed, start + i])).random((horizon, 4)).T``.
+    One Philox is rekeyed per path by writing the key and a zero counter into
+    its state dict in place; a fresh ``Philox(key=...)`` would read OS entropy
+    through ``SeedSequence`` for every path. Paths are drawn path-major in
+    blocks of ``_BLOCK`` and each block is transposed into ``u`` while it is
+    still in cache.
+    """
+    horizon, _, nb = u.shape
+    bitgen = np.random.Philox(key=np.array([master_seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    block = np.empty((min(_BLOCK, nb), horizon, _UNIFORM_SLOTS))
+    for lo in range(0, nb, len(block)):
+        rows = block[: min(len(block), nb - lo)]
+        for i, row in enumerate(rows):
+            key[1] = start + lo + i
+            counter[:] = 0
+            state["buffer_pos"] = 4  # empty buffer: the next draw starts the stream
+            bitgen.state = state
+            gen.random(out=row)
+        u[:, :, lo : lo + len(rows)] = rows.transpose(1, 2, 0)
+
+
+def _signal_thresholds(monitoring: MonitoringStructure) -> np.ndarray:
+    """(S - 1, 2) table: row k holds the k-th interior cdf point of the shirk
+    law (column 0) and of the work law (column 1)."""
+    return np.stack(
+        [np.cumsum(monitoring.f0)[:-1], np.cumsum(monitoring.f1)[:-1]], axis=1
     )
+
+
+def _signals(thresholds: np.ndarray, act: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Signal index per path: the number of interior cdf points of the path's
+    action law at or below its uniform, which equals
+    ``searchsorted(cdf, u, side="right")``."""
+    law = act.view(np.uint8)
+    sig = np.zeros(len(u), dtype=np.int64)
+    for point in thresholds:
+        sig += u >= point.take(law)
+    return sig
 
 
 def simulate(
@@ -121,15 +173,15 @@ def simulate(
     horizon, paths = config.horizon, config.paths
     pi0 = params.pi0
     sv, sp, pi, nxt = automaton.as_arrays()
-    cdf0 = np.cumsum(monitoring.f0)
-    cdf1 = np.cumsum(monitoring.f1)
-    cdf0[-1] = cdf1[-1] = 1.0
+    n, n_signals = nxt.shape
+    next_flat = nxt.ravel()
+    thresholds = _signal_thresholds(monitoring)
 
     if config.record_traces and paths * horizon > 20_000_000:
         raise ValueError("record_traces is meant for desk-scale runs")
 
     effort_sum = np.zeros(horizon)
-    belief_sum = np.zeros(horizon)
+    occupancy = np.zeros((horizon, n), dtype=np.int64)  # acting paths per state
     replace_count = np.zeros(horizon)
     favorable_count = np.zeros(horizon)
     tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
@@ -151,15 +203,15 @@ def simulate(
             "belief": np.zeros((paths, horizon)),
         }
 
+    batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
     for start in range(0, paths, _BATCH):
         stop = min(start + _BATCH, paths)
         nb = stop - start
-        u = np.empty((nb, horizon, _UNIFORM_SLOTS))
-        for i in range(nb):
-            u[i] = _path_uniforms(config.master_seed, start + i, horizon)
+        u = batch[:, :, :nb]
+        _fill_uniforms(config.master_seed, start, u)
 
         state = np.full(nb, automaton.initial, dtype=np.int64)
-        good = u[:, 0, 1] < pi0
+        good = u[0, 1] < pi0
         tenure = np.zeros(nb, dtype=np.int64)
         path_effort = np.zeros(nb)
         prefix = {cut: np.zeros(nb) for cut in cutoffs}
@@ -168,8 +220,9 @@ def simulate(
         still_first = np.ones(nb, dtype=bool)
 
         for t in range(horizon):
+            vote, draw_type, draw_act, draw_sig = u[t]
             if t > 0:
-                replaced = u[:, t, 0] < sv[state]
+                replaced = vote < sv[state]
                 if replaced.any():
                     favorable_count[t] += np.count_nonzero(
                         replaced & (pi[state] > pi0)
@@ -180,7 +233,7 @@ def simulate(
                     newly = replaced & still_first
                     first_rep[newly] = t
                     still_first &= ~replaced
-                    good = np.where(replaced, u[:, t, 1] < pi0, good)
+                    good = np.where(replaced, draw_type < pi0, good)
                     state = np.where(replaced, automaton.initial, state)
                     tenure = np.where(replaced, 0, tenure)
                 replace_count[t] += np.count_nonzero(replaced)
@@ -188,18 +241,14 @@ def simulate(
                 if t == cut:
                     prefix[cut][:] = path_effort
 
+            occupancy[t] += np.bincount(state, minlength=n)
             belief_now = pi[state]
-            belief_sum[t] += belief_now.sum()
-            act = good | (u[:, t, 2] < sp[state])
+            act = good | (draw_act < sp[state])
             effort_sum[t] += np.count_nonzero(act)
             path_effort += act
 
-            sig = np.where(
-                act,
-                np.searchsorted(cdf1, u[:, t, 3], side="right"),
-                np.searchsorted(cdf0, u[:, t, 3], side="right"),
-            )
-            state_next = nxt[state, sig]
+            sig = _signals(thresholds, act, draw_sig)
+            state_next = next_flat.take(state * n_signals + sig)
             if np.any(state_next < 0):
                 raise DepthInsufficient(
                     f"path walked off the materialized automaton at period {t}"
@@ -240,7 +289,7 @@ def simulate(
         master_seed=config.master_seed,
         mean_effort=effort_sum / paths,
         replace_rate=replace_count / paths,
-        mean_belief=belief_sum / paths,
+        mean_belief=(occupancy @ pi) / paths,
         favorable_replacements=favorable_count,
         favorable_total=int(favorable_count.sum()),
         burn_in=burn_in,

@@ -165,6 +165,39 @@ class TestConstructVerifySimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    def test_initial_out_of_range_exits_2(self, capsys, automaton_file, tmp_path, command):
+        payload = json.loads(automaton_file.read_text())
+        payload["initial"] = 99999
+        bad = tmp_path / "bad-initial.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+        assert "BadInitial" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+        ["--paths", "0"],
+        ["--horizon", "0"],
+    ])
+    def test_simulate_bad_sizes_and_seeds_exit_2(self, capsys, automaton_file, flags):
+        code, out, err = run(
+            capsys, "simulate", "--automaton", str(automaton_file),
+            "--paths", "10", "--horizon", "5", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValidationError"
+
     def test_missing_automaton_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--automaton", str(tmp_path / "missing.json")

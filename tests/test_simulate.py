@@ -44,11 +44,12 @@ class TestDeterminism:
     def test_batching_invariance(self, non_efe_automaton, ref_params, binary75,
                                  monkeypatch):
         # per-path streams are keyed by (seed, path), so regrouping the paths
-        # cannot change any draw; path-level aggregates reduce identically,
-        # and only batch-accumulated per-period belief sums may move by ulps
+        # cannot change any draw; per-period counts are integers and
+        # per-path aggregates reduce once, so every field is exact
         config = SimulationConfig(horizon=60, paths=900, master_seed=5)
         full = simulate(non_efe_automaton, ref_params, binary75, config)
         monkeypatch.setattr(sim_module, "_BATCH", 128)
+        monkeypatch.setattr(sim_module, "_BLOCK", 50)
         rebatched = simulate(non_efe_automaton, ref_params, binary75, config)
         assert np.array_equal(full.mean_effort, rebatched.mean_effort)
         assert np.array_equal(full.replace_rate, rebatched.replace_rate)
@@ -59,7 +60,164 @@ class TestDeterminism:
         assert full.favorable_total == rebatched.favorable_total
         assert full.long_run_effort == rebatched.long_run_effort
         assert full.martingale_mean == rebatched.martingale_mean
-        assert np.allclose(full.mean_belief, rebatched.mean_belief, rtol=1e-12)
+        assert np.array_equal(full.mean_belief, rebatched.mean_belief)
+        assert full.to_json() == rebatched.to_json()
+
+
+class TestFastPathOracles:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_batch_columns_are_fresh_philox_streams(
+        self, non_efe_automaton, ref_params, binary75, monkeypatch, seed
+    ):
+        # 100 paths in batches of 40 (the last one partial), staged in blocks
+        # of 16: each path's uniforms must equal its own freshly keyed stream
+        monkeypatch.setattr(sim_module, "_BATCH", 40)
+        monkeypatch.setattr(sim_module, "_BLOCK", 16)
+        fill = sim_module._fill_uniforms
+        filled = {}
+
+        def recording_fill(master_seed, start, u):
+            fill(master_seed, start, u)
+            filled[start] = u.copy()
+
+        monkeypatch.setattr(sim_module, "_fill_uniforms", recording_fill)
+        horizon = 7
+        simulate(non_efe_automaton, ref_params, binary75,
+                 SimulationConfig(horizon=horizon, paths=100, master_seed=seed))
+        assert sorted(filled) == [0, 40, 80]
+        assert filled[80].shape == (horizon, 4, 20)
+        for start, u in filled.items():
+            for i in range(u.shape[2]):
+                key = np.array([seed, start + i], dtype=np.uint64)
+                expected = np.random.Generator(np.random.Philox(key=key)).random(
+                    (horizon, 4)
+                )
+                assert np.array_equal(u[:, :, i], expected), start + i
+
+    @pytest.mark.parametrize("f0, f1", [
+        ((0.25, 0.75), (0.75, 0.25)),
+        ((0.2, 0.2, 0.6), (0.5, 0.3, 0.2)),
+        ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)),
+    ])
+    def test_signal_lookup_equals_searchsorted(self, f0, f1):
+        monitoring = MonitoringStructure(tuple("ABCD"[: len(f0)]), f0=f0, f1=f1)
+        cdfs = [np.cumsum(f0), np.cumsum(f1)]
+        for cdf in cdfs:
+            cdf[-1] = 1.0
+        interior = np.concatenate([cdf[:-1] for cdf in cdfs])
+        u = np.concatenate([
+            np.random.default_rng(0).random(5000),
+            interior,  # exactly on a cut point
+            np.nextafter(interior, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = np.concatenate([u, u])
+        act = np.arange(len(u)) >= len(u) // 2
+        expected = np.where(
+            act,
+            np.searchsorted(cdfs[1], u, side="right"),
+            np.searchsorted(cdfs[0], u, side="right"),
+        )
+        thresholds = sim_module._signal_thresholds(monitoring)
+        assert np.array_equal(sim_module._signals(thresholds, act, u), expected)
+
+
+def _transient_curves(automaton, params, monitoring, horizon):
+    """Exact per-period laws, pushed forward over the horizon: the law of
+    (acting state, type) gives mean effort, mean belief and its variance,
+    the pre-vote law gives the replacement rate, and the sub-law of paths
+    whose first incumbent was never replaced gives that incumbent's survival
+    after each vote."""
+    from scipy.sparse import csr_matrix
+
+    sv, sp, pi, nxt = automaton.as_arrays()
+    n, n_signals = nxt.shape
+    f0, f1 = np.array(monitoring.f0), np.array(monitoring.f1)
+    rows = np.repeat(np.arange(n), n_signals)
+    cols = nxt.ravel()
+    keep = cols >= 0
+
+    def kernel(law):  # law[s, j] = P(signal j | state s)
+        return csr_matrix(
+            (law.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)
+        ).T.tocsr()
+
+    # row 0: opportunists, who work with the state's effort probability;
+    # row 1: good types, who always work
+    kernels = (
+        kernel(sp[:, None] * f1 + (1.0 - sp[:, None]) * f0),
+        kernel(np.broadcast_to(f1, (n, n_signals))),
+    )
+    fresh = np.zeros((2, n))
+    fresh[:, automaton.initial] = (1.0 - params.pi0, params.pi0)
+
+    def advance(law):
+        return np.stack([k @ row for k, row in zip(kernels, law)])
+
+    acting = fresh.copy()
+    first = fresh.copy()
+    curves = {key: np.zeros(horizon) for key in
+              ("effort", "replace", "belief", "belief_var", "survival")}
+    for t in range(horizon):
+        if t > 0:
+            arrived = advance(acting)
+            out = arrived * sv
+            curves["replace"][t] = out.sum()
+            acting = arrived - out + fresh * out.sum()
+            first = advance(first) * (1.0 - sv)
+        occupancy = acting.sum(axis=0)
+        mean = occupancy @ pi
+        curves["effort"][t] = acting[1].sum() + acting[0] @ sp
+        curves["belief"][t] = mean
+        curves["belief_var"][t] = occupancy @ (pi - mean) ** 2
+        curves["survival"][t] = first.sum()
+    assert abs(acting.sum() - 1.0) < 1e-12  # no mass walked off
+    return curves
+
+
+def _curve_z(simulated, exact, variance, paths):
+    """z-scores of a simulated per-period mean against its exact value;
+    periods with zero variance must match exactly (to rounding)."""
+    se = np.sqrt(np.clip(variance, 0.0, None) / paths)
+    degenerate = se < 1e-12
+    assert np.all(np.abs(simulated - exact)[degenerate] < 1e-12)
+    return (simulated - exact)[~degenerate] / se[~degenerate]
+
+
+def _assert_curves_match_transient_law(stats, automaton, params, monitoring):
+    exact = _transient_curves(automaton, params, monitoring, stats.horizon)
+    survival = 1.0 - np.cumsum(stats.first_replacement_histogram[: stats.horizon]) / stats.paths
+
+    def bernoulli(p):
+        return p * (1.0 - p)
+
+    checks = {
+        "effort": (stats.mean_effort, exact["effort"], bernoulli(exact["effort"])),
+        "replace": (stats.replace_rate, exact["replace"], bernoulli(exact["replace"])),
+        "belief": (stats.mean_belief, exact["belief"], exact["belief_var"]),
+        "survival": (survival, exact["survival"], bernoulli(exact["survival"])),
+    }
+    for name, (simulated, value, variance) in checks.items():
+        z = _curve_z(simulated, value, variance, stats.paths)
+        # hundreds of periods per curve: a per-period tail bound plus a
+        # mean-square bound that a bias of about 1.5 SE in every period fails
+        assert np.max(np.abs(z)) <= 5.0, name
+        assert np.mean(z**2) <= 2.0, name
+
+
+class TestTransientOracle:
+    def test_reference_curves(self, small_run, non_efe_automaton, ref_params, binary75):
+        _assert_curves_match_transient_law(small_run, non_efe_automaton, ref_params, binary75)
+
+    def test_three_signal_curves(self):
+        monitoring = MonitoringStructure(
+            ("A", "B", "C"), f0=(0.2, 0.2, 0.6), f1=(0.5, 0.3, 0.2)
+        )
+        params = GameParams(0.1, 0.6, 0.3, 0.05)
+        auto, _ = construct_non_efe(params, monitoring)
+        stats = simulate(auto, params, monitoring,
+                         SimulationConfig(horizon=300, paths=5000, master_seed=31))
+        _assert_curves_match_transient_law(stats, auto, params, monitoring)
 
 
 class TestFullEffortInvariants:
@@ -232,6 +390,11 @@ class TestConfig:
             SimulationConfig(horizon=0, paths=10, master_seed=1)
         with pytest.raises(ValueError):
             SimulationConfig(horizon=10, paths=0, master_seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_outside_philox_keys(self, seed):
+        with pytest.raises(ValueError):
+            SimulationConfig(horizon=10, paths=10, master_seed=seed)
 
     def test_traces_guarded(self, fe_automaton, ref_params, binary75):
         with pytest.raises(ValueError):
