@@ -57,7 +57,10 @@ def _canonical_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str]):
+def _write_manifest(
+    out_dir: Path, command: str, config: dict, seed, outputs: list[str],
+    counts: Optional[dict] = None,
+):
     import numpy
     import scipy
 
@@ -75,6 +78,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed, outputs: li
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,
     }
+    if counts is not None:
+        manifest["counts"] = counts
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -141,14 +146,21 @@ def _resolve_model(args) -> tuple[GameParams, MonitoringStructure, dict]:
     return params, monitoring, resolved
 
 
+def _floats(tokens: list[str], spec: str) -> list[float]:
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigParse(f"bad number in {spec!r}: {exc}") from exc
+
+
 def _parse_range(spec: str) -> list[float]:
     """'a:b:step' (inclusive endpoints) or a single scalar."""
     if ":" not in spec:
-        return [float(spec)]
+        return _floats([spec], spec)
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigParse(f"bad range {spec!r}; expected a:b:step")
-    a, b, step = (float(p) for p in parts)
+    a, b, step = _floats(parts, spec)
     if step <= 0:
         raise ConfigParse("range step must be positive")
     out = []
@@ -163,7 +175,7 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _grid_list(spec: str) -> list[float]:
-    return [float(tok) for tok in spec.split(",") if tok]
+    return _floats([tok for tok in spec.split(",") if tok], spec)
 
 
 def _out_dir(args) -> Optional[Path]:
@@ -179,8 +191,8 @@ def _out_dir(args) -> Optional[Path]:
 def _cmd_check_fei(args) -> int:
     params, monitoring, cfg = _resolve_model(args)
     if args.sweep:
-        axis, spec = args.sweep.split("=", 1)
-        if axis != "delta":
+        axis, sep, spec = args.sweep.partition("=")
+        if not sep or axis != "delta":
             raise ConfigParse("check-fei sweeps support delta=a:b:step")
         rows = []
         for d in _parse_range(spec):
@@ -235,9 +247,17 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _load_automaton(path: str):
+    """(automaton, params, monitoring) from an automaton JSON file."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ValidationError([Violation("BadAutomatonFile", f"{path}: {exc}")]) from exc
+    return equilibria.automaton_from_dict(payload)
+
+
 def _cmd_verify(args) -> int:
-    payload = json.loads(Path(args.automaton).read_text())
-    automaton, params, monitoring = equilibria.automaton_from_dict(payload)
+    automaton, params, monitoring = _load_automaton(args.automaton)
     report = verifier.verify(automaton, params, monitoring, tol=args.tol, depth=args.depth)
     d = report.to_dict()
     print(
@@ -256,8 +276,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    payload = json.loads(Path(args.automaton).read_text())
-    automaton, params, monitoring = equilibria.automaton_from_dict(payload)
+    automaton, params, monitoring = _load_automaton(args.automaton)
     try:
         config = SimulationConfig(
             horizon=args.horizon, paths=args.paths, master_seed=args.seed
@@ -300,7 +319,7 @@ def _cmd_simulate(args) -> int:
             outputs.append("per_period.csv")
         _write_manifest(
             out, "simulate", {"automaton": args.automaton, "horizon": args.horizon,
-                              "paths": args.paths}, args.seed, outputs,
+                              "paths": args.paths}, args.seed, outputs, counts=stats.counts,
         )
     return EXIT_OK
 

@@ -112,7 +112,8 @@ class EquilibriumAutomaton:
         column = {s: i for i, s in enumerate(self.signals)}
 
         def in_range(sid) -> bool:
-            return isinstance(sid, (int, np.integer)) and 0 <= sid < n
+            is_int = isinstance(sid, (int, np.integer)) and not isinstance(sid, bool)
+            return is_int and 0 <= sid < n
 
         nxt = np.full((n, len(self.signals)), -1, dtype=np.int64)
         bad = []
@@ -414,6 +415,27 @@ def construct_non_efe(
     return automaton, base
 
 
+def _as_float(value) -> Optional[float]:
+    """A JSON number as a float, NaN and infinities included; None for any
+    other value and for an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def meta_numbers(meta: dict, *keys: str) -> Optional[tuple]:
+    """The ``meta`` entries ``keys`` if every one is a finite number, else
+    None: a check that reads them is skipped, not failed, when they are
+    absent or mistyped."""
+    values = tuple(meta.get(key) for key in keys)
+    if all(math.isfinite(_as_float(v) or math.nan) for v in values):
+        return values
+    return None
+
+
 def compute_values(
     automaton: EquilibriumAutomaton,
     params: GameParams,
@@ -458,9 +480,10 @@ def compute_values(
         )
 
     cross: Optional[dict] = None
-    if automaton.kind == "non-efe" and "v_hat" in automaton.meta:
-        v_hat = automaton.meta["v_hat"]
-        v_bar = automaton.meta["v_bar"]
+    non_efe_targets = meta_numbers(automaton.meta, "v_hat", "v_bar")
+    full_effort_target = meta_numbers(automaton.meta, "v_bar")
+    if automaton.kind == "non-efe" and non_efe_targets:
+        v_hat, v_bar = non_efe_targets
         residuals = []
         for q in automaton.states:
             if q.regime in (REGIME_INITIAL, REGIME_FIRST):
@@ -469,12 +492,10 @@ def compute_values(
                 residuals.append(abs(values[q.id] - v_bar))
             elif q.regime == REGIME_THIRD:
                 residuals.append(abs(values[q.id] - (1.0 - delta)))
-        cross = {"max_residual": max(residuals), "v_hat": v_hat, "v_bar": v_bar}
-    elif automaton.kind == "full-effort" and "v_bar" in automaton.meta:
-        cross = {
-            "max_residual": abs(values[automaton.initial] - automaton.meta["v_bar"]),
-            "v_bar": automaton.meta["v_bar"],
-        }
+        cross = {"max_residual": max(residuals, default=0.0), "v_hat": v_hat, "v_bar": v_bar}
+    elif automaton.kind == "full-effort" and full_effort_target:
+        (v_bar,) = full_effort_target
+        cross = {"max_residual": abs(values[automaton.initial] - v_bar), "v_bar": v_bar}
 
     return ValueTable(
         values=values,
@@ -523,19 +544,83 @@ def automaton_to_dict(
     }
 
 
+_FILE_FIELDS = ("params_echo", "states", "transitions", "initial")
+_STATE_FIELDS = ("id", "regime", "replace_prob", "effort_prob", "belief")
+_UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
+
+
 def automaton_from_dict(
     payload: dict,
 ) -> tuple[EquilibriumAutomaton, GameParams, MonitoringStructure]:
-    echo = payload["params_echo"]
-    params = GameParams(
-        kappa=echo["kappa"], delta=echo["delta"], pi0=echo["pi0"], c=echo["c"]
-    )
-    monitoring = MonitoringStructure(
-        signals=tuple(s["name"] for s in echo["signals"]),
-        f0=tuple(s["f0"] for s in echo["signals"]),
-        f1=tuple(s["f1"] for s in echo["signals"]),
-    )
-    raw_states = sorted(payload["states"], key=lambda s: s["id"])
+    """Inverse of :func:`automaton_to_dict` for a parsed automaton file.
+
+    Raises :class:`ValidationError` for a malformed file: a missing or
+    mistyped field, echoed params or signals that fail
+    ``find_violations(..., RELAXED)``, state ids other than 0 .. n-1, or a
+    state probability or belief that is not a number in [0, 1].
+    Transitions and the initial state are checked where the arrays are
+    built (:meth:`EquilibriumAutomaton.as_arrays`).
+    """
+    if not isinstance(payload, dict):
+        raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
+    missing = [name for name in _FILE_FIELDS if name not in payload]
+    if missing:
+        raise ValidationError(
+            [Violation("MissingField", f"automaton file has no {name!r}") for name in missing]
+        )
+    try:
+        echo = payload["params_echo"]
+        params = GameParams(
+            kappa=echo["kappa"], delta=echo["delta"], pi0=echo["pi0"], c=echo["c"]
+        )
+        monitoring = MonitoringStructure(
+            signals=tuple(s["name"] for s in echo["signals"]),
+            f0=tuple(s["f0"] for s in echo["signals"]),
+            f1=tuple(s["f1"] for s in echo["signals"]),
+        )
+        raw_states = list(payload["states"])
+        transitions = {
+            (t["from"], t["signal"]): t["to"] for t in payload["transitions"]
+        }
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            [Violation("BadAutomatonFile", f"missing or mistyped field: {exc!r}")]
+        ) from exc
+    numbers = (params.kappa, params.delta, params.pi0, params.c, *monitoring.f0, *monitoring.f1)
+    meta = payload.get("meta", {})
+    if not (
+        all(_as_float(x) is not None for x in numbers)
+        and all(isinstance(name, str) for name in monitoring.signals)
+        and isinstance(meta, dict)
+    ):
+        raise ValidationError(
+            [Violation("BadAutomatonFile", "a mistyped params_echo value or meta")]
+        )
+    violations = find_violations(monitoring, params, RELAXED)
+    try:
+        columns = {name: [s[name] for s in raw_states] for name in _STATE_FIELDS}
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            [Violation("BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]
+        ) from exc
+    for name in _UNIT_FIELDS:
+        column = columns[name]
+        values = np.array(
+            [np.nan if (x := _as_float(v)) is None else x for v in column], dtype=float
+        )
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails too
+        if len(bad):
+            violations.append(Violation(
+                "BadState",
+                f"{name} is not a number in [0, 1] in {len(bad)} state(s), "
+                f"first {column[bad[0]]!r} at state {columns['id'][bad[0]]!r}",
+            ))
+    if violations:
+        raise ValidationError(violations)
+    ids = columns["id"]
+    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise ValidationError([Violation("BadStateIds", "state ids must be 0 .. n-1")])
+
     states = [
         AutomatonState(
             id=s["id"],
@@ -544,11 +629,8 @@ def automaton_from_dict(
             effort_prob=s["effort_prob"],
             belief=s["belief"],
         )
-        for s in raw_states
+        for s in sorted(raw_states, key=lambda s: s["id"])
     ]
-    transitions = {
-        (t["from"], t["signal"]): t["to"] for t in payload["transitions"]
-    }
     automaton = EquilibriumAutomaton(
         states=states,
         transitions=transitions,
@@ -556,6 +638,6 @@ def automaton_from_dict(
         signals=monitoring.signals,
         kind=payload.get("kind", "custom"),
         complete=payload.get("complete", True),
-        meta=payload.get("meta", {}),
+        meta=meta,
     )
     return automaton, params, monitoring

@@ -19,6 +19,14 @@ integer state occupancy, and per-path aggregates are reduced once at the
 end. The stats, ``mean_belief`` included, are therefore bit-identical under
 any batching or scheduling.
 
+The per-period kernel indexes a (state, type) pair as one row, k + n*g
+with g = 1 for a good type, so that one lookup per table gives a row's
+replacement and effort probabilities (1 on good rows), whether a
+replacement there is favorable, and per edge (row * S + signal) the next
+row and the belief increment. The type rides along every transition and
+is redrawn only on replacement; occupancy is counted over the 2n rows and
+folded to states once at the end.
+
 The belief-martingale residual averages one-step increments of the acting
 incumbent's reputation, pi(successor) - pi(state), over every acting
 period. The successor belief forms before the next vote, so replacement
@@ -33,13 +41,13 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import REGIME_FIRST, EquilibriumAutomaton
+from .equilibria import REGIME_FIRST, EquilibriumAutomaton, meta_numbers
 from .errors import DepthInsufficient
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states
 
-# paths per batch and per staging block: the (horizon, 4, _BATCH) batch plus
-# the (_BLOCK, horizon, 4) block stay within 64 MB at horizon 500
+# paths per batch and per staging block: at horizon 500 the (horizon, 4,
+# _BATCH) batch is 61 MB and the (_BLOCK, horizon, 4) block 2 MB
 _BATCH = 3840
 _BLOCK = 128
 _UNIFORM_SLOTS = 4  # vote, type, action, signal
@@ -86,6 +94,8 @@ class SimulationStats:
     first_replacement_histogram: np.ndarray  # index = period of first replacement
     first_politician_survival: dict[int, float]  # P(first career outlives t)
     traces: Optional[dict] = field(default=None, repr=False)
+    # run counts for the manifest; like traces, never part of the stats JSON
+    counts: dict = field(default_factory=dict, repr=False)
 
     def to_json(self) -> str:
         """Canonical JSON; byte-identical across reruns with equal inputs."""
@@ -119,26 +129,29 @@ def _fill_uniforms(master_seed: int, start: int, u: np.ndarray) -> None:
     """Fill the period-major batch ``u``, shape (horizon, 4, nb), with the
     streams of paths ``start`` .. ``start + nb - 1``.
 
-    Column ``i`` of ``u`` equals
-    ``Generator(Philox(key=[master_seed, start + i])).random((horizon, 4)).T``.
-    One Philox is rekeyed per path by writing the key and a zero counter into
-    its state dict in place; a fresh ``Philox(key=...)`` would read OS entropy
-    through ``SeedSequence`` for every path. Paths are drawn path-major in
-    blocks of ``_BLOCK`` and each block is transposed into ``u`` while it is
-    still in cache.
+    ``u[:, :, i]`` equals
+    ``Generator(Philox(key=[master_seed, start + i])).random((horizon, 4))``.
+    One Philox is rekeyed per path by assigning it a state with the path's
+    key, a zero counter and an empty buffer; a fresh ``Philox(key=...)``
+    would read OS entropy through ``SeedSequence`` for every path. Paths are
+    drawn path-major in blocks of ``_BLOCK`` and each block is transposed
+    into ``u`` while it is still in cache.
     """
     horizon, _, nb = u.shape
     bitgen = np.random.Philox(key=np.array([master_seed, start], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
+    # the state setter reads plain ints about 3x faster than arrays
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [master_seed, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    key = state["state"]["key"]
     block = np.empty((min(_BLOCK, nb), horizon, _UNIFORM_SLOTS))
     for lo in range(0, nb, len(block)):
         rows = block[: min(len(block), nb - lo)]
         for i, row in enumerate(rows):
             key[1] = start + lo + i
-            counter[:] = 0
-            state["buffer_pos"] = 4  # empty buffer: the next draw starts the stream
             bitgen.state = state
             gen.random(out=row)
         u[:, :, lo : lo + len(rows)] = rows.transpose(1, 2, 0)
@@ -174,14 +187,24 @@ def simulate(
     pi0 = params.pi0
     sv, sp, pi, nxt = automaton.as_arrays()
     n, n_signals = nxt.shape
-    next_flat = nxt.ravel()
     thresholds = _signal_thresholds(monitoring)
+    # row k + n*g is state k held by an incumbent of type g (1 = good); good
+    # types always work, and the type rides along every transition
+    sv2 = np.concatenate([sv, sv])
+    sp2 = np.concatenate([sp, np.ones(n)])
+    pi2 = np.concatenate([pi, pi])
+    fav2 = pi2 > pi0
+    walks_off = bool(np.any(nxt < 0))
+    next2 = np.concatenate([nxt, np.where(nxt >= 0, nxt + n, -1)]).ravel()
+    # belief increment per edge (state * S + signal); 0 on a missing edge
+    step = np.where(next2 >= 0, pi2.take(next2) - np.repeat(pi2, n_signals), 0.0)
+    fresh_bad, fresh_good = automaton.initial, automaton.initial + n
 
     if config.record_traces and paths * horizon > 20_000_000:
         raise ValueError("record_traces is meant for desk-scale runs")
 
     effort_sum = np.zeros(horizon)
-    occupancy = np.zeros((horizon, n), dtype=np.int64)  # acting paths per state
+    occupancy = np.zeros((horizon, 2 * n), dtype=np.int64)  # acting paths per row
     replace_count = np.zeros(horizon)
     favorable_count = np.zeros(horizon)
     tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
@@ -210,59 +233,48 @@ def simulate(
         u = batch[:, :, :nb]
         _fill_uniforms(config.master_seed, start, u)
 
-        state = np.full(nb, automaton.initial, dtype=np.int64)
-        good = u[0, 1] < pi0
-        tenure = np.zeros(nb, dtype=np.int64)
+        state = np.where(u[0, 1] < pi0, fresh_good, fresh_bad)
+        since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
         path_effort = np.zeros(nb)
         prefix = {cut: np.zeros(nb) for cut in cutoffs}
         path_mart = np.zeros(nb)
         first_rep = np.full(nb, horizon, dtype=np.int64)
-        still_first = np.ones(nb, dtype=bool)
 
         for t in range(horizon):
             vote, draw_type, draw_act, draw_sig = u[t]
             if t > 0:
-                replaced = vote < sv[state]
-                if replaced.any():
-                    favorable_count[t] += np.count_nonzero(
-                        replaced & (pi[state] > pi0)
-                    )
-                    tenure_hist += np.bincount(
-                        tenure[replaced], minlength=horizon + 1
-                    )
-                    newly = replaced & still_first
-                    first_rep[newly] = t
-                    still_first &= ~replaced
-                    good = np.where(replaced, draw_type < pi0, good)
-                    state = np.where(replaced, automaton.initial, state)
-                    tenure = np.where(replaced, 0, tenure)
-                replace_count[t] += np.count_nonzero(replaced)
+                out = np.flatnonzero(vote < sv2.take(state))  # paths voted out
+                if len(out):
+                    favorable_count[t] += np.count_nonzero(fav2.take(state.take(out)))
+                    tenure_hist += np.bincount(t - since.take(out), minlength=horizon + 1)
+                    first_rep[out[first_rep.take(out) == horizon]] = t
+                    state[out] = np.where(draw_type.take(out) < pi0, fresh_good, fresh_bad)
+                    since[out] = t
+                replace_count[t] += len(out)
             for cut in cutoffs:
                 if t == cut:
                     prefix[cut][:] = path_effort
 
-            occupancy[t] += np.bincount(state, minlength=n)
-            belief_now = pi[state]
-            act = good | (draw_act < sp[state])
+            occupancy[t] += np.bincount(state, minlength=2 * n)
+            act = draw_act < sp2.take(state)  # uniforms are < 1: good types work
             effort_sum[t] += np.count_nonzero(act)
             path_effort += act
 
-            sig = _signals(thresholds, act, draw_sig)
-            state_next = next_flat.take(state * n_signals + sig)
-            if np.any(state_next < 0):
+            edge = state * n_signals + _signals(thresholds, act, draw_sig)
+            state_next = next2.take(edge)
+            if walks_off and np.any(state_next < 0):
                 raise DepthInsufficient(
                     f"path walked off the materialized automaton at period {t}"
                 )
-            path_mart += pi[state_next] - belief_now
+            path_mart += step.take(edge)
             if traces is not None:
                 traces["effort"][start:stop, t] = act
-                traces["state"][start:stop, t] = state
-                traces["belief"][start:stop, t] = belief_now
+                traces["state"][start:stop, t] = state % n
+                traces["belief"][start:stop, t] = pi2.take(state)
             state = state_next
-            tenure += 1
 
         censored_tenures += nb
-        tenure_final = np.minimum(tenure, horizon)
+        tenure_final = horizon - since
         for thr in TENURE_THRESHOLDS:
             exceed_counts[thr] += int(np.count_nonzero(tenure_final > thr))
         first_rep_hist += np.bincount(first_rep, minlength=horizon + 1)
@@ -289,7 +301,7 @@ def simulate(
         master_seed=config.master_seed,
         mean_effort=effort_sum / paths,
         replace_rate=replace_count / paths,
-        mean_belief=(occupancy @ pi) / paths,
+        mean_belief=((occupancy[:, :n] + occupancy[:, n:]) @ pi) / paths,
         favorable_replacements=favorable_count,
         favorable_total=int(favorable_count.sum()),
         burn_in=burn_in,
@@ -306,6 +318,7 @@ def simulate(
         first_replacement_histogram=first_rep_hist,
         first_politician_survival=survival,
         traces=traces,
+        counts={"batches": -(-paths // _BATCH)},
     )
 
 
@@ -416,10 +429,14 @@ def _try_lumped(
     meta = automaton.meta
     if automaton.kind != "non-efe":
         return None
-    if not {"x", "e_star", "a0", "s_star"} <= meta.keys():
+    numbers = meta_numbers(meta, "x", "e_star", "a0")
+    s_star = meta.get("s_star")
+    if not numbers or not (
+        isinstance(s_star, list) and all(isinstance(s, str) for s in s_star)
+    ):
         return None
-    x, e_star = meta["x"], meta["e_star"]
-    s_star = set(meta["s_star"])
+    x, e_star, _ = numbers
+    s_star = set(s_star)
     sv, sp, pi, _ = automaton.as_arrays()
     effort = pi + (1.0 - pi) * sp
     u0 = effort[automaton.initial]

@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replab.cli import main
 
@@ -11,6 +16,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_json_error(code, err, error):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 class TestCheckFei:
@@ -40,6 +52,15 @@ class TestCheckFei:
         assert deltas[flip] == pytest.approx(0.37, abs=1e-9)
         assert holds[flip - 1] == "false"
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sweep", ["delta", "kappa=0.1:0.2:0.1", "delta=0.3:x:0.1"])
+    def test_bad_sweep_is_config_error(self, capsys, sweep):
+        code, out, err = run(
+            capsys, "check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
+            "--sweep", sweep,
+        )
+        assert out == ""
+        assert_one_json_error(code, err, "ConfigParse")
 
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run(
@@ -198,6 +219,91 @@ class TestConstructVerifySimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    @pytest.mark.parametrize("field", ["params_echo", "states", "transitions", "initial"])
+    def test_missing_field_exits_2(self, capsys, automaton_file, tmp_path, command, field):
+        payload = json.loads(automaton_file.read_text())
+        del payload[field]
+        bad = tmp_path / "missing-field.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert "MissingField" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    @pytest.mark.parametrize("where, key, value", [
+        ("params_echo", "delta", 1.5),
+        ("params_echo", "pi0", float("nan")),
+        ("params_echo", "kappa", "0.2"),
+        ("params_echo", "delta", 10**400),
+        ("state", "replace_prob", float("nan")),
+        ("state", "replace_prob", -0.25),
+        ("state", "effort_prob", float("inf")),
+        ("state", "effort_prob", 1.5),
+        ("state", "belief", float("nan")),
+        ("state", "belief", None),
+        ("state", "belief", 10**400),
+        ("state", "id", 999),
+    ])
+    def test_invalid_echo_or_state_exits_2(
+        self, capsys, automaton_file, tmp_path, command, where, key, value
+    ):
+        payload = json.loads(automaton_file.read_text())
+        target = payload["params_echo"] if where == "params_echo" else payload["states"][1]
+        target[key] = value
+        bad = tmp_path / "invalid.json"
+        bad.write_text(json.dumps(payload))  # NaN and Infinity are valid Python JSON
+        code, out, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"params_echo": 1, '
+                                      '"states": [], "transitions": [], "initial": 0}'])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, command, text):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, command, "--automaton", str(bad))
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    @pytest.mark.parametrize("key, value", [
+        ("v_hat", "0.5"), ("v_bar", 10**400), ("x", None), ("a0", float("nan")),
+        ("s_star", "Good"),
+    ])
+    def test_mistyped_meta_skips_its_checks(
+        self, capsys, automaton_file, tmp_path, command, key, value
+    ):
+        # meta feeds only optional cross-checks; a mistyped entry skips them
+        payload = json.loads(automaton_file.read_text())
+        payload["meta"][key] = value
+        bad = tmp_path / "meta.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert code == 0 and err == ""
+
+    def test_simulate_manifest_counts(self, capsys, automaton_file, tmp_path):
+        code, _, _ = run(
+            capsys, "simulate", "--automaton", str(automaton_file),
+            "--paths", "500", "--horizon", "20", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert code == 0
+        counts = json.loads((tmp_path / "manifest.json").read_text())["counts"]
+        assert counts == {"batches": 1}
+        stats = json.loads((tmp_path / "simulation_stats.json").read_text())
+        assert "counts" not in stats and "batches" not in stats
+
     def test_missing_automaton_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--automaton", str(tmp_path / "missing.json")
@@ -274,6 +380,65 @@ class TestPhaseSweep:
         lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
+
+
+@pytest.fixture(scope="module")
+def reference_payload(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "construct", "--kind", "non-efe", "--binary-precision", "0.75",
+            "--kappa", "0.2", "--delta", "0.5", "--pi0", "0.3", "--c", "0.05",
+            "--out", str(out),
+        ])
+    assert code == 0
+    return json.loads((out / "automaton-non-efe.json").read_text())
+
+
+def _json_paths(node, prefix=()):
+    """Key paths to every node of a JSON tree, lists cut to two items."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node[:2]) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.just(10**400), st.floats(),
+    st.text(max_size=3),
+    st.just([]), st.just({}), st.just([1]),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_automaton_file_exits_cleanly(reference_payload, tmp_path_factory, data):
+    # one field replaced by junk or deleted: verify and simulate either run
+    # or end in exit 2 with one JSON error line, never in a traceback
+    payload = copy.deepcopy(reference_payload)
+    path = data.draw(st.sampled_from(list(_json_paths(payload))))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JUNK)
+    bad = tmp_path_factory.mktemp("mutated") / "automaton.json"
+    bad.write_text(json.dumps(payload))
+    command = data.draw(st.sampled_from([
+        ["verify"], ["simulate", "--paths", "20", "--horizon", "30"],
+    ]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command[0], "--automaton", str(bad), *command[1:]])
+    assert code in (0, 2, 3)
+    if code == 2:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
 
 
 def test_import_leaves_scipy_solvers_unloaded():

@@ -122,6 +122,28 @@ class TestFastPathOracles:
         assert np.array_equal(sim_module._signals(thresholds, act, u), expected)
 
 
+class TestRowIndex:
+    """The kernel carries (state, type) as one row index; traces must still
+    report automaton states and their beliefs, under any batching."""
+
+    def test_traces_are_states_and_batching_invariant(
+        self, non_efe_automaton, ref_params, binary75, monkeypatch
+    ):
+        config = SimulationConfig(horizon=80, paths=600, master_seed=13, record_traces=True)
+        full = simulate(non_efe_automaton, ref_params, binary75, config)
+        monkeypatch.setattr(sim_module, "_BATCH", 256)
+        monkeypatch.setattr(sim_module, "_BLOCK", 16)
+        rebatched = simulate(non_efe_automaton, ref_params, binary75, config)
+        for name in ("state", "belief", "effort"):
+            assert full.traces[name].dtype == rebatched.traces[name].dtype
+            assert np.array_equal(full.traces[name], rebatched.traces[name]), name
+        _, _, pi, _ = non_efe_automaton.as_arrays()
+        assert full.traces["state"].max() < len(pi)
+        assert np.array_equal(full.traces["belief"], pi[full.traces["state"]])
+        assert full.counts == {"batches": 1}
+        assert rebatched.counts == {"batches": 3}
+
+
 def _transient_curves(automaton, params, monitoring, horizon):
     """Exact per-period laws, pushed forward over the horizon: the law of
     (acting state, type) gives mean effort, mean belief and its variance,
