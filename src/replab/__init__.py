@@ -19,6 +19,8 @@ from .model import (  # noqa: F401
     find_violations,
     iterated_max_update,
     max_update,
+    model_from_dict,
+    model_to_dict,
     validate,
 )
 from .fei import (  # noqa: F401

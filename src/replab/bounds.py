@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fei
-from .errors import FeiHoldsNoBound, ReplabError, ValidationError
-from .model import GameParams, MonitoringStructure, RELAXED, find_violations
+from .errors import FeiHoldsNoBound, ReplabError
+from .model import GameParams, MonitoringStructure, RELAXED, validate
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ def outside_option_bound(
 ) -> OutsideOptionBound:
     """Upper bound c + min_eta g(eta) on the outside option; requires the
     full-effort-incentive check to fail."""
-    violations = find_violations(monitoring, params, RELAXED)
-    if violations:
-        raise ValidationError(violations)
     cert = fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")
@@ -98,9 +95,7 @@ def bound_sweep(
     additively in c.
     """
     first = GameParams(params.kappa, params.delta, pi0_grid[0], c_grid[0])
-    violations = find_violations(monitoring, first, RELAXED)
-    if violations:
-        raise ValidationError(violations)
+    validate(monitoring, first, RELAXED)
     cert = fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")

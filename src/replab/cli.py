@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
 from .errors import ConfigParse, ReplabError, ValidationError, Violation
-from .model import GameParams, MonitoringStructure
+from .model import GameParams, MonitoringStructure, model_from_dict, model_to_dict
 from .simulate import (
     SimulationConfig,
     analytic_long_run_effort,
@@ -92,58 +92,33 @@ def _load_config(path: str) -> dict:
                 import tomllib  # py >= 3.11
             except ImportError:
                 import tomli as tomllib
-            return tomllib.loads(raw.decode())
-        return json.loads(raw.decode())
+            cfg = tomllib.loads(raw.decode())
+        else:
+            cfg = json.loads(raw.decode())
     except Exception as exc:
         raise ConfigParse(f"could not parse config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigParse(f"config {path!r} is not a table of model fields")
+    return cfg
+
+
+_MODEL_DEFAULTS = {"kappa": 0.2, "delta": 0.5, "pi0": 0.5, "c": 0.0}
 
 
 def _resolve_model(args) -> tuple[GameParams, MonitoringStructure, dict]:
-    """Merge --config and flags into (params, monitoring) plus the resolved
-    config dict used for hashing."""
-    cfg: dict = {}
+    """Merge the defaults, --config and flags (each overriding the one
+    before) into (params, monitoring) plus the resolved config dict used
+    for hashing."""
+    cfg = dict(_MODEL_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_load_config(args.config))
-    for key, flag in (
-        ("kappa", "kappa"),
-        ("delta", "delta"),
-        ("pi0", "pi0"),
-        ("c", "c"),
-        ("binary_precision", "binary_precision"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-
-    if "signals" in cfg and "binary_precision" not in cfg:
-        sigs = cfg["signals"]
-        monitoring = MonitoringStructure(
-            signals=tuple(s["name"] for s in sigs),
-            f0=tuple(float(s["f0"]) for s in sigs),
-            f1=tuple(float(s["f1"]) for s in sigs),
-        )
-    elif "binary_precision" in cfg:
-        monitoring = MonitoringStructure.binary(float(cfg["binary_precision"]))
-    else:
+    for key in (*_MODEL_DEFAULTS, "binary_precision"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    if cfg.keys().isdisjoint({"signals", "binary_precision"}):
         raise ConfigParse("specify --binary-precision or a config with signals")
-
-    params = GameParams(
-        kappa=float(cfg.get("kappa", 0.2)),
-        delta=float(cfg.get("delta", 0.5)),
-        pi0=float(cfg.get("pi0", 0.5)),
-        c=float(cfg.get("c", 0.0)),
-    )
-    resolved = {
-        "kappa": params.kappa,
-        "delta": params.delta,
-        "pi0": params.pi0,
-        "c": params.c,
-        "signals": [
-            {"name": s, "f0": monitoring.f0[i], "f1": monitoring.f1[i]}
-            for i, s in enumerate(monitoring.signals)
-        ],
-    }
-    return params, monitoring, resolved
+    params, monitoring = model_from_dict(cfg)
+    return params, monitoring, model_to_dict(params, monitoring)
 
 
 def _floats(tokens: list[str], spec: str) -> list[float]:
@@ -175,7 +150,10 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def _grid_list(spec: str) -> list[float]:
-    return _floats([tok for tok in spec.split(",") if tok], spec)
+    values = _floats([tok for tok in spec.split(",") if tok], spec)
+    if not values:
+        raise ConfigParse(f"empty grid {spec!r}")
+    return values
 
 
 def _out_dir(args) -> Optional[Path]:
@@ -189,6 +167,7 @@ def _out_dir(args) -> Optional[Path]:
 # --- subcommand bodies -------------------------------------------------------
 
 def _cmd_check_fei(args) -> int:
+    out = _out_dir(args)
     params, monitoring, cfg = _resolve_model(args)
     if args.sweep:
         axis, sep, spec = args.sweep.partition("=")
@@ -203,7 +182,6 @@ def _cmd_check_fei(args) -> int:
             rows.append(
                 [d, cert.holds, w.slack if w else None, w.v_bar if w else None]
             )
-        out = _out_dir(args)
         if out is not None:
             _write_csv(out / "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
             _write_manifest(out, "check-fei", cfg, None, ["fei_sweep.csv"])
@@ -214,7 +192,6 @@ def _cmd_check_fei(args) -> int:
         return EXIT_OK
     cert = fei.check_fei(params, monitoring)
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    out = _out_dir(args)
     if out is not None:
         (out / "fei_certificate.json").write_text(
             json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -231,6 +208,7 @@ def _cmd_horizon(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    out = _out_dir(args) or Path(".")
     params, monitoring, cfg = _resolve_model(args)
     if args.kind == "fe":
         automaton = equilibria.construct_full_effort(params, monitoring)
@@ -239,7 +217,6 @@ def _cmd_construct(args) -> int:
             params, monitoring, a0_override=args.a0, max_depth=args.depth
         )
     payload = equilibria.automaton_to_dict(automaton, params, monitoring)
-    out = _out_dir(args) or Path(".")
     name = f"automaton-{args.kind}.json"
     (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "construct", cfg, None, [name])
@@ -257,6 +234,7 @@ def _load_automaton(path: str):
 
 
 def _cmd_verify(args) -> int:
+    out = _out_dir(args)
     automaton, params, monitoring = _load_automaton(args.automaton)
     report = verifier.verify(automaton, params, monitoring, tol=args.tol, depth=args.depth)
     d = report.to_dict()
@@ -266,7 +244,6 @@ def _cmd_verify(args) -> int:
         f"voter {d['max_voter_residual']:.3e}, "
         f"bayes {d['max_bayes_residual']:.3e}, tol {report.tol:g})"
     )
-    out = _out_dir(args)
     if out is not None:
         (out / "verification.json").write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
         _write_manifest(out, "verify", {"automaton": args.automaton}, None, ["verification.json"])
@@ -276,6 +253,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    out = _out_dir(args)
     automaton, params, monitoring = _load_automaton(args.automaton)
     try:
         config = SimulationConfig(
@@ -296,7 +274,6 @@ def _cmd_simulate(args) -> int:
         "horizon": args.horizon,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    out = _out_dir(args)
     if out is not None:
         (out / "simulation_stats.json").write_text(stats.to_json() + "\n")
         outputs = ["simulation_stats.json"]
@@ -325,10 +302,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    out = _out_dir(args)
     params, monitoring, cfg = _resolve_model(args)
     result = bounds.outside_option_bound(params, monitoring)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    out = _out_dir(args)
     if out is not None:
         _write_csv(
             out / "bound.csv",
@@ -340,13 +317,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_bound_sweep(args) -> int:
+    out = _out_dir(args)
     params, monitoring, cfg = _resolve_model(args)
     rows = bounds.bound_sweep(
         params, monitoring, _grid_list(args.pi0_grid), _grid_list(args.c_grid)
     )
     header = ["pi0", "c", "T", "eta_star", "bound"]
-    table = [[r["pi0"], r["c"], r["T"], r["eta_star"], r["bound"]] for r in rows]
-    out = _out_dir(args)
+    table = [[r[key] for key in header] for r in rows]
     if out is not None:
         _write_csv(out / "bound_sweep.csv", header, table)
         _write_manifest(out, "bound-sweep", cfg, None, ["bound_sweep.csv"])
@@ -374,6 +351,7 @@ def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
 
 
 def _cmd_phase_sweep(args) -> int:
+    out = _out_dir(args)
     pi0 = args.pi0 if args.pi0 is not None else 0.3
     c = args.c if args.c is not None else 0.0
     precisions = _parse_range(args.binary_precision)
@@ -390,7 +368,6 @@ def _cmd_phase_sweep(args) -> int:
         "fei_holds", "fe_construction_verified", "non_efe_construction_verified",
         "outside_option_bound",
     ]
-    out = _out_dir(args)
     if out is not None:
         _write_csv(out / "phase_sweep.csv", header, rows)
         _write_manifest(
@@ -493,8 +470,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ReplabError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}), file=sys.stderr)
+    except OSError as exc:  # an unreadable input or unwritable output path
+        error = type(exc).__name__.removesuffix("Error")
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return EXIT_VALIDATION
 
 

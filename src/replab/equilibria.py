@@ -50,7 +50,10 @@ from .errors import (
     ValidationError,
     Violation,
 )
-from .model import GameParams, MonitoringStructure, RELAXED, bayes_update, find_violations
+from .model import (
+    RELAXED, GameParams, MonitoringStructure, _as_float, bayes_update, model_from_dict,
+    model_to_dict, validate,
+)
 
 REGIME_INITIAL = "Initial"
 REGIME_FIRST = "FirstRegime"
@@ -187,12 +190,6 @@ class ValueTable:
     cross_check: Optional[dict] = None
 
 
-def _validated(params: GameParams, monitoring: MonitoringStructure) -> None:
-    violations = find_violations(monitoring, params, RELAXED)
-    if violations:
-        raise ValidationError(violations)
-
-
 def construct_full_effort(
     params: GameParams, monitoring: MonitoringStructure
 ) -> EquilibriumAutomaton:
@@ -204,7 +201,6 @@ def construct_full_effort(
     the pooling update), and an absorbing dead state with belief 0, which
     is unconstrained because its predecessor replaces with probability 1.
     """
-    _validated(params, monitoring)
     cert = fei.check_fei(params, monitoring)
     if not cert.holds:
         raise FeiFails("full-effort incentives fail; no full-effort equilibrium exists")
@@ -325,7 +321,7 @@ def construct_non_efe(
     caps the total); belief-key memoization closes binary chains into a
     finite automaton well before the default depth.
     """
-    _validated(params, monitoring)
+    validate(monitoring, params, RELAXED)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
             f"need c < 1 - pi0, got c={params.c}, pi0={params.pi0}"
@@ -413,17 +409,6 @@ def construct_non_efe(
         meta={**base.to_dict(), "e_star": e_star},
     )
     return automaton, base
-
-
-def _as_float(value) -> Optional[float]:
-    """A JSON number as a float, NaN and infinities included; None for any
-    other value and for an integer too large for a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
 
 
 def meta_numbers(meta: dict, *keys: str) -> Optional[tuple]:
@@ -528,16 +513,7 @@ def automaton_to_dict(
             for (qid, sig), tid in sorted(automaton.transitions.items())
         ],
         "initial": automaton.initial,
-        "params_echo": {
-            "kappa": params.kappa,
-            "delta": params.delta,
-            "pi0": params.pi0,
-            "c": params.c,
-            "signals": [
-                {"name": s, "f0": monitoring.f0[i], "f1": monitoring.f1[i]}
-                for i, s in enumerate(monitoring.signals)
-            ],
-        },
+        "params_echo": model_to_dict(params, monitoring),
         "kind": automaton.kind,
         "complete": automaton.complete,
         "meta": automaton.meta,
@@ -555,11 +531,10 @@ def automaton_from_dict(
     """Inverse of :func:`automaton_to_dict` for a parsed automaton file.
 
     Raises :class:`ValidationError` for a malformed file: a missing or
-    mistyped field, echoed params or signals that fail
-    ``find_violations(..., RELAXED)``, state ids other than 0 .. n-1, or a
-    state probability or belief that is not a number in [0, 1].
-    Transitions and the initial state are checked where the arrays are
-    built (:meth:`EquilibriumAutomaton.as_arrays`).
+    mistyped field, a ``params_echo`` that :func:`model_from_dict` rejects,
+    state ids other than 0 .. n-1, or a state probability or belief that is
+    not a number in [0, 1]. Transitions and the initial state are checked
+    where the arrays are built (:meth:`EquilibriumAutomaton.as_arrays`).
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -568,16 +543,11 @@ def automaton_from_dict(
         raise ValidationError(
             [Violation("MissingField", f"automaton file has no {name!r}") for name in missing]
         )
+    params, monitoring = model_from_dict(payload["params_echo"])
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError([Violation("BadAutomatonFile", "meta is not a JSON object")])
     try:
-        echo = payload["params_echo"]
-        params = GameParams(
-            kappa=echo["kappa"], delta=echo["delta"], pi0=echo["pi0"], c=echo["c"]
-        )
-        monitoring = MonitoringStructure(
-            signals=tuple(s["name"] for s in echo["signals"]),
-            f0=tuple(s["f0"] for s in echo["signals"]),
-            f1=tuple(s["f1"] for s in echo["signals"]),
-        )
         raw_states = list(payload["states"])
         transitions = {
             (t["from"], t["signal"]): t["to"] for t in payload["transitions"]
@@ -586,23 +556,13 @@ def automaton_from_dict(
         raise ValidationError(
             [Violation("BadAutomatonFile", f"missing or mistyped field: {exc!r}")]
         ) from exc
-    numbers = (params.kappa, params.delta, params.pi0, params.c, *monitoring.f0, *monitoring.f1)
-    meta = payload.get("meta", {})
-    if not (
-        all(_as_float(x) is not None for x in numbers)
-        and all(isinstance(name, str) for name in monitoring.signals)
-        and isinstance(meta, dict)
-    ):
-        raise ValidationError(
-            [Violation("BadAutomatonFile", "a mistyped params_echo value or meta")]
-        )
-    violations = find_violations(monitoring, params, RELAXED)
     try:
         columns = {name: [s[name] for s in raw_states] for name in _STATE_FIELDS}
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             [Violation("BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]
         ) from exc
+    violations = []
     for name in _UNIT_FIELDS:
         column = columns[name]
         values = np.array(

@@ -31,9 +31,8 @@ from .errors import (
     FeiHoldsNoHorizon,
     ResolutionTooCoarse,
     ThresholdUndefined,
-    ValidationError,
 )
-from .model import GameParams, MonitoringStructure, RELAXED, find_violations
+from .model import GameParams, MonitoringStructure, RELAXED, validate
 
 FEASIBILITY_TOL = 0.0  # weak inequalities: boundary instances count as holding
 
@@ -111,9 +110,7 @@ def check_fei(params: GameParams, monitoring: MonitoringStructure) -> FeiCertifi
     (1-kappa)(1 - delta f0*) - (1 - delta f1*), ties broken by the smallest
     passing set; on failure, attaches the uniform-failure refutation.
     """
-    violations = find_violations(monitoring, params, RELAXED)
-    if violations:
-        raise ValidationError(violations)
+    validate(monitoring, params, RELAXED)
     kappa, delta = params.kappa, params.delta
     best: Optional[FeiWitness] = None
     for lam, idx in _cutoff_candidates(monitoring):
@@ -261,9 +258,7 @@ def fei_oracle(
         raise ValueError("fei_oracle is restricted to |S| <= 4")
     if method not in ("grid", "lp", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    violations = find_violations(monitoring, params, RELAXED)
-    if violations:
-        raise ValidationError(violations)
+    validate(monitoring, params, RELAXED)
 
     if method == "lp":
         return _oracle_lp(params, monitoring)

@@ -20,7 +20,8 @@ validation and safe to share across threads; operators are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 from .errors import ValidationError, Violation
 
@@ -153,6 +154,69 @@ def validate(
     if violations:
         raise ValidationError(violations)
     return Model(monitoring=monitoring, params=params, level=level)
+
+
+def _as_float(value) -> Optional[float]:
+    """A JSON or TOML number as a float, NaN and infinities included; None
+    for any other value (booleans and strings too) and for an integer too
+    large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _number(mapping, key: str) -> float:
+    value = _as_float(mapping[key])
+    if value is None:
+        raise TypeError(f"{key}={mapping[key]!r} is not a number")
+    return value
+
+
+def model_from_dict(mapping) -> tuple[GameParams, MonitoringStructure]:
+    """Parse a model mapping ``{kappa, delta, pi0, c, signals | binary_precision}``,
+    the form of config files and of an automaton file's ``params_echo``.
+
+    ``signals`` lists ``{name, f0, f1}`` entries; ``binary_precision``, when
+    present, wins over ``signals`` (see :meth:`MonitoringStructure.binary`).
+    Numbers must be JSON or TOML numbers, not strings or booleans, and come
+    back as floats.
+    Raises :class:`ValidationError` for a missing or mistyped key, or a
+    model that fails ``find_violations(..., RELAXED)``.
+    """
+    try:
+        if "binary_precision" in mapping:
+            monitoring = MonitoringStructure.binary(_number(mapping, "binary_precision"))
+        else:
+            entries = list(mapping["signals"])
+            names = tuple(s["name"] for s in entries)
+            if not all(isinstance(name, str) for name in names):
+                raise TypeError(f"signal names {names!r} are not all strings")
+            monitoring = MonitoringStructure(
+                signals=names,
+                f0=tuple(_number(s, "f0") for s in entries),
+                f1=tuple(_number(s, "f1") for s in entries),
+            )
+        params = GameParams(*(_number(mapping, key) for key in ("kappa", "delta", "pi0", "c")))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            [Violation("BadModel", f"missing or mistyped model field: {exc!r}")]
+        ) from exc
+    validate(monitoring, params, RELAXED)
+    return params, monitoring
+
+
+def model_to_dict(params: GameParams, monitoring: MonitoringStructure) -> dict:
+    """Inverse of :func:`model_from_dict`, with the signals spelled out."""
+    return {
+        **asdict(params),
+        "signals": [
+            {"name": s, "f0": q0, "f1": q1}
+            for s, q0, q1 in zip(monitoring.signals, monitoring.f0, monitoring.f1)
+        ],
+    }
 
 
 def bayes_update(monitoring: MonitoringStructure, pi: Belief, a: float, s: str) -> Belief:

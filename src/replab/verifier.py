@@ -29,7 +29,6 @@ truncated automata stays sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -53,24 +52,30 @@ class Offender:
         }
 
 
+def _max(values: np.ndarray) -> float:
+    """Largest entry other than NaN, 0.0 if there is none. Of equal entries
+    the first in index order wins, as with Python's max; numpy's reduction
+    may return either of -0.0 and 0.0."""
+    return max(values[~np.isnan(values)].tolist(), default=0.0)
+
+
 @dataclass
 class VerificationReport:
+    """Per-state arrays are indexed by state id; ``bayes`` is (states,
+    signals) with columns in signal order."""
+
     passed: bool
     tol: float
     tail_bound: float
     outside_option: float
-    politician_ic: dict[int, float]          # violation magnitude per state
-    politician_gap: dict[int, float]         # signed work-minus-shirk gap
-    politician_tol: dict[int, float]
-    voter_ic: dict[int, float]               # violation magnitude per non-initial state
-    voter_gap: dict[int, float]              # signed e(q) - (u0 - c)
-    informational_states: set[int]           # voter checks evaluated but non-binding
-    bayes: dict[tuple[int, str], float]
+    politician_ic: np.ndarray          # violation magnitude per state
+    politician_gap: np.ndarray         # signed work-minus-shirk gap
+    politician_tol: np.ndarray
+    voter_ic: np.ndarray               # violation magnitude; NaN at the initial state
+    voter_gap: np.ndarray              # signed e(q) - (u0 - c); NaN at the initial state
+    informational_states: np.ndarray   # mask: voter checks evaluated but non-binding
+    bayes: np.ndarray                  # edge residual; NaN where no check applies
     offenders: list[Offender] = field(default_factory=list)
-
-    def worst(self, category: Optional[str] = None) -> Optional[Offender]:
-        pool = [o for o in self.offenders if category is None or o.category == category]
-        return pool[0] if pool else None
 
     def to_dict(self) -> dict:
         return {
@@ -78,12 +83,9 @@ class VerificationReport:
             "tol": self.tol,
             "tail_bound": self.tail_bound,
             "outside_option": self.outside_option,
-            "max_politician_residual": max(self.politician_ic.values(), default=0.0),
-            "max_voter_residual": max(
-                (r for q, r in self.voter_ic.items() if q not in self.informational_states),
-                default=0.0,
-            ),
-            "max_bayes_residual": max(self.bayes.values(), default=0.0),
+            "max_politician_residual": _max(self.politician_ic),
+            "max_voter_residual": _max(self.voter_ic[~self.informational_states]),
+            "max_bayes_residual": _max(self.bayes),
             "offenders": [o.to_dict() for o in self.offenders[:10]],
         }
 
@@ -178,23 +180,17 @@ def verify(
     found.sort(key=lambda c: (-c[3].residual / max(c[3].tolerance, 1e-300), *c[:3]))
     offenders = [c[3] for c in found]
 
-    ids = range(n)
-    voter_ids = np.flatnonzero(voters).tolist()
-    edge_q, edge_i = np.nonzero(checked)
     return VerificationReport(
         passed=not offenders,
         tol=tol,
         tail_bound=values.tail_bound,
         outside_option=u0,
-        politician_ic=dict(zip(ids, p_viol.tolist())),
-        politician_gap=dict(zip(ids, gap.tolist())),
-        politician_tol=dict(zip(ids, p_tol.tolist())),
-        voter_ic=dict(zip(voter_ids, v_viol[voters].tolist())),
-        voter_gap=dict(zip(voter_ids, v_gap[voters].tolist())),
-        informational_states=set(np.flatnonzero(voters & ~on_path).tolist()),
-        bayes={
-            (q, signals[i]): r
-            for q, i, r in zip(edge_q.tolist(), edge_i.tolist(), bayes_res[checked].tolist())
-        },
+        politician_ic=p_viol,
+        politician_gap=gap,
+        politician_tol=p_tol,
+        voter_ic=np.where(voters, v_viol, np.nan),
+        voter_gap=np.where(voters, v_gap, np.nan),
+        informational_states=voters & ~on_path,
+        bayes=np.where(checked, bayes_res, np.nan),
         offenders=offenders,
     )

@@ -99,6 +99,35 @@ class TestCheckFei:
         assert code == 2
         assert json.loads(err)["error"] == "ConfigParse"
 
+    @pytest.mark.parametrize("text, error", [
+        ('{"binary_precision": 0.75, "kappa": "x"}', "ValidationError"),
+        ('{"signals": [{"name": "A", "f1": 0.5}, {"name": "B", "f0": 1, "f1": 0.5}]}',
+         "ValidationError"),
+        ("[1, 2]", "ConfigParse"),
+        ('{"binary_precision": "abc"}', "ValidationError"),
+    ])
+    def test_mistyped_config_exits_2(self, capsys, tmp_path, text, error):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "check-fei", "--config", str(cfg))
+        assert out == ""
+        assert_one_json_error(code, err, error)
+
+    def test_integer_toml_config_hashes_as_floats(self, capsys, tmp_path):
+        cfg = tmp_path / "model.toml"
+        cfg.write_text("binary_precision = 0.75\nkappa = 0.2\ndelta = 0.3\npi0 = 0.3\nc = 0\n")
+        flags = ["--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.3",
+                 "--pi0", "0.3", "--c", "0.0"]
+        manifests = []
+        for name, inputs in (("toml", ["--config", str(cfg)]), ("flags", flags)):
+            code, _, _ = run(capsys, "bound-outside-option", *inputs,
+                             "--out", str(tmp_path / name))
+            assert code == 0
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        assert manifests[0]["config"] == manifests[1]["config"]
+        assert repr(manifests[0]["config"]["c"]) == "0.0"
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+
 
 class TestHorizon:
     def test_reports_t_and_gap(self, capsys):
@@ -311,6 +340,19 @@ class TestConstructVerifySimulate:
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFound"
 
+    @pytest.mark.parametrize("command, error", [
+        (["verify", "--automaton", "{dir}"], "IsADirectory"),
+        (["simulate", "--automaton", "{automaton}", "--paths", "10", "--horizon", "5",
+          "--out", "{file}"], "FileExists"),
+    ])
+    def test_bad_path_exits_2(self, capsys, automaton_file, tmp_path, command, error):
+        (tmp_path / "file").write_text("")
+        paths = {"dir": tmp_path, "file": tmp_path / "file", "automaton": automaton_file}
+        argv = [arg.format(**paths) for arg in command]
+        code, out, err = run(capsys, *argv)
+        assert out == ""
+        assert_one_json_error(code, err, error)
+
 
 class TestBoundsCommands:
     def test_bound_outside_option(self, capsys):
@@ -342,6 +384,15 @@ class TestBoundsCommands:
         lines = (tmp_path / "bound_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "pi0,c,T,eta_star,bound"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("grid", [",", ""])
+    def test_bad_grid_is_config_error(self, capsys, grid):
+        code, out, err = run(
+            capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+            "--delta", "0.3", "--pi0-grid", grid, "--c-grid", "0",
+        )
+        assert out == ""
+        assert_one_json_error(code, err, "ConfigParse")
 
 
 class TestPhaseSweep:
@@ -412,12 +463,8 @@ _JUNK = st.one_of(
 )
 
 
-@given(data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_mutated_automaton_file_exits_cleanly(reference_payload, tmp_path_factory, data):
-    # one field replaced by junk or deleted: verify and simulate either run
-    # or end in exit 2 with one JSON error line, never in a traceback
-    payload = copy.deepcopy(reference_payload)
+def _mutate_one_field(payload, data):
+    """Replace one field of a JSON tree by junk, or delete it."""
     path = data.draw(st.sampled_from(list(_json_paths(payload))))
     parent = payload
     for key in path[:-1]:
@@ -426,19 +473,56 @@ def test_mutated_automaton_file_exits_cleanly(reference_payload, tmp_path_factor
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_JUNK)
-    bad = tmp_path_factory.mktemp("mutated") / "automaton.json"
-    bad.write_text(json.dumps(payload))
-    command = data.draw(st.sampled_from([
-        ["verify"], ["simulate", "--paths", "20", "--horizon", "30"],
-    ]))
+
+
+def _assert_exits_cleanly(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command[0], "--automaton", str(bad), *command[1:]])
+        code = main(argv)
     assert code in (0, 2, 3)
     if code == 2:
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_automaton_file_exits_cleanly(reference_payload, tmp_path_factory, data):
+    # one field replaced by junk or deleted: verify and simulate either run
+    # or end in exit 2 with one JSON error line, never in a traceback
+    payload = copy.deepcopy(reference_payload)
+    _mutate_one_field(payload, data)
+    bad = tmp_path_factory.mktemp("mutated") / "automaton.json"
+    bad.write_text(json.dumps(payload))
+    command = data.draw(st.sampled_from([
+        ["verify"], ["simulate", "--paths", "20", "--horizon", "30"],
+    ]))
+    _assert_exits_cleanly([command[0], "--automaton", str(bad), *command[1:]])
+
+
+_CONFIGS = (
+    {"kappa": 0.2, "delta": 0.5, "pi0": 0.3, "c": 0.05, "signals": [
+        {"name": "Fail", "f0": 0.75, "f1": 0.25}, {"name": "Pass", "f0": 0.25, "f1": 0.75},
+    ]},
+    {"binary_precision": 0.75, "kappa": 0.2, "delta": 0.3, "pi0": 0.3, "c": 0.05},
+)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_config_file_exits_cleanly(tmp_path_factory, data):
+    # the same for one field of a valid --config and the model commands
+    config = copy.deepcopy(data.draw(st.sampled_from(_CONFIGS)))
+    _mutate_one_field(config, data)
+    work = tmp_path_factory.mktemp("config")
+    (work / "model.json").write_text(json.dumps(config))
+    command = data.draw(st.sampled_from([
+        ["check-fei"], ["bound-outside-option"],
+        ["construct", "--kind", "fe", "--out", str(work)],
+        ["construct", "--kind", "non-efe", "--depth", "20", "--out", str(work)],
+    ]))
+    _assert_exits_cleanly([*command, "--config", str(work / "model.json")])
 
 
 def test_import_leaves_scipy_solvers_unloaded():

@@ -11,6 +11,8 @@ from replab import (
     find_violations,
     iterated_max_update,
     max_update,
+    model_from_dict,
+    model_to_dict,
     validate,
 )
 from replab.errors import ValidationError
@@ -61,6 +63,44 @@ class TestValidation:
         m = MonitoringStructure(("a", "b"), f0=(0.0, 1.0), f1=(0.4, 0.6))
         assert find_violations(m, ref_params) == []
         assert m.min_ratio == 0.0
+
+
+class TestModelMapping:
+    def test_round_trip(self, binary75, ref_params):
+        mapping = model_to_dict(ref_params, binary75)
+        assert mapping["signals"] == [
+            {"name": "Fail", "f0": 0.75, "f1": 0.25},
+            {"name": "Pass", "f0": 0.25, "f1": 0.75},
+        ]
+        assert model_from_dict(mapping) == (ref_params, binary75)
+
+    def test_integers_become_floats(self):
+        # a TOML `c = 0` must serialize as 0.0, as a flag or JSON 0.0 does
+        params, monitoring = model_from_dict({
+            "kappa": 0.2, "delta": 0.5, "pi0": 0.3, "c": 0,
+            "signals": [{"name": "a", "f0": 1, "f1": 0.5}, {"name": "b", "f0": 0, "f1": 0.5}],
+        })
+        assert [type(v) for v in (params.c, *monitoring.f0)] == [float, float, float]
+        assert repr(model_to_dict(params, monitoring)["c"]) == "0.0"
+
+    def test_binary_precision_wins_over_signals(self, binary75, ref_params):
+        mapping = {**model_to_dict(ref_params, MonitoringStructure.binary(0.6)),
+                   "binary_precision": 0.75}
+        assert model_from_dict(mapping) == (ref_params, binary75)
+
+    @pytest.mark.parametrize("change", [
+        {"kappa": "0.2"}, {"delta": None}, {"pi0": True}, {"c": 10**400},
+        {"signals": [{"name": "a", "f1": 0.5}]}, {"signals": [{"name": 1, "f0": 1, "f1": 0}]},
+        {"signals": "ab"}, {"binary_precision": "0.75"}, {"kappa": 1.5}, {"pi0": float("nan")},
+    ])
+    def test_bad_mapping_raises(self, binary75, ref_params, change):
+        with pytest.raises(ValidationError):
+            model_from_dict({**model_to_dict(ref_params, binary75), **change})
+
+    @pytest.mark.parametrize("mapping", [None, [1, 2], "kappa", {"kappa": 0.2}])
+    def test_not_a_model_raises(self, mapping):
+        with pytest.raises(ValidationError):
+            model_from_dict(mapping)
 
 
 class TestBayesUpdate:
