@@ -94,8 +94,9 @@ def bound_sweep(
     the bound weakly falls as pi0 falls (at fixed c) and moves exactly
     additively in c.
     """
-    first = GameParams(params.kappa, params.delta, pi0_grid[0], c_grid[0])
-    validate(monitoring, first, RELAXED)
+    for pi0 in pi0_grid:
+        for c in c_grid:
+            validate(monitoring, GameParams(params.kappa, params.delta, pi0, c), RELAXED)
     cert = fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")

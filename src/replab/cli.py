@@ -236,7 +236,7 @@ def _load_automaton(path: str):
 def _cmd_verify(args) -> int:
     out = _out_dir(args)
     automaton, params, monitoring = _load_automaton(args.automaton)
-    report = verifier.verify(automaton, params, monitoring, tol=args.tol, depth=args.depth)
+    report = verifier.verify(automaton, params, monitoring, tol=args.tol)
     d = report.to_dict()
     print(
         f"{'PASSED' if report.passed else 'FAILED'} "
@@ -342,9 +342,9 @@ def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
     bound_value = None
     if cert.holds:
         fe = equilibria.construct_full_effort(params, monitoring)
-        fe_ok = verifier.verify(fe, params, monitoring, tol=tol, depth=depth).passed
+        fe_ok = verifier.verify(fe, params, monitoring, tol=tol).passed
         bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth)
-        non_efe_ok = verifier.verify(bad, params, monitoring, tol=tol, depth=depth).passed
+        non_efe_ok = verifier.verify(bad, params, monitoring, tol=tol).passed
     else:
         bound_value = bounds.outside_option_bound(params, monitoring).bound_value
     return [precision, kappa, delta, pi0, c, cert.holds, fe_ok, non_efe_ok, bound_value]
@@ -422,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify an automaton file")
     p.add_argument("--automaton", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--depth", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

@@ -31,7 +31,6 @@ making desk-scale automata finite.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -180,14 +179,12 @@ class ValueTable:
 
     ``values`` and ``errors`` are indexed by state id. ``errors`` bounds
     the per-state truncation error from unmaterialized branches
-    (identically 0 on complete automata); ``cross_check`` records
-    residuals against construction closed forms when those are known.
+    (identically 0 on complete automata).
     """
 
     values: np.ndarray
     errors: np.ndarray
     tail_bound: float
-    cross_check: Optional[dict] = None
 
 
 def construct_full_effort(
@@ -321,6 +318,8 @@ def construct_non_efe(
     caps the total); belief-key memoization closes binary chains into a
     finite automaton well before the default depth.
     """
+    if max_depth < 0:
+        raise ValidationError([Violation("BadDepth", f"max_depth {max_depth!r} is negative")])
     validate(monitoring, params, RELAXED)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
@@ -411,21 +410,10 @@ def construct_non_efe(
     return automaton, base
 
 
-def meta_numbers(meta: dict, *keys: str) -> Optional[tuple]:
-    """The ``meta`` entries ``keys`` if every one is a finite number, else
-    None: a check that reads them is skipped, not failed, when they are
-    absent or mistyped."""
-    values = tuple(meta.get(key) for key in keys)
-    if all(math.isfinite(_as_float(v) or math.nan) for v in values):
-        return values
-    return None
-
-
 def compute_values(
     automaton: EquilibriumAutomaton,
     params: GameParams,
     monitoring: MonitoringStructure,
-    depth: int = 200,
     tol: Optional[float] = None,
 ) -> ValueTable:
     """Solve the continuation-value recursion as a sparse linear system over
@@ -434,10 +422,9 @@ def compute_values(
     Unmaterialized successors contribute 0 to the solve; their worst-case
     influence is bounded exactly by a companion linear system, with the
     same matrix and so the same factorization, whose solution is reported
-    per state in ``errors`` (all 0 when the automaton
-    is complete). ``depth`` is advisory here because the solve is exact on
-    whatever is materialized; raise :class:`DepthInsufficient` when a
-    requested tolerance beats the achievable tail bound.
+    per state in ``errors`` (all 0 when the automaton is complete). Raises
+    :class:`DepthInsufficient` when a requested tolerance beats the
+    achievable tail bound.
     """
     from scipy.sparse import csc_matrix, identity
     from scipy.sparse.linalg import splu
@@ -464,29 +451,10 @@ def compute_values(
             f"achievable tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}"
         )
 
-    cross: Optional[dict] = None
-    non_efe_targets = meta_numbers(automaton.meta, "v_hat", "v_bar")
-    full_effort_target = meta_numbers(automaton.meta, "v_bar")
-    if automaton.kind == "non-efe" and non_efe_targets:
-        v_hat, v_bar = non_efe_targets
-        residuals = []
-        for q in automaton.states:
-            if q.regime in (REGIME_INITIAL, REGIME_FIRST):
-                residuals.append(abs(values[q.id] - v_hat))
-            elif q.regime == REGIME_SECOND:
-                residuals.append(abs(values[q.id] - v_bar))
-            elif q.regime == REGIME_THIRD:
-                residuals.append(abs(values[q.id] - (1.0 - delta)))
-        cross = {"max_residual": max(residuals, default=0.0), "v_hat": v_hat, "v_bar": v_bar}
-    elif automaton.kind == "full-effort" and full_effort_target:
-        (v_bar,) = full_effort_target
-        cross = {"max_residual": abs(values[automaton.initial] - v_bar), "v_bar": v_bar}
-
     return ValueTable(
         values=values,
         errors=errors,
         tail_bound=tail,
-        cross_check=cross,
     )
 
 
@@ -532,9 +500,10 @@ def automaton_from_dict(
 
     Raises :class:`ValidationError` for a malformed file: a missing or
     mistyped field, a ``params_echo`` that :func:`model_from_dict` rejects,
-    state ids other than 0 .. n-1, or a state probability or belief that is
-    not a number in [0, 1]. Transitions and the initial state are checked
-    where the arrays are built (:meth:`EquilibriumAutomaton.as_arrays`).
+    state ids other than 0 .. n-1, a state probability or belief that is
+    not a number in [0, 1], or a regime that is not a string. Transitions
+    and the initial state are checked where the arrays are built
+    (:meth:`EquilibriumAutomaton.as_arrays`).
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -575,6 +544,10 @@ def automaton_from_dict(
                 f"{name} is not a number in [0, 1] in {len(bad)} state(s), "
                 f"first {column[bad[0]]!r} at state {columns['id'][bad[0]]!r}",
             ))
+    not_str = [i for i, r in enumerate(columns["regime"]) if not isinstance(r, str)]
+    if not_str:
+        violations.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
+                                    f"state(s), first at state {columns['id'][not_str[0]]!r}"))
     if violations:
         raise ValidationError(violations)
     ids = columns["id"]

@@ -209,10 +209,10 @@ def uniform_failure_horizon(
     (small LP); g2 = (1-delta) kappa covers vectors with max >= 1. Raises
     :class:`FeiHoldsNoHorizon` when FEI holds.
     """
-    if check_fei(params, monitoring).holds:
+    cert = check_fei(params, monitoring)
+    if cert.holds:
         raise FeiHoldsNoHorizon("full-effort incentives hold; no failure horizon")
-    gap, horizon = _failure_gap_and_horizon(params, monitoring)
-    return FeiRefutation(min_gap=gap, horizon_T=horizon)
+    return cert.refutation
 
 
 def binary_threshold(p: float, kappa: float) -> float:

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import REGIME_FIRST, EquilibriumAutomaton, meta_numbers
+from .equilibria import EquilibriumAutomaton
 from .errors import DepthInsufficient
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states
@@ -407,11 +407,11 @@ def analytic_long_run_effort(
 ) -> AnalyticEffort:
     """Stationary mean effort of the acting-state chain.
 
-    For the three-regime construction the FirstRegime states share one
-    expected effort and one replacement probability, so the chain lumps
-    exactly into {Initial, FirstRegime, SecondRegime}; otherwise the chain
-    is solved directly over the materialized states, with any truncated
-    mass redirected to renewal and reported as a residual.
+    A ``non-efe`` automaton whose chain lumps by regime label (checked on
+    its arrays, see :func:`_try_lumped`) is solved over its regimes;
+    otherwise the chain is solved directly over the materialized states,
+    with any truncated mass redirected to renewal and reported as a
+    residual.
     """
     lump = _try_lumped(automaton, monitoring)
     if lump is not None:
@@ -426,38 +426,36 @@ def analytic_long_run_effort(
 def _try_lumped(
     automaton: EquilibriumAutomaton, monitoring: MonitoringStructure
 ) -> Optional[AnalyticEffort]:
-    meta = automaton.meta
-    if automaton.kind != "non-efe":
+    """The acting chain lumped by regime label, or None if it does not lump.
+
+    An acting state (the initial one, or one that may retain) sends retained
+    mass to its successor's regime, replaced mass to the initial state's, and
+    a missing edge's mass back to itself, as the lazy tree's next state would;
+    the initial state must have every edge. It lumps if each regime's acting
+    states share one row and one effort, and is solved over reachable regimes.
+    """
+    sv, sp, pi, nxt = automaton.as_arrays()
+    if automaton.kind != "non-efe" or np.any(nxt[automaton.initial] < 0):
         return None
-    numbers = meta_numbers(meta, "x", "e_star", "a0")
-    s_star = meta.get("s_star")
-    if not numbers or not (
-        isinstance(s_star, list) and all(isinstance(s, str) for s in s_star)
+    labels, block = np.unique([q.regime for q in automaton.states], return_inverse=True)
+    acting = sv < 1.0
+    acting[automaton.initial] = True
+    states = np.flatnonzero(acting)
+    effort = (pi + (1.0 - pi) * sp)[states]
+    law = np.stack(monitoring.mixture(effort), axis=1)
+    succ = np.where(nxt[states] >= 0, nxt[states], states[:, None])
+    rows = np.zeros((len(states), len(labels)))
+    np.add.at(rows, (np.arange(len(states))[:, None], block[succ]), law * (1.0 - sv[succ]))
+    rows[:, block[automaton.initial]] += (law * sv[succ]).sum(axis=1)
+    used, first, of = np.unique(block[states], return_index=True, return_inverse=True)
+    if np.any(np.abs(rows - rows[first[of]]) > 1e-12) or np.any(
+        np.abs(effort - effort[first[of]]) > 1e-10
     ):
         return None
-    x, e_star, _ = numbers
-    s_star = set(s_star)
-    sv, sp, pi, _ = automaton.as_arrays()
-    effort = pi + (1.0 - pi) * sp
-    u0 = effort[automaton.initial]
-    # lumpability requires identical behavior across FirstRegime states
-    first = np.array([q.regime == REGIME_FIRST for q in automaton.states], dtype=bool)
-    if np.any(np.abs(effort[first] - e_star) > 1e-10) or np.any(np.abs(sv[first] - x) > 1e-12):
-        return None
-
-    def pass_mass(e: float) -> float:
-        law = monitoring.mixture(e)
-        return sum(law[i] for i, s in enumerate(monitoring.signals) if s in s_star)
-
-    f1_pass = pass_mass(1.0)
-    p = np.zeros((3, 3))  # states: 0=Initial, 1=FirstRegime, 2=SecondRegime
-    for i, e in ((0, u0), (1, e_star)):
-        m = pass_mass(e)
-        p[i, 2] = m
-        p[i, 1] = (1.0 - m) * (1.0 - x)
-        p[i, 0] = (1.0 - m) * x
-    p[2, 2] = f1_pass
-    p[2, 0] = 1.0 - f1_pass
-    mu = _stationary(p)
-    value = float(mu @ np.array([u0, e_star, 1.0]))
+    p = rows[first][:, used]  # regimes without acting states receive no mass
+    reach = used == block[automaton.initial]
+    for _ in range(len(used)):
+        reach = reach | (reach @ (p > 0.0))
+    mu = _stationary(p[np.ix_(reach, reach)])
+    value = float(mu @ effort[first][reach])
     return AnalyticEffort(value=value, method="lumped", residual=0.0)

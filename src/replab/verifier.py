@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import EquilibriumAutomaton, compute_values
+from .errors import ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 
 
@@ -127,10 +128,12 @@ def verify(
     params: GameParams,
     monitoring: MonitoringStructure,
     tol: float = 1e-8,
-    depth: int = 200,
 ) -> VerificationReport:
-    """Check every equilibrium condition at every materialized state."""
-    values = compute_values(automaton, params, monitoring, depth=depth)
+    """Check every equilibrium condition at every materialized state; ``tol``
+    must be finite and nonnegative (a NaN tolerance would pass any check)."""
+    if not 0.0 <= tol < float("inf"):
+        raise ValidationError([Violation("BadTolerance", f"tol {tol!r} is not finite and >= 0")])
+    values = compute_values(automaton, params, monitoring)
     sv, sp, pi, nxt = automaton.as_arrays()
     delta, kappa = params.delta, params.kappa
     f0, f1 = np.array(monitoring.f0), np.array(monitoring.f1)

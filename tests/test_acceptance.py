@@ -130,8 +130,8 @@ def test_criterion_4_verifier_soundness():
     start = time.perf_counter()
     fe = construct_full_effort(REF, BINARY)
     bad, _ = construct_non_efe(REF, BINARY)
-    assert verify(fe, REF, BINARY, tol=1e-8, depth=200).passed
-    assert verify(bad, REF, BINARY, tol=1e-8, depth=200).passed
+    assert verify(fe, REF, BINARY, tol=1e-8).passed
+    assert verify(bad, REF, BINARY, tol=1e-8).passed
 
     def patched(auto, sid, **fields):
         states = [dataclasses.replace(q, **fields) if q.id == sid else q
@@ -169,7 +169,7 @@ def test_criterion_4_verifier_soundness():
          patched(bad, bad.initial, effort_prob=bad.state(bad.initial).effort_prob + 0.05)),
     ]
     for name, category, corrupted in mutations:
-        rep = verify(corrupted, REF, BINARY, tol=1e-8, depth=200)
+        rep = verify(corrupted, REF, BINARY, tol=1e-8)
         assert not rep.passed, name
         assert any(o.category == category for o in rep.offenders), (
             f"{name}: expected a {category} offender, got "

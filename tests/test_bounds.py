@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 from replab import GameParams, MonitoringStructure, bound_sweep, outside_option_bound
 from replab import bounds
 from replab.bounds import g_ratio, minimize_g
-from replab.errors import FeiHoldsNoBound, ReplabError
+from replab.errors import FeiHoldsNoBound, ReplabError, ValidationError
 
 
 def eta_star_by_stationarity(pi0: float, horizon_T: int) -> float:
@@ -102,6 +102,11 @@ class TestBoundSweep:
         above = bound_sweep(fail_params, binary75, [0.3], [1.01 * c_bar])[0]
         assert below["bound"] < 1.0
         assert above["bound"] >= 1.0
+
+    @pytest.mark.parametrize("pi0_grid, c_grid", [([0.3, 5.0], [0.0]), ([0.3], [0.0, -1.0])])
+    def test_every_cell_is_validated(self, fail_params, binary75, pi0_grid, c_grid):
+        with pytest.raises(ValidationError):
+            bound_sweep(fail_params, binary75, pi0_grid, c_grid)
 
     def test_comparative_statics_violation_is_raised(self, fail_params, binary75, monkeypatch):
         # checked with a raised error, which survives python -O

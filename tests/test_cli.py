@@ -280,6 +280,8 @@ class TestConstructVerifySimulate:
         ("state", "belief", None),
         ("state", "belief", 10**400),
         ("state", "id", 999),
+        ("state", "regime", 3),
+        ("state", "regime", []),
     ])
     def test_invalid_echo_or_state_exits_2(
         self, capsys, automaton_file, tmp_path, command, where, key, value
@@ -292,6 +294,24 @@ class TestConstructVerifySimulate:
         code, out, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
         assert out == ""
         assert_one_json_error(code, err, "ValidationError")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    def test_verify_bad_tolerance_exits_2(self, capsys, automaton_file, tol):
+        # a NaN tolerance would pass every check, an infinite one any automaton
+        code, out, err = run(capsys, "verify", "--automaton", str(automaton_file),
+                             f"--tol={tol}")
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+
+    def test_construct_negative_depth_exits_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "construct", "--kind", "non-efe", "--binary-precision", "0.75",
+            "--kappa", "0.2", "--delta", "0.5", "--pi0", "0.3", "--c", "0.05",
+            "--depth", "-1", "--out", str(tmp_path),
+        )
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert not (tmp_path / "automaton-non-efe.json").exists()
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"params_echo": 1, '
@@ -394,6 +414,18 @@ class TestBoundsCommands:
         assert out == ""
         assert_one_json_error(code, err, "ConfigParse")
 
+    @pytest.mark.parametrize("pi0_grid, c_grid", [
+        ("0.3,5", "0,-1"), ("0.3,5", "0"), ("0.3", "0,-1"), ("0.3,0.03", "0,0.05,-1"),
+    ])
+    def test_every_grid_cell_is_validated(self, capsys, pi0_grid, c_grid):
+        # an impossible prior or a negative cost past the first cell is refused
+        code, out, err = run(
+            capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+            "--delta", "0.3", "--pi0", "0.3", "--pi0-grid", pi0_grid, "--c-grid", c_grid,
+        )
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+
 
 class TestPhaseSweep:
     def test_dichotomy_table(self, capsys, tmp_path):
@@ -431,6 +463,16 @@ class TestPhaseSweep:
         lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=inf", "--tol=-1e-3", "--depth=-1"])
+    def test_bad_tolerance_or_depth_exits_2(self, capsys, flag):
+        # delta = 0.5 keeps incentives, so the cell constructs and verifies
+        code, out, err = run(
+            capsys, "phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+            "--delta", "0.5", "--pi0", "0.3", "--c", "0.05", flag,
+        )
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +593,11 @@ print(loaded())
 
 
 class TestArgparseContract:
+    def test_verify_has_no_depth_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--depth" not in capsys.readouterr().out
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -199,7 +199,6 @@ class TestNonEfeConstruction:
     ):
         vt = compute_values(non_efe_automaton, ref_params, binary75)
         assert vt.values[non_efe_automaton.initial] == pytest.approx(0.67, abs=1e-9)
-        assert vt.cross_check["max_residual"] < 1e-9
         for q in non_efe_automaton.states:
             if q.regime in (REGIME_INITIAL, REGIME_FIRST):
                 assert vt.values[q.id] == pytest.approx(0.67, abs=1e-9)
@@ -230,6 +229,12 @@ class TestNonEfeConstruction:
             construct_non_efe(fail_params, binary75)
         with pytest.raises(ReplacementCostTooLargeForConstruction):
             construct_non_efe(GameParams(0.2, 0.5, 0.3, 0.7), binary75)
+
+    def test_negative_depth_is_refused(self, ref_params, binary75):
+        with pytest.raises(ValidationError):
+            construct_non_efe(ref_params, binary75, max_depth=-1)
+        auto, _ = construct_non_efe(ref_params, binary75, max_depth=0)
+        assert not auto.complete  # the initial state's failing branch is left open
 
     def test_a0_override(self, ref_params, binary75):
         auto, nep = construct_non_efe(ref_params, binary75, a0_override=0.8)

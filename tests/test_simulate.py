@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replab import (
     EquilibriumAutomaton,
@@ -14,7 +16,7 @@ from replab import (
     martingale_diagnostic,
     simulate,
 )
-from replab.equilibria import REGIME_FIRST, REGIME_THIRD, AutomatonState
+from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD, AutomatonState
 from replab.errors import DepthInsufficient
 import importlib
 
@@ -349,6 +351,50 @@ class TestAnalyticOracle:
         # frozen during the pre-build oracle pass: 4289/4630 at a0 = 9/14
         assert lumped.value == pytest.approx(4289.0 / 4630.0, abs=1e-9)
 
+    def test_rewired_second_regime_is_read_from_the_arrays(
+        self, non_efe_automaton, ref_params, binary75
+    ):
+        # every SecondRegime Pass edge now ends the career: the regime still
+        # lumps, but into a different chain than the construction's closed forms
+        auto = non_efe_automaton
+        dead = next(q.id for q in auto.states if q.replace_prob == 1.0
+                    and all(auto.successor(q.id, s) == q.id for s in auto.signals))
+        transitions = dict(auto.transitions)
+        for q in auto.states:
+            if q.regime == REGIME_SECOND:
+                transitions[(q.id, "Pass")] = dead
+        rewired = dataclasses.replace(auto, transitions=transitions)
+        lumped = analytic_long_run_effort(rewired, ref_params, binary75)
+        direct = analytic_long_run_effort(
+            dataclasses.replace(rewired, kind="custom"), ref_params, binary75
+        )
+        assert lumped.method == "lumped" and direct.method == "direct"
+        assert lumped.value == pytest.approx(direct.value, abs=1e-12)
+        assert lumped.value == pytest.approx(0.84165, abs=1e-5)
+        stats = simulate(rewired, ref_params, binary75,
+                         SimulationConfig(horizon=300, paths=5000, master_seed=31))
+        assert abs(stats.long_run_effort - lumped.value) <= 4 * stats.long_run_se
+
+    def test_unreachable_regime_is_left_out(self, non_efe_automaton, ref_params, binary75):
+        # an absorbing state no career reaches must not enter the lumped chain
+        auto = non_efe_automaton
+        orphan = len(auto.states)
+        padded = dataclasses.replace(
+            auto,
+            states=[*auto.states, AutomatonState(orphan, "Orphan", 0.0, 0.0, 0.5)],
+            transitions={**auto.transitions, **{(orphan, s): orphan for s in auto.signals}},
+        )
+        lumped = analytic_long_run_effort(padded, ref_params, binary75)
+        assert lumped.method == "lumped"
+        assert lumped.value == analytic_long_run_effort(auto, ref_params, binary75).value
+
+    def test_open_initial_branch_is_not_lumped(self, ref_params, binary75):
+        # depth 0 leaves the initial state's failing edge open; its successor
+        # would be a FirstRegime state, not another initial state
+        auto, _ = construct_non_efe(ref_params, binary75, max_depth=0)
+        result = analytic_long_run_effort(auto, ref_params, binary75)
+        assert result.method == "truncated" and result.residual > 0.0
+
     def test_full_effort_is_one(self, fe_automaton, ref_params, binary75):
         assert analytic_long_run_effort(
             fe_automaton, ref_params, binary75
@@ -404,6 +450,28 @@ class TestAnalyticOracle:
                          SimulationConfig(horizon=300, paths=5000, master_seed=29))
         z = (stats.long_run_effort - analytic.value) / stats.long_run_se
         assert abs(z) <= 3.5
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lumped_oracle_equals_direct_solve_after_any_rewire(
+    non_efe_automaton, ref_params, binary75, data
+):
+    # one edge of the reference automaton rewired to any state: whenever the
+    # regimes still lump, the lumped value is the direct solve's
+    auto = non_efe_automaton
+    edge = data.draw(st.sampled_from(sorted(auto.transitions)))
+    target = data.draw(st.integers(0, len(auto.states) - 1))
+    rewired = dataclasses.replace(auto, transitions={**auto.transitions, edge: target})
+    lumped = analytic_long_run_effort(rewired, ref_params, binary75)
+    direct = analytic_long_run_effort(
+        dataclasses.replace(rewired, kind="custom"), ref_params, binary75
+    )
+    assert direct.method == "direct"
+    if lumped.method == "lumped":
+        assert lumped.value == pytest.approx(direct.value, abs=1e-12)
+    else:
+        assert lumped == direct
 
 
 class TestConfig:

@@ -10,6 +10,7 @@ from replab.equilibria import (
     REGIME_THIRD,
     AutomatonState,
 )
+from replab.errors import ValidationError
 from replab.verifier import expected_effort
 
 
@@ -38,13 +39,13 @@ def first_ids(auto):
 
 class TestSoundness:
     def test_full_effort_passes(self, fe_automaton, ref_params, binary75):
-        report = verify(fe_automaton, ref_params, binary75, tol=1e-8, depth=200)
+        report = verify(fe_automaton, ref_params, binary75, tol=1e-8)
         assert report.passed
         assert report.politician_ic.max() <= 1e-9
         assert np.nanmax(report.bayes) <= 1e-9
 
     def test_non_efe_passes(self, non_efe_automaton, ref_params, binary75):
-        report = verify(non_efe_automaton, ref_params, binary75, tol=1e-8, depth=200)
+        report = verify(non_efe_automaton, ref_params, binary75, tol=1e-8)
         assert report.passed
         assert report.outside_option == pytest.approx(0.75, abs=1e-9)
 
@@ -58,6 +59,13 @@ class TestSoundness:
         target = 0.75 - ref_params.c
         for e in efforts:
             assert e == pytest.approx(target, abs=1e-10)
+
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_tolerance_must_be_finite_and_nonnegative(self, fe_automaton, ref_params,
+                                                      binary75, tol):
+        with pytest.raises(ValidationError):
+            verify(fe_automaton, ref_params, binary75, tol=tol)
 
 
 class TestMutationCatalog:
