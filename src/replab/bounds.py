@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
-from .model import GameParams, MonitoringStructure, RELAXED, validate
+from .model import GameParams, MonitoringStructure, RELAXED, belief_growth_bound, validate
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class OutsideOptionBound:
         }
 
 
-def g_ratio(pi0: float, eta: float, horizon_T: int) -> float:
-    """The belief-growth ratio whose infimum over eta caps the outside option."""
-    return (pi0 + (1.0 - pi0) * eta ** (horizon_T + 1)) / (
-        pi0 + (1.0 - pi0) * eta**horizon_T
-    )
-
-
 def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
     """(eta_star, g(eta_star)). g'(eta) = 0 reduces to the root of
     h(eta) = eta^(T+1) + (T+1) q eta - T q, q = pi0/(1-pi0), on (0, 1);
@@ -61,7 +54,7 @@ def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
             lo = eta_star
         else:
             hi = eta_star
-    return eta_star, g_ratio(pi0, eta_star, horizon_T)
+    return eta_star, belief_growth_bound(pi0, eta_star, horizon_T)
 
 
 def outside_option_bound(

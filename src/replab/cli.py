@@ -4,9 +4,9 @@ Subcommands: check-fei, horizon, construct, verify, simulate,
 bound-outside-option, bound-sweep, phase-sweep.
 
 Model inputs come from --config (TOML or JSON) and/or flags; flags win.
-Artifact-producing commands write their outputs plus a run manifest under
---out. CSV files use '.' decimals and 17 significant digits so doubles
-round-trip exactly; JSON uses Python's shortest round-trip float repr.
+Subcommands return a Result; main alone writes its files and a run manifest
+under --out and prints it. CSV files use '.' decimals and 17 significant
+digits so doubles round-trip exactly; JSON uses Python's shortest repr.
 
 Exit codes: 0 success, 2 validation/config error, 3 verification failure.
 """
@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
 from .errors import ConfigParse, ReplabError, ValidationError, Violation
@@ -44,31 +46,47 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv(header: list[str], rows: Iterable, lineterminator: str = "\r\n") -> str:
+    """A table as CSV text: files keep csv.writer's CRLF, stdout uses LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
-def _canonical_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, seed, outputs: list[str],
-    counts: Optional[dict] = None,
-):
+@dataclass
+class Result:
+    """What a subcommand produced; only :func:`main` writes or prints it."""
+
+    config: Optional[dict] = None  # config, seed and counts go to the manifest
+    seed: Optional[int] = None
+    counts: Optional[dict] = None
+    echo: str | Callable[[Path], str] = ""  # always printed; a callable gets --out
+    fallback: str = ""  # printed only without --out
+    files: dict[str, str] = field(default_factory=dict)  # name under --out -> text
+    code: int = EXIT_OK
+
+
+def _table(config: dict, name: str, header: list[str], rows: list[list]) -> Result:
+    """A CSV table written to ``name`` under --out, else printed."""
+    return Result(config, files={name: _csv(header, rows)}, fallback=_csv(header, rows, "\n"))
+
+
+def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
     import numpy
     import scipy
 
+    canonical = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
-        "config_hash": _canonical_hash(config),
-        "config": config,
-        "seed": seed,
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config": result.config,
+        "seed": result.seed,
         "versions": {
             "replab": __version__,
             "python": sys.version.split()[0],
@@ -76,12 +94,11 @@ def _write_manifest(
             "scipy": scipy.__version__,
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": outputs,
+        "outputs": list(result.files),
     }
-    if counts is not None:
-        manifest["counts"] = counts
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if result.counts is not None:
+        manifest["counts"] = result.counts
+    (out_dir / "manifest.json").write_text(_json(manifest))
 
 
 def _load_config(path: str) -> dict:
@@ -156,18 +173,9 @@ def _grid_list(spec: str) -> list[float]:
     return values
 
 
-def _out_dir(args) -> Optional[Path]:
-    if getattr(args, "out", None) is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # --- subcommand bodies -------------------------------------------------------
 
-def _cmd_check_fei(args) -> int:
-    out = _out_dir(args)
+def _cmd_check_fei(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
     if args.sweep:
         axis, sep, spec = args.sweep.partition("=")
@@ -182,33 +190,18 @@ def _cmd_check_fei(args) -> int:
             rows.append(
                 [d, cert.holds, w.slack if w else None, w.v_bar if w else None]
             )
-        if out is not None:
-            _write_csv(out / "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
-            _write_manifest(out, "check-fei", cfg, None, ["fei_sweep.csv"])
-        else:
-            print(",".join(["delta", "holds", "slack", "v_bar"]))
-            for row in rows:
-                print(",".join(_fmt(v) for v in row))
-        return EXIT_OK
-    cert = fei.check_fei(params, monitoring)
-    print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    if out is not None:
-        (out / "fei_certificate.json").write_text(
-            json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        _write_manifest(out, "check-fei", cfg, None, ["fei_certificate.json"])
-    return EXIT_OK
+        return _table(cfg, "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
+    text = _json(fei.check_fei(params, monitoring).to_dict())
+    return Result(cfg, echo=text, files={"fei_certificate.json": text})
 
 
-def _cmd_horizon(args) -> int:
-    params, monitoring, cfg = _resolve_model(args)
+def _cmd_horizon(args) -> Result:
+    params, monitoring, _ = _resolve_model(args)
     refutation = fei.uniform_failure_horizon(params, monitoring)
-    print(json.dumps(refutation.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK
+    return Result(echo=_json(refutation.to_dict()))
 
 
-def _cmd_construct(args) -> int:
-    out = _out_dir(args) or Path(".")
+def _cmd_construct(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
     if args.kind == "fe":
         automaton = equilibria.construct_full_effort(params, monitoring)
@@ -216,12 +209,11 @@ def _cmd_construct(args) -> int:
         automaton, _ = equilibria.construct_non_efe(
             params, monitoring, a0_override=args.a0, max_depth=args.depth
         )
-    payload = equilibria.automaton_to_dict(automaton, params, monitoring)
-    name = f"automaton-{args.kind}.json"
-    (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "construct", cfg, None, [name])
-    print(f"wrote {out / name} ({len(automaton.states)} states)")
-    return EXIT_OK
+    name, n = f"automaton-{args.kind}.json", len(automaton.states)
+    return Result(
+        cfg, echo=lambda out: f"wrote {out / name} ({n} states)\n",
+        files={name: _json(equilibria.automaton_to_dict(automaton, params, monitoring))},
+    )
 
 
 def _load_automaton(path: str):
@@ -233,27 +225,23 @@ def _load_automaton(path: str):
     return equilibria.automaton_from_dict(payload)
 
 
-def _cmd_verify(args) -> int:
-    out = _out_dir(args)
+def _cmd_verify(args) -> Result:
     automaton, params, monitoring = _load_automaton(args.automaton)
     report = verifier.verify(automaton, params, monitoring, tol=args.tol)
     d = report.to_dict()
-    print(
-        f"{'PASSED' if report.passed else 'FAILED'} "
+    return Result(
+        {"automaton": args.automaton},
+        echo=f"{'PASSED' if report.passed else 'FAILED'} "
         f"(politician {d['max_politician_residual']:.3e}, "
         f"voter {d['max_voter_residual']:.3e}, "
-        f"bayes {d['max_bayes_residual']:.3e}, tol {report.tol:g})"
+        f"bayes {d['max_bayes_residual']:.3e}, tol {report.tol:g})\n",
+        fallback=_json(d),
+        files={"verification.json": _json(d)},
+        code=EXIT_OK if report.passed else EXIT_VERIFY_FAILED,
     )
-    if out is not None:
-        (out / "verification.json").write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, "verify", {"automaton": args.automaton}, None, ["verification.json"])
-    else:
-        print(json.dumps(d, indent=2, sort_keys=True))
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
+def _cmd_simulate(args) -> Result:
     automaton, params, monitoring = _load_automaton(args.automaton)
     try:
         config = SimulationConfig(
@@ -273,65 +261,37 @@ def _cmd_simulate(args) -> int:
         "paths": args.paths,
         "horizon": args.horizon,
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if out is not None:
-        (out / "simulation_stats.json").write_text(stats.to_json() + "\n")
-        outputs = ["simulation_stats.json"]
-        if args.per_period_csv:
-            rows = [
-                [
-                    t,
-                    stats.mean_effort[t],
-                    stats.replace_rate[t],
-                    stats.mean_belief[t],
-                    int(stats.favorable_replacements[t]),
-                ]
-                for t in range(stats.horizon)
-            ]
-            _write_csv(
-                out / "per_period.csv",
-                ["t", "mean_effort", "replace_rate", "mean_belief", "favorable_replacements"],
-                rows,
-            )
-            outputs.append("per_period.csv")
-        _write_manifest(
-            out, "simulate", {"automaton": args.automaton, "horizon": args.horizon,
-                              "paths": args.paths}, args.seed, outputs, counts=stats.counts,
+    files = {"simulation_stats.json": stats.to_json() + "\n"}
+    if args.per_period_csv:
+        columns = (range(stats.horizon), stats.mean_effort, stats.replace_rate,
+                   stats.mean_belief, map(int, stats.favorable_replacements))
+        files["per_period.csv"] = _csv(
+            ["t", "mean_effort", "replace_rate", "mean_belief", "favorable_replacements"],
+            zip(*columns),
         )
-    return EXIT_OK
+    return Result(
+        {"automaton": args.automaton, "horizon": args.horizon, "paths": args.paths},
+        seed=args.seed, counts=stats.counts, echo=_json(summary), files=files,
+    )
 
 
-def _cmd_bound(args) -> int:
-    out = _out_dir(args)
+def _cmd_bound(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
     result = bounds.outside_option_bound(params, monitoring)
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    if out is not None:
-        _write_csv(
-            out / "bound.csv",
-            ["pi0", "c", "T", "eta_star", "bound"],
-            [[params.pi0, params.c, result.horizon_T, result.eta_star, result.bound_value]],
-        )
-        _write_manifest(out, "bound-outside-option", cfg, None, ["bound.csv"])
-    return EXIT_OK
+    row = [params.pi0, params.c, result.horizon_T, result.eta_star, result.bound_value]
+    return Result(
+        cfg, echo=_json(result.to_dict()),
+        files={"bound.csv": _csv(["pi0", "c", "T", "eta_star", "bound"], [row])},
+    )
 
 
-def _cmd_bound_sweep(args) -> int:
-    out = _out_dir(args)
+def _cmd_bound_sweep(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
     rows = bounds.bound_sweep(
         params, monitoring, _grid_list(args.pi0_grid), _grid_list(args.c_grid)
     )
     header = ["pi0", "c", "T", "eta_star", "bound"]
-    table = [[r[key] for key in header] for r in rows]
-    if out is not None:
-        _write_csv(out / "bound_sweep.csv", header, table)
-        _write_manifest(out, "bound-sweep", cfg, None, ["bound_sweep.csv"])
-    else:
-        print(",".join(header))
-        for row in table:
-            print(",".join(_fmt(v) for v in row))
-    return EXIT_OK
+    return _table(cfg, "bound_sweep.csv", header, [[r[key] for key in header] for r in rows])
 
 
 def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
@@ -350,13 +310,15 @@ def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
     return [precision, kappa, delta, pi0, c, cert.holds, fe_ok, non_efe_ok, bound_value]
 
 
-def _cmd_phase_sweep(args) -> int:
-    out = _out_dir(args)
+def _cmd_phase_sweep(args) -> Result:
     pi0 = args.pi0 if args.pi0 is not None else 0.3
     c = args.c if args.c is not None else 0.0
     precisions = _parse_range(args.binary_precision)
     kappas = _parse_range(args.kappa)
     deltas = _parse_range(args.delta)
+    # checked up front: a grid with no holding cell never reaches them
+    verifier.check_tolerance(args.tol)
+    equilibria.check_depth(args.depth)
     rows = [
         _phase_cell(p, k, d, pi0, c, args.tol, args.depth)
         for p in precisions
@@ -368,19 +330,9 @@ def _cmd_phase_sweep(args) -> int:
         "fei_holds", "fe_construction_verified", "non_efe_construction_verified",
         "outside_option_bound",
     ]
-    if out is not None:
-        _write_csv(out / "phase_sweep.csv", header, rows)
-        _write_manifest(
-            out, "phase-sweep",
-            {"binary_precision": args.binary_precision, "kappa": args.kappa,
-             "delta": args.delta, "pi0": pi0, "c": c},
-            None, ["phase_sweep.csv"],
-        )
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
-    return EXIT_OK
+    cfg = {"binary_precision": args.binary_precision, "kappa": args.kappa,
+           "delta": args.delta, "pi0": pi0, "c": c}
+    return _table(cfg, "phase_sweep.csv", header, rows)
 
 
 # --- argument parsing --------------------------------------------------------
@@ -394,8 +346,19 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float)
 
 
+def _fail(error: str, message: str) -> int:
+    """How every bad input ends, flags included: one JSON line on stderr, exit 2."""
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return EXIT_VALIDATION
+
+
+class _Parser(argparse.ArgumentParser):  # subparsers are made from this class too
+    def error(self, message):
+        sys.exit(_fail("ConfigParse", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="replab",
         description="Replacement-and-reputation accountability game toolkit",
     )
@@ -416,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["fe", "non-efe"], required=True)
     p.add_argument("--a0", type=float, help="override the initial effort probability")
     p.add_argument("--depth", type=int, default=200)
-    p.add_argument("--out")
+    p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="certify an automaton file")
@@ -462,17 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Make --out, run the subcommand, write its files and manifest, print it."""
+    args = build_parser().parse_args(argv)
+    out = None if getattr(args, "out", None) is None else Path(args.out)
     try:
-        return args.func(args)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        result = args.func(args)
+        if out is not None:
+            for name, text in result.files.items():
+                (out / name).write_text(text, newline="")
+            _write_manifest(out, args.command, result)
     except ReplabError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(exc.code, str(exc))
     except OSError as exc:  # an unreadable input or unwritable output path
-        error = type(exc).__name__.removesuffix("Error")
-        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(type(exc).__name__.removesuffix("Error"), str(exc))
+    echo = result.echo(out) if callable(result.echo) else result.echo
+    print(echo if out is not None else echo + result.fallback, end="")
+    return result.code
 
 
 if __name__ == "__main__":  # pragma: no cover

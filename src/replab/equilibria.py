@@ -62,6 +62,8 @@ REGIME_PASS = "Pass"
 REGIME_DEAD = "Dead"
 
 BELIEF_KEY_DECIMALS = 12
+A0_BISECTION_TOL = 1e-10  # width at which select_a0 stops bisecting
+MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
 
 
 @dataclass(frozen=True)
@@ -277,9 +279,7 @@ def _a0_slack(params: GameParams, monitoring: MonitoringStructure, a: float) -> 
     return rhs - worst
 
 
-def select_a0(
-    params: GameParams, monitoring: MonitoringStructure, tol: float = 1e-10
-) -> float:
+def select_a0(params: GameParams, monitoring: MonitoringStructure) -> float:
     """Default initial effort probability: bisect for the smallest feasible
     a_min over (c/(1-pi0), 1), then return the interior point (1+a_min)/2."""
     lo = params.c / (1.0 - params.pi0)
@@ -291,7 +291,7 @@ def select_a0(
         a_min = lo + eps
     else:
         a, b = lo + eps, hi - eps
-        while b - a > tol:
+        while b - a > A0_BISECTION_TOL:
             mid = 0.5 * (a + b)
             if _a0_slack(params, monitoring, mid) >= 0.0:
                 b = mid
@@ -304,22 +304,26 @@ def select_a0(
     return a0
 
 
+def check_depth(max_depth: int) -> None:
+    """The FirstRegime tree's depth cap must be nonnegative."""
+    if max_depth < 0:
+        raise ValidationError([Violation("BadDepth", f"max_depth {max_depth!r} is negative")])
+
+
 def construct_non_efe(
     params: GameParams,
     monitoring: MonitoringStructure,
     a0_override: Optional[float] = None,
     max_depth: int = 200,
-    max_states: int = 100_000,
 ) -> tuple[EquilibriumAutomaton, NonEfeParameters]:
     """No-eventual-full-effort equilibrium automaton.
 
     Requires the incentive check to hold and c < 1 - pi0. The FirstRegime
-    tree extends lazily up to ``max_depth`` failing signals (``max_states``
+    tree extends lazily up to ``max_depth`` failing signals (``MAX_STATES``
     caps the total); belief-key memoization closes binary chains into a
     finite automaton well before the default depth.
     """
-    if max_depth < 0:
-        raise ValidationError([Violation("BadDepth", f"max_depth {max_depth!r} is negative")])
+    check_depth(max_depth)
     validate(monitoring, params, RELAXED)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
@@ -390,7 +394,7 @@ def construct_non_efe(
             if b in first_ids:
                 transitions[(sid, s)] = first_ids[b]
                 continue
-            if depth + 1 > max_depth or len(states) >= max_states:
+            if depth + 1 > max_depth or len(states) >= MAX_STATES:
                 complete = False  # frontier left unmaterialized
                 continue
             nid = add_state(REGIME_FIRST, x, indifference_effort(e_star, b), b)
@@ -499,11 +503,11 @@ def automaton_from_dict(
     """Inverse of :func:`automaton_to_dict` for a parsed automaton file.
 
     Raises :class:`ValidationError` for a malformed file: a missing or
-    mistyped field, a ``params_echo`` that :func:`model_from_dict` rejects,
-    state ids other than 0 .. n-1, a state probability or belief that is
-    not a number in [0, 1], or a regime that is not a string. Transitions
-    and the initial state are checked where the arrays are built
-    (:meth:`EquilibriumAutomaton.as_arrays`).
+    mistyped field (``kind`` must be a string, ``complete`` a boolean), a
+    ``params_echo`` that :func:`model_from_dict` rejects, state ids other
+    than 0 .. n-1, a state probability or belief that is not a number in
+    [0, 1], or a regime that is not a string. Transitions and the initial
+    state are checked where the arrays are built (:meth:`EquilibriumAutomaton.as_arrays`).
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -516,6 +520,10 @@ def automaton_from_dict(
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValidationError([Violation("BadAutomatonFile", "meta is not a JSON object")])
+    kind, complete = payload.get("kind", "custom"), payload.get("complete", True)
+    if not (isinstance(kind, str) and isinstance(complete, bool)):
+        raise ValidationError([Violation("BadAutomatonFile", "kind must be a string and "
+                                         f"complete a boolean, got {kind!r} and {complete!r}")])
     try:
         raw_states = list(payload["states"])
         transitions = {
@@ -569,8 +577,8 @@ def automaton_from_dict(
         transitions=transitions,
         initial=payload["initial"],
         signals=monitoring.signals,
-        kind=payload.get("kind", "custom"),
-        complete=payload.get("complete", True),
+        kind=kind,
+        complete=complete,
         meta=meta,
     )
     return automaton, params, monitoring

@@ -59,11 +59,6 @@ class MonitoringStructure:
     def index(self, signal: str) -> int:
         return self.signals.index(signal)
 
-    def likelihood_ratio(self, signal: str) -> float:
-        """f0(s)/f1(s); low values indicate effort."""
-        i = self.index(signal)
-        return self.f0[i] / self.f1[i]
-
     @property
     def min_ratio(self) -> float:
         """Smallest likelihood ratio over the alphabet (most favorable signal)."""

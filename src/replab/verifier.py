@@ -123,16 +123,20 @@ def _violation(gap: np.ndarray, mixed: np.ndarray, up: np.ndarray) -> np.ndarray
     return np.where(mixed, np.abs(gap), np.maximum(0.0, np.where(up, -gap, gap)))
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a ``tol`` that is not finite and >= 0: NaN would pass any check."""
+    if not 0.0 <= tol < float("inf"):
+        raise ValidationError([Violation("BadTolerance", f"tol {tol!r} is not finite and >= 0")])
+
+
 def verify(
     automaton: EquilibriumAutomaton,
     params: GameParams,
     monitoring: MonitoringStructure,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Check every equilibrium condition at every materialized state; ``tol``
-    must be finite and nonnegative (a NaN tolerance would pass any check)."""
-    if not 0.0 <= tol < float("inf"):
-        raise ValidationError([Violation("BadTolerance", f"tol {tol!r} is not finite and >= 0")])
+    """Check every equilibrium condition at every materialized state to ``tol``."""
+    check_tolerance(tol)
     values = compute_values(automaton, params, monitoring)
     sv, sp, pi, nxt = automaton.as_arrays()
     delta, kappa = params.delta, params.kappa

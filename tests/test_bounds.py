@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from replab import GameParams, MonitoringStructure, bound_sweep, outside_option_bound
+from replab import (
+    GameParams, MonitoringStructure, belief_growth_bound, bound_sweep, outside_option_bound,
+)
 from replab import bounds
-from replab.bounds import g_ratio, minimize_g
+from replab.bounds import minimize_g
 from replab.errors import FeiHoldsNoBound, ReplabError, ValidationError
 
 
@@ -28,7 +30,7 @@ class TestOutsideOptionBound:
         # the minimizer is a simple root of the stationarity condition, so
         # its location is pinned as tightly as the oracle's own root
         assert result.eta_star == pytest.approx(ref_eta, abs=1e-10)
-        assert result.g_value == pytest.approx(g_ratio(0.3, ref_eta, 8), abs=1e-12)
+        assert result.g_value == pytest.approx(belief_growth_bound(0.3, ref_eta, 8), abs=1e-12)
         assert result.bound_value == pytest.approx(0.05 + result.g_value, abs=1e-15)
         assert result.bound_value == pytest.approx(0.9913494616, abs=1e-7)
         assert result.bound_value < 1.0
@@ -38,7 +40,7 @@ class TestOutsideOptionBound:
         result = outside_option_bound(params, binary75)
         ref_eta = eta_star_by_stationarity(1e-9, 8)
         assert result.eta_star == pytest.approx(ref_eta, rel=1e-6)
-        assert result.bound_value == pytest.approx(g_ratio(1e-9, ref_eta, 8), rel=1e-9)
+        assert result.bound_value == pytest.approx(belief_growth_bound(1e-9, ref_eta, 8), rel=1e-9)
         # pinned figures for this instance (T = 8)
         assert result.eta_star == pytest.approx(0.123908, abs=1e-5)
         assert result.bound_value == pytest.approx(0.1393964, abs=1e-6)
@@ -47,13 +49,13 @@ class TestOutsideOptionBound:
         result = outside_option_bound(fail_params, binary75)
         rng = np.random.default_rng(31)
         for eta in rng.uniform(1e-9, 1 - 1e-9, size=1000):
-            assert result.g_value <= g_ratio(0.3, eta, result.horizon_T) + 1e-12
+            assert result.g_value <= belief_growth_bound(0.3, eta, result.horizon_T) + 1e-12
 
     def test_interior_minimum(self, fail_params, binary75):
         result = outside_option_bound(fail_params, binary75)
         assert 0.0 < result.eta_star < 1.0
-        assert g_ratio(0.3, 1e-9, 8) > result.g_value
-        assert g_ratio(0.3, 1 - 1e-9, 8) > result.g_value
+        assert belief_growth_bound(0.3, 1e-9, 8) > result.g_value
+        assert belief_growth_bound(0.3, 1 - 1e-9, 8) > result.g_value
 
     def test_rejected_when_fei_holds(self, ref_params, binary75):
         with pytest.raises(FeiHoldsNoBound):
@@ -72,7 +74,7 @@ def test_minimize_g_matches_stationarity_root(horizon_T):
         eta_star, g_min = minimize_g(pi0, horizon_T)
         ref_eta = eta_star_by_stationarity(pi0, horizon_T)
         assert eta_star == pytest.approx(ref_eta, rel=1e-10)
-        assert g_min == pytest.approx(g_ratio(pi0, ref_eta, horizon_T), rel=1e-15)
+        assert g_min == pytest.approx(belief_growth_bound(pi0, ref_eta, horizon_T), rel=1e-15)
 
 
 class TestBoundSweep:

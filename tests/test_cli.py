@@ -295,6 +295,26 @@ class TestConstructVerifySimulate:
         assert out == ""
         assert_one_json_error(code, err, "ValidationError")
 
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["simulate", "--paths", "10", "--horizon", "5"],
+    ])
+    @pytest.mark.parametrize("key, value", [
+        ("kind", 3), ("kind", None), ("complete", "false"), ("complete", 0),
+    ])
+    def test_mistyped_kind_or_complete_exits_2(
+        self, capsys, automaton_file, tmp_path, command, key, value
+    ):
+        # a string "false" is truthy: it used to pass as complete
+        payload = json.loads(automaton_file.read_text())
+        payload[key] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert "BadAutomatonFile" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
     def test_verify_bad_tolerance_exits_2(self, capsys, automaton_file, tol):
         # a NaN tolerance would pass every check, an infinite one any automaton
@@ -464,15 +484,81 @@ class TestPhaseSweep:
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
 
+    # delta = 0.5 keeps incentives, so the cell constructs and verifies;
+    # at delta = 0.3 they fail, and the cell never reaches either check
+    @pytest.mark.parametrize("delta", ["0.5", "0.3"])
     @pytest.mark.parametrize("flag", ["--tol=nan", "--tol=inf", "--tol=-1e-3", "--depth=-1"])
-    def test_bad_tolerance_or_depth_exits_2(self, capsys, flag):
-        # delta = 0.5 keeps incentives, so the cell constructs and verifies
+    def test_bad_tolerance_or_depth_exits_2(self, capsys, flag, delta):
         code, out, err = run(
             capsys, "phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
-            "--delta", "0.5", "--pi0", "0.3", "--c", "0.05", flag,
+            "--delta", delta, "--pi0", "0.3", "--c", "0.05", flag,
         )
         assert out == ""
         assert_one_json_error(code, err, "ValidationError")
+
+
+_MODEL = ("--binary-precision", "0.75", "--kappa", "0.2", "--pi0", "0.3", "--c", "0.05")
+_HOLDING = (*_MODEL, "--delta", "0.5")  # full-effort incentives hold
+_FAILING = (*_MODEL, "--delta", "0.3")  # they fail
+_TABLES = [
+    (["check-fei", *_HOLDING, "--sweep", "delta=0.3:0.5:0.1"], "fei_sweep.csv"),
+    (["bound-sweep", *_FAILING, "--pi0-grid", "0.3,0.03", "--c-grid", "0,0.05"],
+     "bound_sweep.csv"),
+    (["phase-sweep", *_MODEL, "--delta", "0.3:0.5:0.2"], "phase_sweep.csv"),
+]
+
+
+class TestOutputPath:
+    """main alone writes a command's files and manifest under --out, and
+    prints its text."""
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["check-fei", *_HOLDING], id="check-fei"),
+        *(pytest.param(argv, id=name) for argv, name in _TABLES),
+        pytest.param(["construct", "--kind", "fe", *_HOLDING], id="construct-fe"),
+        pytest.param(["construct", "--kind", "non-efe", *_HOLDING], id="construct-non-efe"),
+        pytest.param(["verify", "--automaton", "{automaton}"], id="verify"),
+        pytest.param(["simulate", "--automaton", "{automaton}", "--paths", "20",
+                      "--horizon", "10"], id="simulate"),
+        pytest.param(["simulate", "--automaton", "{automaton}", "--paths", "20",
+                      "--horizon", "10", "--per-period-csv"], id="simulate-per-period"),
+        pytest.param(["bound-outside-option", *_FAILING], id="bound-outside-option"),
+    ])
+    def test_out_holds_exactly_the_manifest_outputs(
+        self, capsys, reference_payload, tmp_path, command
+    ):
+        automaton = tmp_path / "automaton.json"
+        automaton.write_text(json.dumps(reference_payload))
+        out = tmp_path / "out"
+        argv = [arg.format(automaton=automaton) for arg in command]
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0 and err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command[0]
+        assert manifest["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["outputs"], "manifest.json"]
+        )
+
+    @pytest.mark.parametrize("command, name", _TABLES, ids=[n for _, n in _TABLES])
+    def test_table_without_out_prints_the_file_rows(self, capsys, tmp_path, command, name):
+        code, printed, _ = run(capsys, *command)
+        assert code == 0
+        assert run(capsys, *command, "--out", str(tmp_path))[:2] == (0, "")
+        written = (tmp_path / name).read_bytes().decode()
+        assert "\r" not in printed and written.count("\r\n") == written.count("\n")
+        assert printed == written.replace("\r\n", "\n")
+
+    def test_construct_without_out_writes_to_the_working_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "construct", "--kind", "fe", *_HOLDING)
+        assert code == 0
+        assert out.startswith("wrote automaton-fe.json (")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["automaton-fe.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["automaton-fe.json", "manifest.json"]
 
 
 @pytest.fixture(scope="module")
@@ -598,10 +684,29 @@ class TestArgparseContract:
             main(["verify", "--help"])
         assert "--depth" not in capsys.readouterr().out
 
-    def test_unknown_command_exits_2(self):
+    def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert_one_json_error(exc.value.code, capsys.readouterr().err, "ConfigParse")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-fei", "--kappa", "abc"],  # a mistyped value
+        ["simulate", "--paths", "10"],  # a missing required flag
+        [],  # no subcommand
+    ])
+    def test_bad_flag_is_one_json_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_json_error(exc.value.code, captured.err, "ConfigParse")
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: replab simulate [-h] --automaton")
 
     def test_missing_model_inputs_is_config_error(self, capsys):
         code, _, err = run(capsys, "check-fei", "--kappa", "0.2", "--delta", "0.4")
