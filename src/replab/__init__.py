@@ -10,18 +10,13 @@ __version__ = "0.1.0"
 from .model import (  # noqa: F401
     Belief,
     GameParams,
-    Model,
     MonitoringStructure,
-    RELAXED,
-    STRICT,
     bayes_update,
     belief_growth_bound,
-    find_violations,
     iterated_max_update,
     max_update,
     model_from_dict,
     model_to_dict,
-    validate,
 )
 from .fei import (  # noqa: F401
     FeiCertificate,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
-from .model import GameParams, MonitoringStructure, RELAXED, belief_growth_bound, validate
+from .model import GameParams, MonitoringStructure, belief_growth_bound
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def bound_sweep(
     """
     for pi0 in pi0_grid:
         for c in c_grid:
-            validate(monitoring, GameParams(params.kappa, params.delta, pi0, c), RELAXED)
+            GameParams(params.kappa, params.delta, pi0, c)  # refuses an invalid cell
     cert = fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")

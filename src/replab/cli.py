@@ -17,11 +17,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
 from .errors import ConfigParse, ReplabError, ValidationError, Violation
@@ -66,7 +67,7 @@ class Result:
     config: Optional[dict] = None  # config, seed and counts go to the manifest
     seed: Optional[int] = None
     counts: Optional[dict] = None
-    echo: str | Callable[[Path], str] = ""  # always printed; a callable gets --out
+    echo: str = ""  # always printed
     fallback: str = ""  # printed only without --out
     files: dict[str, str] = field(default_factory=dict)  # name under --out -> text
     code: int = EXIT_OK
@@ -153,6 +154,8 @@ def _parse_range(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigParse(f"bad range {spec!r}; expected a:b:step")
     a, b, step = _floats(parts, spec)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)):
+        raise ConfigParse(f"bad range {spec!r}; a, b and step must be finite")
     if step <= 0:
         raise ConfigParse("range step must be positive")
     out = []
@@ -211,7 +214,7 @@ def _cmd_construct(args) -> Result:
         )
     name, n = f"automaton-{args.kind}.json", len(automaton.states)
     return Result(
-        cfg, echo=lambda out: f"wrote {out / name} ({n} states)\n",
+        cfg, echo=f"wrote {Path(args.out) / name} ({n} states)\n",
         files={name: _json(equilibria.automaton_to_dict(automaton, params, monitoring))},
     )
 
@@ -242,13 +245,10 @@ def _cmd_verify(args) -> Result:
 
 
 def _cmd_simulate(args) -> Result:
+    if args.per_period_csv and args.out is None:
+        raise ConfigParse("--per-period-csv writes per_period.csv and needs --out")
     automaton, params, monitoring = _load_automaton(args.automaton)
-    try:
-        config = SimulationConfig(
-            horizon=args.horizon, paths=args.paths, master_seed=args.seed
-        )
-    except ValueError as exc:
-        raise ValidationError([Violation("BadSimulationConfig", str(exc))]) from exc
+    config = SimulationConfig(horizon=args.horizon, paths=args.paths, master_seed=args.seed)
     stats = run_simulation(automaton, params, monitoring, config)
     analytic = analytic_long_run_effort(automaton, params, monitoring)
     summary = {
@@ -440,8 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(exc.code, str(exc))
     except OSError as exc:  # an unreadable input or unwritable output path
         return _fail(type(exc).__name__.removesuffix("Error"), str(exc))
-    echo = result.echo(out) if callable(result.echo) else result.echo
-    print(echo if out is not None else echo + result.fallback, end="")
+    print(result.echo if out is not None else result.echo + result.fallback, end="")
     return result.code
 
 

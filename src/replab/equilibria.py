@@ -33,14 +33,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import fei
 from .errors import (
-    DepthInsufficient,
     FeiFails,
     IndifferenceOutOfRange,
     NoFeasibleA0,
@@ -50,8 +48,7 @@ from .errors import (
     Violation,
 )
 from .model import (
-    RELAXED, GameParams, MonitoringStructure, _as_float, bayes_update, model_from_dict,
-    model_to_dict, validate,
+    GameParams, MonitoringStructure, _as_float, bayes_update, model_from_dict, model_to_dict,
 )
 
 REGIME_INITIAL = "Initial"
@@ -64,6 +61,7 @@ REGIME_DEAD = "Dead"
 BELIEF_KEY_DECIMALS = 12
 A0_BISECTION_TOL = 1e-10  # width at which select_a0 stops bisecting
 MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
+_UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,13 @@ class EquilibriumAutomaton:
     key marks an unmaterialized branch of a lazily generated tree
     (``complete`` is False in that case). Instances are immutable after
     construction and safe to share across threads.
+
+    Building one checks it and raises :class:`ValidationError` listing
+    every violation: state ids other than 0 .. n-1 in order, a probability
+    or belief outside [0, 1] (NaN included), a regime or ``kind`` that is
+    not a string, a ``complete`` that is not a bool, one violation per
+    transition with a signal not in ``signals`` or a state outside [0, n),
+    and an initial state outside [0, n).
     """
 
     states: list[AutomatonState]
@@ -93,34 +98,34 @@ class EquilibriumAutomaton:
     complete: bool
     meta: dict = field(default_factory=dict)
 
-    def state(self, state_id: int) -> AutomatonState:
-        return self.states[state_id]
-
-    def successor(self, state_id: int, signal: str) -> Optional[int]:
-        return self.transitions.get((state_id, signal))
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(replace_prob, effort_prob, belief, next_state): per-state vectors
-        and the (n, S) next-state array, columns in ``signals`` order, with
-        -1 for a missing transition. Built once per instance, read-only.
-
-        Raises :class:`ValidationError`, one violation per bad edge, for a
-        transition with a signal not in ``signals`` or a state outside
-        [0, n), and one for an initial state outside [0, n).
-        """
-        return self._arrays
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def __post_init__(self):
         n = len(self.states)
-        column = {s: i for i, s in enumerate(self.signals)}
+        units = [np.array([getattr(q, name) for q in self.states], dtype=float)
+                 for name in _UNIT_FIELDS]
+        bad = []
+        for name, values in zip(_UNIT_FIELDS, units):
+            out = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails too
+            if len(out):
+                bad.append(Violation(
+                    "BadState", f"{name} is not a number in [0, 1] in {len(out)} state(s), "
+                    f"first {float(values[out[0]])!r} at state {self.states[out[0]].id!r}",
+                ))
+        not_str = [q.id for q in self.states if not isinstance(q.regime, str)]
+        if not_str:
+            bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
+                                 f"state(s), first at state {not_str[0]!r}"))
+        if not (isinstance(self.kind, str) and isinstance(self.complete, bool)):
+            bad.append(Violation("BadAutomatonFile", "kind must be a string and complete "
+                                 f"a boolean, got {self.kind!r} and {self.complete!r}"))
+        if any(type(q.id) is not int or q.id != i for i, q in enumerate(self.states)):
+            bad.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
 
         def in_range(sid) -> bool:
             is_int = isinstance(sid, (int, np.integer)) and not isinstance(sid, bool)
             return is_int and 0 <= sid < n
 
+        column = {s: i for i, s in enumerate(self.signals)}
         nxt = np.full((n, len(self.signals)), -1, dtype=np.int64)
-        bad = []
         for (qid, sig), tid in self.transitions.items():
             if sig not in column:
                 problem = f"unknown signal {sig!r}"
@@ -134,15 +139,22 @@ class EquilibriumAutomaton:
             bad.append(Violation("BadInitial", f"initial state {self.initial!r} outside [0, {n})"))
         if bad:
             raise ValidationError(bad)
-        arrays = (
-            np.array([q.replace_prob for q in self.states], dtype=float),
-            np.array([q.effort_prob for q in self.states], dtype=float),
-            np.array([q.belief for q in self.states], dtype=float),
-            nxt,
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        self._arrays = (*units, nxt)
+        for array in self._arrays:
+            array.flags.writeable = False
+
+    def state(self, state_id: int) -> AutomatonState:
+        return self.states[state_id]
+
+    def successor(self, state_id: int, signal: str) -> Optional[int]:
+        return self.transitions.get((state_id, signal))
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(replace_prob, effort_prob, belief, next_state): per-state vectors
+        and the (n, S) next-state array, columns in ``signals`` order, with
+        -1 for a missing transition. Built once, when the automaton is, and
+        read-only."""
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -324,7 +336,6 @@ def construct_non_efe(
     finite automaton well before the default depth.
     """
     check_depth(max_depth)
-    validate(monitoring, params, RELAXED)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
             f"need c < 1 - pi0, got c={params.c}, pi0={params.pi0}"
@@ -418,7 +429,6 @@ def compute_values(
     automaton: EquilibriumAutomaton,
     params: GameParams,
     monitoring: MonitoringStructure,
-    tol: Optional[float] = None,
 ) -> ValueTable:
     """Solve the continuation-value recursion as a sparse linear system over
     the materialized states, built from the next-state array.
@@ -426,16 +436,12 @@ def compute_values(
     Unmaterialized successors contribute 0 to the solve; their worst-case
     influence is bounded exactly by a companion linear system, with the
     same matrix and so the same factorization, whose solution is reported
-    per state in ``errors`` (all 0 when the automaton is complete). Raises
-    :class:`DepthInsufficient` when a requested tolerance beats the
-    achievable tail bound.
+    per state in ``errors`` (all 0 when the automaton is complete).
     """
     from scipy.sparse import csc_matrix, identity
     from scipy.sparse.linalg import splu
 
     delta, kappa = params.delta, params.kappa
-    if not 0.0 < delta < 1.0:
-        raise NonContractive(f"value recursion needs delta in (0, 1), got {delta!r}")
     sv, sp, _, nxt = automaton.as_arrays()
     n = len(sv)
     law = delta * np.stack(monitoring.mixture(sp), axis=1)
@@ -449,17 +455,7 @@ def compute_values(
     except RuntimeError as exc:  # pragma: no cover - delta<1 keeps A invertible
         raise NonContractive(str(exc)) from exc
     values, errors = lu.solve(np.column_stack([b, miss])).T
-    tail = float(errors.max()) if n else 0.0
-    if tol is not None and tail > tol:
-        raise DepthInsufficient(
-            f"achievable tail bound {tail:.3e} exceeds requested tolerance {tol:.3e}"
-        )
-
-    return ValueTable(
-        values=values,
-        errors=errors,
-        tail_bound=tail,
-    )
+    return ValueTable(values=values, errors=errors, tail_bound=float(errors.max()) if n else 0.0)
 
 
 # --- serialization ----------------------------------------------------------
@@ -493,8 +489,14 @@ def automaton_to_dict(
 
 
 _FILE_FIELDS = ("params_echo", "states", "transitions", "initial")
-_STATE_FIELDS = ("id", "regime", "replace_prob", "effort_prob", "belief")
-_UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
+_STATE_FIELDS = ("id", "regime", *_UNIT_FIELDS)
+
+
+def _unit(value) -> float:
+    """A state's number as a float; NaN, which the automaton refuses, for
+    anything that is not a JSON number."""
+    x = _as_float(value)
+    return np.nan if x is None else x
 
 
 def automaton_from_dict(
@@ -503,11 +505,9 @@ def automaton_from_dict(
     """Inverse of :func:`automaton_to_dict` for a parsed automaton file.
 
     Raises :class:`ValidationError` for a malformed file: a missing or
-    mistyped field (``kind`` must be a string, ``complete`` a boolean), a
-    ``params_echo`` that :func:`model_from_dict` rejects, state ids other
-    than 0 .. n-1, a state probability or belief that is not a number in
-    [0, 1], or a regime that is not a string. Transitions and the initial
-    state are checked where the arrays are built (:meth:`EquilibriumAutomaton.as_arrays`).
+    mistyped field, a ``params_echo`` that :func:`model_from_dict`
+    rejects, or an automaton that fails its own checks
+    (:class:`EquilibriumAutomaton`). States may come in any order of id.
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -520,10 +520,6 @@ def automaton_from_dict(
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValidationError([Violation("BadAutomatonFile", "meta is not a JSON object")])
-    kind, complete = payload.get("kind", "custom"), payload.get("complete", True)
-    if not (isinstance(kind, str) and isinstance(complete, bool)):
-        raise ValidationError([Violation("BadAutomatonFile", "kind must be a string and "
-                                         f"complete a boolean, got {kind!r} and {complete!r}")])
     try:
         raw_states = list(payload["states"])
         transitions = {
@@ -534,51 +530,23 @@ def automaton_from_dict(
             [Violation("BadAutomatonFile", f"missing or mistyped field: {exc!r}")]
         ) from exc
     try:
-        columns = {name: [s[name] for s in raw_states] for name in _STATE_FIELDS}
+        states = [
+            AutomatonState(s["id"], s["regime"], _unit(s["replace_prob"]),
+                           _unit(s["effort_prob"]), _unit(s["belief"]))
+            for s in raw_states
+        ]
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             [Violation("BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]
         ) from exc
-    violations = []
-    for name in _UNIT_FIELDS:
-        column = columns[name]
-        values = np.array(
-            [np.nan if (x := _as_float(v)) is None else x for v in column], dtype=float
-        )
-        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails too
-        if len(bad):
-            violations.append(Violation(
-                "BadState",
-                f"{name} is not a number in [0, 1] in {len(bad)} state(s), "
-                f"first {column[bad[0]]!r} at state {columns['id'][bad[0]]!r}",
-            ))
-    not_str = [i for i, r in enumerate(columns["regime"]) if not isinstance(r, str)]
-    if not_str:
-        violations.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
-                                    f"state(s), first at state {columns['id'][not_str[0]]!r}"))
-    if violations:
-        raise ValidationError(violations)
-    ids = columns["id"]
-    if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
-        raise ValidationError([Violation("BadStateIds", "state ids must be 0 .. n-1")])
-
-    states = [
-        AutomatonState(
-            id=s["id"],
-            regime=s["regime"],
-            replace_prob=s["replace_prob"],
-            effort_prob=s["effort_prob"],
-            belief=s["belief"],
-        )
-        for s in sorted(raw_states, key=lambda s: s["id"])
-    ]
+    states.sort(key=lambda q: q.id if type(q.id) is int else -1)  # bad ids: checked when built
     automaton = EquilibriumAutomaton(
         states=states,
         transitions=transitions,
         initial=payload["initial"],
         signals=monitoring.signals,
-        kind=kind,
-        complete=complete,
+        kind=payload.get("kind", "custom"),
+        complete=payload.get("complete", True),
         meta=meta,
     )
     return automaton, params, monitoring

@@ -26,7 +26,8 @@ class Violation:
 
 
 class ValidationError(ReplabError):
-    """Model inputs violate the maintained assumptions.
+    """An input fails its checks: a model outside the maintained
+    assumptions, an automaton or a simulation config that is malformed.
 
     Carries the full structured list of violations, not just the first one.
     """

@@ -32,7 +32,7 @@ from .errors import (
     ResolutionTooCoarse,
     ThresholdUndefined,
 )
-from .model import GameParams, MonitoringStructure, RELAXED, validate
+from .model import GameParams, MonitoringStructure
 
 FEASIBILITY_TOL = 0.0  # weak inequalities: boundary instances count as holding
 
@@ -110,7 +110,6 @@ def check_fei(params: GameParams, monitoring: MonitoringStructure) -> FeiCertifi
     (1-kappa)(1 - delta f0*) - (1 - delta f1*), ties broken by the smallest
     passing set; on failure, attaches the uniform-failure refutation.
     """
-    validate(monitoring, params, RELAXED)
     kappa, delta = params.kappa, params.delta
     best: Optional[FeiWitness] = None
     for lam, idx in _cutoff_candidates(monitoring):
@@ -258,7 +257,6 @@ def fei_oracle(
         raise ValueError("fei_oracle is restricted to |S| <= 4")
     if method not in ("grid", "lp", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    validate(monitoring, params, RELAXED)
 
     if method == "lp":
         return _oracle_lp(params, monitoring)

@@ -14,8 +14,9 @@ new) incumbent then acts; the realized signal extends the incumbent's
 career history. At t = 0 there is no vote.
 
 All probabilities are double-precision floats; probability vectors must
-sum to one within ``SIMPLEX_TOL``. Model objects are immutable after
-validation and safe to share across threads; operators are pure functions.
+sum to one within ``SIMPLEX_TOL``. Model objects check themselves when
+built, raising :class:`ValidationError` with every violation; they are
+immutable and safe to share across threads; operators are pure functions.
 """
 from __future__ import annotations
 
@@ -30,24 +31,42 @@ SIMPLEX_TOL = 1e-12
 #: Beliefs are plain floats in [0, 1]; operators below restrict to (0, 1].
 Belief = float
 
-STRICT = "strict"
-RELAXED = "relaxed"
-
 
 @dataclass(frozen=True)
 class MonitoringStructure:
     """Signal alphabet with its two conditional distributions.
 
     ``f0`` is the signal distribution under shirking, ``f1`` under effort.
-    Maintained assumptions (enforced by :func:`validate`): both are
-    probability vectors, ``f1`` has full support, and the two differ in at
-    least one coordinate. Signals with ``f0(s) = 0`` are allowed; their
-    likelihood ratio is 0.
+    Maintained assumptions, checked when built: both are probability
+    vectors, ``f1`` has full support, and the two differ in at least one
+    coordinate. Signals with ``f0(s) = 0`` are allowed; their likelihood
+    ratio is 0.
     """
 
     signals: tuple[str, ...]
     f0: tuple[float, ...]
     f1: tuple[float, ...]
+
+    def __post_init__(self):
+        n = len(self.signals)
+        if n < 2 or len(self.f0) != n or len(self.f1) != n:
+            raise ValidationError(
+                [Violation("NonSimplex", "need >= 2 signals and matching f0/f1 lengths")]
+            )
+        out: list[Violation] = []
+        if len(set(self.signals)) != n:
+            out.append(Violation("NonSimplex", "duplicate signal names"))
+        for name, vec in (("f0", self.f0), ("f1", self.f1)):
+            if not all(0.0 <= q < math.inf for q in vec):
+                out.append(Violation("NonSimplex", f"{name} has negative or non-finite entries"))
+            elif abs(sum(vec) - 1.0) > SIMPLEX_TOL:
+                out.append(Violation("NonSimplex", f"{name} sums to {sum(vec)!r}, not 1"))
+        if not all(q > 0.0 for q in self.f1):
+            out.append(Violation("MissingFullSupport", "f1 must be strictly positive everywhere"))
+        if all(abs(a - b) <= SIMPLEX_TOL for a, b in zip(self.f0, self.f1)):
+            out.append(Violation("UninformativeMonitoring", "f0 and f1 coincide"))
+        if out:
+            raise ValidationError(out)
 
     @classmethod
     def binary(cls, precision: float) -> "MonitoringStructure":
@@ -72,83 +91,24 @@ class MonitoringStructure:
 @dataclass(frozen=True)
 class GameParams:
     """(kappa, delta, pi0, c): effort cost, discount factor, prior on the
-    good type, replacement cost."""
+    good type, replacement cost. Checked when built: kappa, delta and pi0
+    lie in (0, 1) and c is finite and >= 0."""
 
     kappa: float
     delta: float
     pi0: float
     c: float = 0.0
 
-
-@dataclass(frozen=True)
-class Model:
-    """A validated (monitoring, params) pair; the level records which bound
-    on the replacement cost was enforced."""
-
-    monitoring: MonitoringStructure
-    params: GameParams
-    level: str
-
-
-def find_violations(
-    monitoring: MonitoringStructure, params: GameParams, level: str = STRICT
-) -> list[Violation]:
-    """Collect every violated assumption without raising.
-
-    ``level="strict"`` additionally enforces ``c < min(pi0, 1 - pi0)``,
-    required for the equilibrium constructions; ``level="relaxed"`` drops
-    that bound, which the outside-option analysis does not need.
-    """
-    if level not in (STRICT, RELAXED):
-        raise ValueError(f"unknown validation level {level!r}")
-    out: list[Violation] = []
-
-    n = len(monitoring.signals)
-    if n < 2 or len(monitoring.f0) != n or len(monitoring.f1) != n:
-        out.append(Violation("NonSimplex", "need >= 2 signals and matching f0/f1 lengths"))
-        return out
-    if len(set(monitoring.signals)) != n:
-        out.append(Violation("NonSimplex", "duplicate signal names"))
-    for name, vec in (("f0", monitoring.f0), ("f1", monitoring.f1)):
-        if any((not math.isfinite(q)) or q < 0.0 for q in vec):
-            out.append(Violation("NonSimplex", f"{name} has negative or non-finite entries"))
-        elif abs(sum(vec) - 1.0) > SIMPLEX_TOL:
-            out.append(Violation("NonSimplex", f"{name} sums to {sum(vec)!r}, not 1"))
-    if not all(q > 0.0 for q in monitoring.f1):
-        out.append(Violation("MissingFullSupport", "f1 must be strictly positive everywhere"))
-    if all(abs(a - b) <= SIMPLEX_TOL for a, b in zip(monitoring.f0, monitoring.f1)):
-        out.append(Violation("UninformativeMonitoring", "f0 and f1 coincide"))
-
-    p = params
-    for name, val, lo, hi in (
-        ("kappa", p.kappa, 0.0, 1.0),
-        ("delta", p.delta, 0.0, 1.0),
-        ("pi0", p.pi0, 0.0, 1.0),
-    ):
-        if not (math.isfinite(val) and lo < val < hi):
-            out.append(Violation("ParamOutOfRange", f"{name}={val!r} not in ({lo}, {hi})"))
-    if not (math.isfinite(p.c) and p.c >= 0.0):
-        out.append(Violation("ParamOutOfRange", f"c={p.c!r} must be >= 0"))
-    elif level == STRICT and math.isfinite(p.pi0) and 0.0 < p.pi0 < 1.0:
-        if p.c >= min(p.pi0, 1.0 - p.pi0):
-            out.append(
-                Violation(
-                    "ReplacementCostTooLarge",
-                    f"c={p.c!r} must be < min(pi0, 1-pi0) = {min(p.pi0, 1.0 - p.pi0)!r}",
-                )
-            )
-    return out
-
-
-def validate(
-    monitoring: MonitoringStructure, params: GameParams, level: str = STRICT
-) -> Model:
-    """Return an immutable validated model, or raise :class:`ValidationError`
-    carrying the full violation list."""
-    violations = find_violations(monitoring, params, level)
-    if violations:
-        raise ValidationError(violations)
-    return Model(monitoring=monitoring, params=params, level=level)
+    def __post_init__(self):
+        out = [
+            Violation("ParamOutOfRange", f"{name}={val!r} not in (0.0, 1.0)")
+            for name, val in (("kappa", self.kappa), ("delta", self.delta), ("pi0", self.pi0))
+            if not 0.0 < val < 1.0
+        ]
+        if not 0.0 <= self.c < math.inf:
+            out.append(Violation("ParamOutOfRange", f"c={self.c!r} must be >= 0"))
+        if out:
+            raise ValidationError(out)
 
 
 def _as_float(value) -> Optional[float]:
@@ -178,8 +138,8 @@ def model_from_dict(mapping) -> tuple[GameParams, MonitoringStructure]:
     present, wins over ``signals`` (see :meth:`MonitoringStructure.binary`).
     Numbers must be JSON or TOML numbers, not strings or booleans, and come
     back as floats.
-    Raises :class:`ValidationError` for a missing or mistyped key, or a
-    model that fails ``find_violations(..., RELAXED)``.
+    Raises :class:`ValidationError` for a missing or mistyped key, or for
+    the first of the monitoring and the params that fails its own checks.
     """
     try:
         if "binary_precision" in mapping:
@@ -199,7 +159,6 @@ def model_from_dict(mapping) -> tuple[GameParams, MonitoringStructure]:
         raise ValidationError(
             [Violation("BadModel", f"missing or mistyped model field: {exc!r}")]
         ) from exc
-    validate(monitoring, params, RELAXED)
     return params, monitoring
 
 

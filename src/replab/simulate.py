@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import EquilibriumAutomaton
-from .errors import DepthInsufficient
+from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states
 
@@ -62,10 +62,13 @@ class SimulationConfig:
     record_traces: bool = False
 
     def __post_init__(self):
+        bad = []
         if self.horizon < 1 or self.paths < 1:
-            raise ValueError("horizon and paths must both be >= 1")
+            bad.append(Violation("BadSimulationConfig", "horizon and paths must both be >= 1"))
         if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must lie in [0, 2^64)")
+            bad.append(Violation("BadSimulationConfig", "master_seed must lie in [0, 2^64)"))
+        if bad:
+            raise ValidationError(bad)
 
 
 @dataclass

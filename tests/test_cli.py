@@ -2,13 +2,17 @@ import contextlib
 import copy
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import replab
 from replab.cli import main
 
 
@@ -373,6 +377,14 @@ class TestConstructVerifySimulate:
         stats = json.loads((tmp_path / "simulation_stats.json").read_text())
         assert "counts" not in stats and "batches" not in stats
 
+    @pytest.mark.parametrize("name", ["automaton-non-efe.json", "missing.json"])
+    def test_per_period_csv_needs_out(self, capsys, automaton_file, name):
+        # refused before the automaton is read, so a missing file is no matter
+        code, out, err = run(capsys, "simulate", "--automaton",
+                             str(automaton_file.parent / name), "--per-period-csv")
+        assert out == ""
+        assert_one_json_error(code, err, "ConfigParse")
+
     def test_missing_automaton_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "verify", "--automaton", str(tmp_path / "missing.json")
@@ -506,6 +518,34 @@ _TABLES = [
      "bound_sweep.csv"),
     (["phase-sweep", *_MODEL, "--delta", "0.3:0.5:0.2"], "phase_sweep.csv"),
 ]
+
+
+def _run_capped(*argv):
+    """The CLI in a child process with a 10 s timeout and a 1 GiB address
+    space, so that a command that never ends fails the test instead of
+    hanging it or exhausting the host's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(replab.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "replab.cli", *argv], capture_output=True,
+                          text=True, timeout=10, preexec_fn=cap, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:nan"],
+    ["check-fei", "--kappa", "0.2", "--sweep", "delta=nan:0.45:0.01"],
+    ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:inf:0.01"],
+    ["phase-sweep", "--kappa", "0.2", "--delta=-inf:0.45:0.01"],
+    ["phase-sweep", "--kappa", "0.2:0.3:inf", "--delta", "0.4"],
+])
+def test_non_finite_range_exits_2(argv):
+    # each of these used to loop forever, appending grid points
+    done = _run_capped(*argv, "--binary-precision", "0.75")
+    assert done.stdout == ""
+    assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
 
 
 class TestOutputPath:

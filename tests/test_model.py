@@ -1,68 +1,131 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from replab import (
+    EquilibriumAutomaton,
     GameParams,
     MonitoringStructure,
+    SimulationConfig,
     bayes_update,
     belief_growth_bound,
-    find_violations,
+    construct_full_effort,
+    construct_non_efe,
     iterated_max_update,
     max_update,
     model_from_dict,
     model_to_dict,
-    validate,
 )
-from replab.errors import ValidationError
-from replab.model import RELAXED
+from replab.equilibria import AutomatonState
+from replab.errors import ReplacementCostTooLargeForConstruction, ValidationError
 
 
-def codes(monitoring, params, level="strict"):
-    return {v.code for v in find_violations(monitoring, params, level)}
+def codes(build, *args, **kwargs) -> set[str]:
+    """The violation codes building an object raises; empty when it builds."""
+    try:
+        build(*args, **kwargs)
+    except ValidationError as exc:
+        return {v.code for v in exc.violations}
+    return set()
 
 
 class TestValidation:
     def test_reference_instance_is_valid(self, binary75, ref_params):
-        model = validate(binary75, ref_params)
-        assert model.params is ref_params
+        assert GameParams(kappa=0.2, delta=0.5, pi0=0.3, c=0.05) == ref_params
+        assert MonitoringStructure(binary75.signals, binary75.f0, binary75.f1) == binary75
 
-    def test_uninformative_monitoring(self, ref_params):
-        m = MonitoringStructure(("a", "b"), f0=(0.5, 0.5), f1=(0.5, 0.5))
-        assert "UninformativeMonitoring" in codes(m, ref_params)
+    def test_uninformative_monitoring(self):
+        m = (("a", "b"), (0.5, 0.5), (0.5, 0.5))
+        assert "UninformativeMonitoring" in codes(MonitoringStructure, *m)
 
-    def test_replacement_cost_bound_is_strict_only(self, binary75):
-        p = GameParams(kappa=0.2, delta=0.5, pi0=0.3, c=0.4)
-        assert "ReplacementCostTooLarge" in codes(binary75, p, "strict")
-        assert "ReplacementCostTooLarge" not in codes(binary75, p, RELAXED)
+    def test_replacement_cost_bound_is_left_to_the_constructions(self, binary75):
+        # c >= min(pi0, 1 - pi0) is a valid model; only the constructions
+        # bound c, against 1 - pi0
+        assert codes(GameParams, kappa=0.2, delta=0.5, pi0=0.3, c=0.4) == set()
+        with pytest.raises(ReplacementCostTooLargeForConstruction):
+            construct_non_efe(GameParams(0.2, 0.5, 0.3, 0.7), binary75)
+        with pytest.raises(ReplacementCostTooLargeForConstruction):
+            construct_full_effort(GameParams(0.2, 0.5, 0.3, 0.75), binary75)
 
-    def test_non_simplex(self, ref_params):
-        m = MonitoringStructure(("a", "b"), f0=(0.7, 0.2), f1=(0.25, 0.75))
-        assert "NonSimplex" in codes(m, ref_params)
-        m = MonitoringStructure(("a", "b"), f0=(1.2, -0.2), f1=(0.25, 0.75))
-        assert "NonSimplex" in codes(m, ref_params)
+    def test_non_simplex(self):
+        assert "NonSimplex" in codes(MonitoringStructure, ("a", "b"), (0.7, 0.2), (0.25, 0.75))
+        assert "NonSimplex" in codes(MonitoringStructure, ("a", "b"), (1.2, -0.2), (0.25, 0.75))
 
-    def test_missing_full_support(self, ref_params):
-        m = MonitoringStructure(("a", "b"), f0=(0.5, 0.5), f1=(0.0, 1.0))
-        assert "MissingFullSupport" in codes(m, ref_params)
+    def test_missing_full_support(self):
+        m = (("a", "b"), (0.5, 0.5), (0.0, 1.0))
+        assert "MissingFullSupport" in codes(MonitoringStructure, *m)
 
-    def test_param_ranges(self, binary75):
-        assert "ParamOutOfRange" in codes(binary75, GameParams(1.5, 0.5, 0.3, 0.0))
-        assert "ParamOutOfRange" in codes(binary75, GameParams(0.2, 1.0, 0.3, 0.0))
-        assert "ParamOutOfRange" in codes(binary75, GameParams(0.2, 0.5, 0.3, -0.1))
+    def test_param_ranges(self):
+        assert "ParamOutOfRange" in codes(GameParams, 1.5, 0.5, 0.3, 0.0)
+        assert "ParamOutOfRange" in codes(GameParams, 0.2, 1.0, 0.3, 0.0)
+        assert "ParamOutOfRange" in codes(GameParams, 0.2, 0.5, 0.3, -0.1)
 
-    def test_validate_raises_with_all_violations(self, ref_params):
-        m = MonitoringStructure(("a", "b"), f0=(0.5, 0.5), f1=(0.5, 0.5))
+    def test_build_raises_with_all_violations(self):
         with pytest.raises(ValidationError) as exc:
-            validate(m, GameParams(0.2, 0.5, 0.3, 0.4), "strict")
-        got = {v.code for v in exc.value.violations}
-        assert {"UninformativeMonitoring", "ReplacementCostTooLarge"} <= got
+            MonitoringStructure(("a", "a"), f0=(0.5, 0.5), f1=(0.5, 0.5))
+        got = [v.code for v in exc.value.violations]
+        assert {"NonSimplex", "UninformativeMonitoring"} <= set(got)
+        with pytest.raises(ValidationError) as exc:
+            GameParams(1.5, 1.0, float("nan"), -0.1)
+        assert [v.code for v in exc.value.violations] == ["ParamOutOfRange"] * 4
 
-    def test_zero_f0_entry_is_allowed(self, ref_params):
-        m = MonitoringStructure(("a", "b"), f0=(0.0, 1.0), f1=(0.4, 0.6))
-        assert find_violations(m, ref_params) == []
-        assert m.min_ratio == 0.0
+    def test_zero_f0_entry_is_allowed(self):
+        assert codes(MonitoringStructure, ("a", "b"), f0=(0.0, 1.0), f1=(0.4, 0.6)) == set()
+        assert MonitoringStructure(("a", "b"), f0=(0.0, 1.0), f1=(0.4, 0.6)).min_ratio == 0.0
+
+
+def _automaton(**change) -> EquilibriumAutomaton:
+    """A valid two-state automaton over the binary signals, with ``change``
+    applied to its fields (``state`` replaces state 1's fields)."""
+    state = {"id": 1, "regime": "Dead", "replace_prob": 1.0, "effort_prob": 0.0,
+             "belief": 0.0, **change.pop("state", {})}
+    fields = {
+        "states": [AutomatonState(0, "Pass", 0.0, 1.0, 0.3), AutomatonState(**state)],
+        "transitions": {(0, "Pass"): 0, (0, "Fail"): 1, (1, "Pass"): 1, (1, "Fail"): 1},
+        "initial": 0, "signals": ("Fail", "Pass"), "kind": "custom", "complete": True,
+    }
+    return EquilibriumAutomaton(**{**fields, **change})
+
+
+class TestBuiltObjectsCheckThemselves:
+    @pytest.mark.parametrize("code, build", [
+        ("NonSimplex", lambda: MonitoringStructure(("a",), (1.0,), (1.0,))),
+        ("NonSimplex", lambda: MonitoringStructure(("a", "b"), (0.5, 0.6), (0.25, 0.75))),
+        ("MissingFullSupport", lambda: MonitoringStructure(("a", "b"), (0.5, 0.5), (0.0, 1.0))),
+        ("UninformativeMonitoring",
+         lambda: MonitoringStructure(("a", "b"), (0.4, 0.6), (0.4, 0.6))),
+        ("ParamOutOfRange", lambda: GameParams(0.2, 0.5, 0.0, 0.0)),
+        ("ParamOutOfRange", lambda: GameParams(0.2, 0.5, 0.3, float("inf"))),
+        ("BadState", lambda: _automaton(state={"replace_prob": float("nan")})),
+        ("BadState", lambda: _automaton(state={"belief": -0.25})),
+        ("BadState", lambda: _automaton(state={"regime": 3})),
+        ("BadAutomatonFile", lambda: _automaton(kind=None)),
+        ("BadAutomatonFile", lambda: _automaton(complete="false")),
+        ("BadStateIds", lambda: _automaton(state={"id": 2})),
+        ("BadStateIds", lambda: _automaton(state={"id": True})),
+        ("BadTransition", lambda: _automaton(transitions={(0, "Maybe"): 1})),
+        ("BadTransition", lambda: _automaton(transitions={(0, "Pass"): 2})),
+        ("BadInitial", lambda: _automaton(initial=2)),
+        ("BadSimulationConfig", lambda: SimulationConfig(horizon=0, paths=1, master_seed=1)),
+        ("BadSimulationConfig", lambda: SimulationConfig(horizon=1, paths=1, master_seed=-1)),
+    ])
+    def test_every_violation_code_is_refused(self, code, build):
+        assert codes(build) == {code}
+
+    def test_the_base_objects_build(self):
+        assert _automaton().as_arrays()[3].tolist() == [[1, 0], [1, 1]]
+        assert SimulationConfig(horizon=1, paths=1, master_seed=2**64 - 1).master_seed > 0
+
+    def test_replace_checks_again(self, ref_params, binary75, fe_automaton):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(ref_params, delta=1.0)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(binary75, f1=binary75.f0)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(fe_automaton, initial=3)
 
 
 class TestModelMapping:
@@ -135,6 +198,7 @@ class TestBayesUpdate:
         raw1 = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
         f0 = tuple(x / sum(raw0) for x in raw0)
         f1 = tuple(x / sum(raw1) for x in raw1)
+        assume(any(abs(q0 - q1) > 1e-12 for q0, q1 in zip(f0, f1)))  # else not a model
         m = MonitoringStructure(tuple(f"s{i}" for i in range(n)), f0, f1)
         e = pi + (1 - pi) * a
         law = m.mixture(e)

@@ -17,7 +17,7 @@ from replab import (
     simulate,
 )
 from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD, AutomatonState
-from replab.errors import DepthInsufficient
+from replab.errors import DepthInsufficient, ValidationError
 import importlib
 
 sim_module = importlib.import_module("replab.simulate")
@@ -476,14 +476,14 @@ def test_lumped_oracle_equals_direct_solve_after_any_rewire(
 
 class TestConfig:
     def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SimulationConfig(horizon=0, paths=10, master_seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SimulationConfig(horizon=10, paths=0, master_seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seeds_outside_philox_keys(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SimulationConfig(horizon=10, paths=10, master_seed=seed)
 
     def test_traces_guarded(self, fe_automaton, ref_params, binary75):
