@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
 from .errors import ConfigParse, ReplabError, ValidationError, Violation
@@ -37,6 +37,7 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
+MAX_GRID_CELLS = 1_000_000  # cells a sweep may have: check-fei's axis, phase-sweep's product
 
 
 def _fmt(value) -> str:
@@ -146,10 +147,26 @@ def _floats(tokens: list[str], spec: str) -> list[float]:
         raise ConfigParse(f"bad number in {spec!r}: {exc}") from exc
 
 
-def _parse_range(spec: str) -> list[float]:
-    """'a:b:step' (inclusive endpoints) or a single scalar."""
+def _range_count(a: float, b: float, step: float) -> int:
+    """Number of points a + k step, k = 0, 1, ..., at or below b + 1e-9 step,
+    counted without building them; any count above MAX_GRID_CELLS is
+    reported as MAX_GRID_CELLS + 1."""
+    limit = b + step * 1e-9
+    if not (limit - a) / step <= MAX_GRID_CELLS:
+        return MAX_GRID_CELLS + 1
+    k = max(0, math.floor((limit - a) / step))
+    while k and a + (k - 1) * step > limit:  # the quotient is off by a step at most
+        k -= 1
+    while a + k * step <= limit:
+        k += 1
+    return k
+
+
+def _parse_range(spec: str) -> tuple[int, Iterator[float]]:
+    """'a:b:step' (inclusive endpoints) or a single scalar, as its number of
+    points and an iterator that builds them."""
     if ":" not in spec:
-        return _floats([spec], spec)
+        return 1, iter(_floats([spec], spec))
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigParse(f"bad range {spec!r}; expected a:b:step")
@@ -158,15 +175,18 @@ def _parse_range(spec: str) -> list[float]:
         raise ConfigParse(f"bad range {spec!r}; a, b and step must be finite")
     if step <= 0:
         raise ConfigParse("range step must be positive")
-    out = []
-    k = 0
-    while True:
-        v = a + k * step
-        if v > b + step * 1e-9:
-            break
-        out.append(min(v, b))
-        k += 1
-    return out
+    count = _range_count(a, b, step)
+    return count, (min(a + k * step, b) for k in range(count))
+
+
+def _grid_axes(*specs: str) -> list[list[float]]:
+    """The points of each axis of a grid, refused before any is built when
+    an axis or the grid has more than MAX_GRID_CELLS cells."""
+    axes = [_parse_range(spec) for spec in specs]
+    counts = [count for count, _ in axes]
+    if max(counts) > MAX_GRID_CELLS or math.prod(counts) > MAX_GRID_CELLS:
+        raise ConfigParse(f"grid has more than {MAX_GRID_CELLS} cells; use a coarser step")
+    return [list(points) for _, points in axes]
 
 
 def _grid_list(spec: str) -> list[float]:
@@ -185,7 +205,8 @@ def _cmd_check_fei(args) -> Result:
         if not sep or axis != "delta":
             raise ConfigParse("check-fei sweeps support delta=a:b:step")
         rows = []
-        for d in _parse_range(spec):
+        (deltas,) = _grid_axes(spec)
+        for d in deltas:
             cert = fei.check_fei(
                 GameParams(params.kappa, d, params.pi0, params.c), monitoring
             )
@@ -313,9 +334,7 @@ def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
 def _cmd_phase_sweep(args) -> Result:
     pi0 = args.pi0 if args.pi0 is not None else 0.3
     c = args.c if args.c is not None else 0.0
-    precisions = _parse_range(args.binary_precision)
-    kappas = _parse_range(args.kappa)
-    deltas = _parse_range(args.delta)
+    precisions, kappas, deltas = _grid_axes(args.binary_precision, args.kappa, args.delta)
     # checked up front: a grid with no holding cell never reaches them
     verifier.check_tolerance(args.tol)
     equilibria.check_depth(args.depth)

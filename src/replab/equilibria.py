@@ -430,31 +430,91 @@ def compute_values(
     params: GameParams,
     monitoring: MonitoringStructure,
 ) -> ValueTable:
-    """Solve the continuation-value recursion as a sparse linear system over
-    the materialized states, built from the next-state array.
+    """Solve the continuation-value recursion (I - M) V = b over the
+    materialized states, sinks first.
+
+    M's weight on the edge q -> succ is delta f_{sigma_P(q)}(s) (1 -
+    sigma_V(succ)); self-loops fold into the diagonal. States with no
+    weighted edge to another state are solved at once; the rest are solved
+    by back-substitution in topological order (Kahn), each once all its
+    successors are. States left over lie on or upstream of a cycle: they
+    alone are factored with a sparse LU, their solved successors folded
+    into the right-hand side. No automaton the constructions build has
+    such a cycle.
 
     Unmaterialized successors contribute 0 to the solve; their worst-case
-    influence is bounded exactly by a companion linear system, with the
-    same matrix and so the same factorization, whose solution is reported
-    per state in ``errors`` (all 0 when the automaton is complete).
+    influence is bounded exactly by a companion right-hand side, solved
+    with the same matrix in the same pass, whose solution is reported per
+    state in ``errors`` (all 0 when the automaton is complete).
     """
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.linalg import splu
-
     delta, kappa = params.delta, params.kappa
     sv, sp, _, nxt = automaton.as_arrays()
     n = len(sv)
     law = delta * np.stack(monitoring.mixture(sp), axis=1)
     has = nxt >= 0
-    succ = nxt[has]
-    m = csc_matrix((law[has] * (1.0 - sv[succ]), (np.nonzero(has)[0], succ)), shape=(n, n))
+    weight = np.where(has, law * (1.0 - sv[nxt]), 0.0)  # nxt = -1 reads sv[-1], masked
+    loop = nxt == np.arange(n)[:, None]
+    diag = 1.0 - np.where(loop, weight, 0.0).sum(axis=1)
+    edge = (weight != 0.0) & ~loop
     b = (1.0 - delta) * (1.0 - kappa * sp)
     miss = np.where(has, 0.0, law).sum(axis=1)  # successor value unknown in [0, 1]
-    try:
-        lu = splu(identity(n, format="csc") - m)
-    except RuntimeError as exc:  # pragma: no cover - delta<1 keeps A invertible
-        raise NonContractive(str(exc)) from exc
-    values, errors = lu.solve(np.column_stack([b, miss])).T
+
+    # States with no weighted edge to another state are solved in one step,
+    # and folded into the right-hand side of their predecessors.
+    src, col = np.nonzero(edge)
+    dst, w = nxt[src, col], weight[src, col]
+    leaf = ~edge.any(axis=1)
+    values, errors = b / diag, miss / diag  # final at the leaves only
+    into = leaf[dst]
+    acc_b = b + np.bincount(src[into], w[into] * values[dst[into]], minlength=n)
+    acc_miss = miss + np.bincount(src[into], w[into] * errors[dst[into]], minlength=n)
+    # Kahn's order over the other states, renumbered 0, 1, ... among
+    # themselves: a state is solved once its last successor is.
+    rest = np.flatnonzero(~leaf)
+    local = np.cumsum(~leaf) - 1
+    src, dst, w = local[src[~into]], local[dst[~into]], w[~into]
+    by_dst = np.argsort(dst, kind="stable")
+    preds, pred_w = src[by_dst].tolist(), w[by_dst].tolist()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(rest)))]).tolist()
+    pending = np.bincount(src, minlength=len(rest))
+    order = np.flatnonzero(pending == 0).tolist()
+    pending = pending.tolist()
+    acc_b, acc_miss, d = acc_b[rest].tolist(), acc_miss[rest].tolist(), diag[rest].tolist()
+    solved_b, solved_miss = [], []
+    for q in order:  # grows as states are solved
+        v, e = acc_b[q] / d[q], acc_miss[q] / d[q]
+        solved_b.append(v)
+        solved_miss.append(e)
+        for k in range(starts[q], starts[q + 1]):
+            p = preds[k]
+            acc_b[p] += pred_w[k] * v
+            acc_miss[p] += pred_w[k] * e
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    values[rest[order]], errors[rest[order]] = solved_b, solved_miss
+    if len(order) < len(rest):  # the states on or upstream of a cycle
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        cyclic = np.ones(len(rest), dtype=bool)
+        cyclic[order] = False
+        ids = np.flatnonzero(cyclic)
+        block_id = np.cumsum(cyclic) - 1
+        inner = cyclic[src] & cyclic[dst]
+        block = csc_matrix(
+            (np.concatenate([diag[rest[ids]], -w[inner]]),
+             (np.concatenate([block_id[ids], block_id[src[inner]]]),
+              np.concatenate([block_id[ids], block_id[dst[inner]]]))),
+            shape=(len(ids), len(ids)),
+        )
+        try:
+            lu = splu(block)
+        except RuntimeError as exc:  # pragma: no cover - delta<1 keeps A invertible
+            raise NonContractive(str(exc)) from exc
+        # acc_b and acc_miss already hold the solved successors' part
+        rhs = np.column_stack([acc_b, acc_miss])[ids]
+        values[rest[ids]], errors[rest[ids]] = lu.solve(rhs).T
     return ValueTable(values=values, errors=errors, tail_bound=float(errors.max()) if n else 0.0)
 
 

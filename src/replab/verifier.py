@@ -101,19 +101,24 @@ def expected_effort(automaton: EquilibriumAutomaton, state_id: int) -> float:
 def _on_path_states(automaton: EquilibriumAutomaton) -> np.ndarray:
     """Mask of the states reachable from the initial state without crossing
     a certain-replacement state; every other state is only consulted after
-    the career has already ended."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
+    the career has already ended. Found by a depth-first search over the
+    next-state array's columns that enters, but does not leave, a
+    certain-replacement state."""
     sv, _, _, nxt = automaton.as_arrays()
-    n = len(sv)
-    expands = ~(sv >= 1.0)
-    expands[automaton.initial] = True
-    edges = (nxt >= 0) & expands[:, None]
-    graph = csr_matrix((np.ones(edges.sum()), (np.nonzero(edges)[0], nxt[edges])), shape=(n, n))
-    seen = np.zeros(n, dtype=bool)
-    seen[breadth_first_order(graph, automaton.initial, return_predecessors=False)] = True
-    return seen
+    expands = (sv < 1.0).tolist()
+    columns = nxt.T.tolist()  # S lists rather than n: far fewer objects to build
+    seen = [False] * len(sv)
+    seen[automaton.initial] = True
+    stack = [automaton.initial]  # expanded whatever its replace_prob
+    while stack:
+        q = stack.pop()
+        for column in columns:
+            t = column[q]
+            if t >= 0 and not seen[t]:
+                seen[t] = True
+                if expands[t]:
+                    stack.append(t)
+    return np.array(seen)
 
 
 def _violation(gap: np.ndarray, mixed: np.ndarray, up: np.ndarray) -> np.ndarray:

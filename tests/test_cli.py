@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replab
+from replab import cli
 from replab.cli import main
+from replab.errors import ConfigParse
 
 
 def run(capsys, *argv):
@@ -548,6 +550,28 @@ def test_non_finite_range_exits_2(argv):
     assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:1e-12"],
+    ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:0.45:1e-12"],
+    ["phase-sweep", "--kappa", "0.1:0.2:1e-4", "--delta", "0.3:0.4:1e-4"],  # 1001 x 1001
+    # an empty axis leaves no cells, but the endless one is still refused
+    ["phase-sweep", "--kappa=-1e308:1e308:1e-300", "--delta", "0.5:0.4:0.1"],
+])
+def test_oversized_grid_exits_2(argv):
+    # each of these used to build its axes until memory ran out
+    done = _run_capped(*argv, "--binary-precision", "0.75")
+    assert done.stdout == ""
+    assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
+
+
+def test_grid_cap_is_on_cells():
+    # a million cells pass, one axis point more does not; neither is run
+    kappas, deltas = cli._grid_axes("0:0.999:0.001", "1:1.999:0.001")
+    assert len(kappas) == len(deltas) == 1000 and kappas[-1] == 0.999
+    with pytest.raises(ConfigParse):
+        cli._grid_axes("0:1:0.001", "1:1.999:0.001")
+
+
 class TestOutputPath:
     """main alone writes a command's files and manifest under --out, and
     prints its text."""
@@ -716,6 +740,37 @@ print(loaded())
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["constructed", "cyclic"])
+def test_scipy_sparse_loads_only_for_a_cyclic_value_block(reference_payload, tmp_path, cyclic):
+    # constructed automata are solved sinks first; only a cycle needs a sparse LU
+    payload = copy.deepcopy(reference_payload)
+    if cyclic:  # FirstRegime state 2's fail edge back to the initial state
+        edge = next(t for t in payload["transitions"] if (t["from"], t["signal"]) == (2, "Fail"))
+        edge["to"] = payload["initial"]
+    automaton = tmp_path / "automaton.json"
+    automaton.write_text(json.dumps(payload))
+    commands = [["verify", "--automaton", str(automaton)]]
+    if not cyclic:
+        commands.append(["phase-sweep", "--binary-precision", "0.6:0.9:0.3",
+                         "--kappa", "0.1:0.3:0.2", "--delta", "0.4:0.8:0.4"])
+    probe = """
+import contextlib, io, json, sys
+from replab.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    print(argv[0], code, out.getvalue().count("true,true,true"))  # cells verified twice
+print("scipy.sparse" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    lines = done.stdout.split("\n")
+    if cyclic:
+        assert lines[:2] == ["verify 3 0", "True"]
+    else:  # 5 of the 8 cells hold, and both of their constructions verify
+        assert lines[:3] == ["verify 0 0", "phase-sweep 0 5", "False"]
 
 
 class TestArgparseContract:

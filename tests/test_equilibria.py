@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replab import (
     EquilibriumAutomaton,
@@ -42,6 +46,37 @@ TWO_FAIL = MonitoringStructure(
     ("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
 )
 TWO_FAIL_PARAMS = GameParams(kappa=0.1, delta=0.7, pi0=0.3, c=0.05)
+
+
+def _dense_values(auto, params, monitoring):
+    """(values, errors) from a dense solve of (I - M) [V, E] = [b, miss],
+    with I - M built edge by edge."""
+    delta, kappa = params.delta, params.kappa
+    sv, sp, _, nxt = auto.as_arrays()
+    n, n_signals = nxt.shape
+    m = np.zeros((n, n))
+    miss = np.zeros(n)
+    for q in range(n):
+        for i in range(n_signals):
+            w = delta * (sp[q] * monitoring.f1[i] + (1.0 - sp[q]) * monitoring.f0[i])
+            if nxt[q, i] < 0:
+                miss[q] += w
+            else:
+                m[q, nxt[q, i]] += w * (1.0 - sv[nxt[q, i]])
+    b = (1.0 - delta) * (1.0 - kappa * sp)
+    return np.linalg.solve(np.eye(n) - m, np.column_stack([b, miss])).T
+
+
+_REWIRABLE = {
+    "reference": (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 200),
+    "two-fail-depth-6": (TWO_FAIL_PARAMS, TWO_FAIL, 6),
+}
+
+
+@functools.cache
+def _rewirable(case):
+    params, monitoring, depth = _REWIRABLE[case]
+    return params, monitoring, construct_non_efe(params, monitoring, max_depth=depth)[0]
 
 
 class TestClosedForms:
@@ -270,25 +305,31 @@ class TestValueRecursion:
     def test_sparse_solve_matches_dense_oracle(self):
         auto, _ = construct_non_efe(TWO_FAIL_PARAMS, TWO_FAIL, max_depth=10)
         assert len(auto.states) == 836 and not auto.complete
-        delta, kappa = TWO_FAIL_PARAMS.delta, TWO_FAIL_PARAMS.kappa
-        sv, sp, _, nxt = auto.as_arrays()
-        n, n_signals = nxt.shape
-        m = np.zeros((n, n))
-        miss = np.zeros(n)
-        for q in range(n):
-            for i in range(n_signals):
-                w = delta * (sp[q] * TWO_FAIL.f1[i] + (1.0 - sp[q]) * TWO_FAIL.f0[i])
-                if nxt[q, i] < 0:
-                    miss[q] += w
-                else:
-                    m[q, nxt[q, i]] += w * (1.0 - sv[nxt[q, i]])
-        a = np.eye(n) - m
         vt = compute_values(auto, TWO_FAIL_PARAMS, TWO_FAIL)
-        np.testing.assert_allclose(
-            vt.values, np.linalg.solve(a, (1.0 - delta) * (1.0 - kappa * sp)), rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(vt.errors, np.linalg.solve(a, miss), rtol=0, atol=1e-12)
+        values, errors = _dense_values(auto, TWO_FAIL_PARAMS, TWO_FAIL)
+        np.testing.assert_allclose(vt.values, values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vt.errors, errors, rtol=0, atol=1e-12)
         assert vt.tail_bound == vt.errors.max() > 0.0
+
+    @given(
+        case=st.sampled_from(sorted(_REWIRABLE)),
+        source=st.integers(min_value=0, max_value=10**4),
+        signal=st.integers(min_value=0, max_value=3),
+        target=st.integers(min_value=0, max_value=10**4),
+    )
+    @example(case="reference", source=2, signal=0, target=0)  # FirstRegime fail -> initial
+    @settings(max_examples=40, deadline=None)
+    def test_rewired_edge_matches_dense_oracle(self, case, source, signal, target):
+        # one edge sent to any state may close a cycle, which only the
+        # sparse LU block can solve
+        params, monitoring, auto = _rewirable(case)
+        n = len(auto.states)
+        key = (source % n, monitoring.signals[signal % len(monitoring.signals)])
+        rewired = dataclasses.replace(auto, transitions={**auto.transitions, key: target % n})
+        vt = compute_values(rewired, params, monitoring)
+        values, errors = _dense_values(rewired, params, monitoring)
+        np.testing.assert_allclose(vt.values, values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vt.errors, errors, rtol=0, atol=1e-12)
 
     def test_default_depth_tree_solves_in_edge_memory(self):
         # a dense n x n value system for this tree would take about 18 GB
