@@ -28,7 +28,6 @@ from .fei import (  # noqa: F401
     uniform_failure_horizon,
 )
 from .equilibria import (  # noqa: F401
-    AutomatonState,
     EquilibriumAutomaton,
     NonEfeParameters,
     ValueTable,

@@ -17,6 +17,7 @@ so callers can substitute a sharper horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
@@ -58,11 +59,12 @@ def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
 
 
 def outside_option_bound(
-    params: GameParams, monitoring: MonitoringStructure
+    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
 ) -> OutsideOptionBound:
     """Upper bound c + min_eta g(eta) on the outside option; requires the
-    full-effort-incentive check to fail."""
-    cert = fei.check_fei(params, monitoring)
+    full-effort-incentive check to fail. ``cert``, :func:`fei.check_fei`'s
+    certificate, is decided if not given."""
+    cert = cert if cert is not None else fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")
     horizon_T = cert.refutation.horizon_T

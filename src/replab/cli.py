@@ -233,7 +233,7 @@ def _cmd_construct(args) -> Result:
         automaton, _ = equilibria.construct_non_efe(
             params, monitoring, a0_override=args.a0, max_depth=args.depth
         )
-    name, n = f"automaton-{args.kind}.json", len(automaton.states)
+    name, n = f"automaton-{args.kind}.json", len(automaton.belief)
     return Result(
         cfg, echo=f"wrote {Path(args.out) / name} ({n} states)\n",
         files={name: _json(equilibria.automaton_to_dict(automaton, params, monitoring))},
@@ -322,12 +322,12 @@ def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
     fe_ok = non_efe_ok = None
     bound_value = None
     if cert.holds:
-        fe = equilibria.construct_full_effort(params, monitoring)
+        fe = equilibria.construct_full_effort(params, monitoring, cert)
         fe_ok = verifier.verify(fe, params, monitoring, tol=tol).passed
-        bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth)
+        bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth, cert=cert)
         non_efe_ok = verifier.verify(bad, params, monitoring, tol=tol).passed
     else:
-        bound_value = bounds.outside_option_bound(params, monitoring).bound_value
+        bound_value = bounds.outside_option_bound(params, monitoring, cert).bound_value
     return [precision, kappa, delta, pi0, c, cert.holds, fe_ok, non_efe_ok, bound_value]
 
 

@@ -31,7 +31,6 @@ making desk-scale automata finite.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,36 +61,60 @@ BELIEF_KEY_DECIMALS = 12
 A0_BISECTION_TOL = 1e-10  # width at which select_a0 stops bisecting
 MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
 _UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
+_NON_EFE_LABELS = (REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD)  # sorted
 
 
-@dataclass(frozen=True)
-class AutomatonState:
-    id: int
-    regime: str
-    replace_prob: float  # voter's replacement probability on arrival; ignored at the initial state
-    effort_prob: float   # opportunist's work probability if retained
-    belief: float
+def _violations(units, regime_ok, kind, complete, initial, n, name, middle) -> list[Violation]:
+    """Violations in check order: numbers outside [0, 1], regimes with no string
+    label, a mistyped kind or complete, ``middle``, the initial; ``name(i)`` is i's id."""
+    bad = []
+    for field_name, values in zip(_UNIT_FIELDS, units):
+        inside = (values >= 0.0) & (values <= 1.0)  # NaN is not
+        if not inside.all():
+            out = np.flatnonzero(~inside)
+            bad.append(Violation(
+                "BadState", f"{field_name} is not a number in [0, 1] in {len(out)} state(s), "
+                f"first {float(values[out[0]])!r} at state {name(out[0])!r}",
+            ))
+    if not regime_ok.all():
+        not_str = np.flatnonzero(~regime_ok)
+        bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
+                             f"state(s), first at state {name(not_str[0])!r}"))
+    if not (isinstance(kind, str) and isinstance(complete, bool)):
+        bad.append(Violation("BadAutomatonFile", "kind must be a string and complete "
+                             f"a boolean, got {kind!r} and {complete!r}"))
+    bad += middle
+    if not (isinstance(initial, (int, np.integer)) and not isinstance(initial, bool)
+            and 0 <= initial < n):
+        bad.append(Violation("BadInitial", f"initial state {initial!r} outside [0, {n})"))
+    return bad
 
 
-@dataclass
+@dataclass(eq=False)
 class EquilibriumAutomaton:
-    """Strategy automaton over career histories.
+    """Strategy automaton over career histories, held as arrays over states
+    0 .. n-1: vectors ``replace_prob`` (the voter's, on arrival; ignored at
+    the initial state), ``effort_prob`` (the opportunist's, if retained),
+    ``belief`` and ``regime`` (indices into ``labels``, distinct strings in
+    sorted order), and the (n, S) ``next_state`` array, columns in
+    ``signals`` order, with -1 for an unmaterialized branch of a lazy tree
+    (``complete`` is then False).
 
-    ``transitions`` maps (state id, signal) to the successor id; a missing
-    key marks an unmaterialized branch of a lazily generated tree
-    (``complete`` is False in that case). Instances are immutable after
-    construction and safe to share across threads.
-
-    Building one checks it and raises :class:`ValidationError` listing
-    every violation: state ids other than 0 .. n-1 in order, a probability
-    or belief outside [0, 1] (NaN included), a regime or ``kind`` that is
-    not a string, a ``complete`` that is not a bool, one violation per
-    transition with a signal not in ``signals`` or a state outside [0, n),
-    and an initial state outside [0, n).
+    Building one copies the arrays into read-only ones and checks them with
+    array expressions, raising :class:`ValidationError` with every
+    violation: numbers outside [0, 1] (NaN too), regime codes without a
+    label, unsorted or repeated labels, a mistyped ``kind`` or ``complete``,
+    one per next state outside [-1, n), and an initial state outside
+    [0, n); arrays of the wrong shape or type first. Immutable, and safe to
+    share across threads.
     """
 
-    states: list[AutomatonState]
-    transitions: dict[tuple[int, str], int]
+    replace_prob: np.ndarray
+    effort_prob: np.ndarray
+    belief: np.ndarray
+    next_state: np.ndarray
+    regime: np.ndarray
+    labels: tuple[str, ...]
     initial: int
     signals: tuple[str, ...]
     kind: str
@@ -99,61 +122,41 @@ class EquilibriumAutomaton:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.states)
-        units = [np.array([getattr(q, name) for q in self.states], dtype=float)
-                 for name in _UNIT_FIELDS]
-        bad = []
-        for name, values in zip(_UNIT_FIELDS, units):
-            out = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # NaN fails too
-            if len(out):
-                bad.append(Violation(
-                    "BadState", f"{name} is not a number in [0, 1] in {len(out)} state(s), "
-                    f"first {float(values[out[0]])!r} at state {self.states[out[0]].id!r}",
-                ))
-        not_str = [q.id for q in self.states if not isinstance(q.regime, str)]
-        if not_str:
-            bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
-                                 f"state(s), first at state {not_str[0]!r}"))
-        if not (isinstance(self.kind, str) and isinstance(self.complete, bool)):
-            bad.append(Violation("BadAutomatonFile", "kind must be a string and complete "
-                                 f"a boolean, got {self.kind!r} and {self.complete!r}"))
-        if any(type(q.id) is not int or q.id != i for i, q in enumerate(self.states)):
-            bad.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
-
-        def in_range(sid) -> bool:
-            is_int = isinstance(sid, (int, np.integer)) and not isinstance(sid, bool)
-            return is_int and 0 <= sid < n
-
-        column = {s: i for i, s in enumerate(self.signals)}
-        nxt = np.full((n, len(self.signals)), -1, dtype=np.int64)
-        for (qid, sig), tid in self.transitions.items():
-            if sig not in column:
-                problem = f"unknown signal {sig!r}"
-            elif not (in_range(qid) and in_range(tid)):
-                problem = f"state outside [0, {n})"
-            else:
-                nxt[qid, column[sig]] = tid
-                continue
-            bad.append(Violation("BadTransition", f"{qid!r} --{sig}--> {tid!r}: {problem}"))
-        if not in_range(self.initial):
-            bad.append(Violation("BadInitial", f"initial state {self.initial!r} outside [0, {n})"))
+        units = [np.array(v, dtype=float) for v in
+                 (self.replace_prob, self.effort_prob, self.belief)]
+        regime, nxt = np.array(self.regime), np.array(self.next_state)
+        n, labels = len(units[2]), tuple(self.labels)
+        if not (all(v.shape == (n,) for v in (*units, regime))
+                and nxt.shape == (n, len(self.signals))
+                and regime.dtype.kind in "iu" and nxt.dtype.kind in "iu"):
+            raise ValidationError([Violation("BadState", "need float vectors and an integer "
+                                             "regime of length n, integer next_state (n, S)")])
+        middle = []
+        if not (all(isinstance(label, str) for label in labels)
+                and list(labels) == sorted(set(labels))):
+            middle.append(Violation("BadState", f"labels {labels!r} are not distinct and sorted"))
+        middle += [
+            Violation("BadTransition", f"{q} --{self.signals[j]}--> {nxt[q, j]}: "
+                      f"state outside [0, {n})")
+            for q, j in np.argwhere((nxt < -1) | (nxt >= n)).tolist()
+        ]
+        bad = _violations(units, (regime >= 0) & (regime < len(labels)), self.kind,
+                          self.complete, self.initial, n, int, middle)
         if bad:
             raise ValidationError(bad)
-        self._arrays = (*units, nxt)
-        for array in self._arrays:
+        self.replace_prob, self.effort_prob, self.belief = units
+        self.next_state, self.regime, self.labels = nxt, regime, labels
+        for array in (*units, nxt, regime):
             array.flags.writeable = False
+        self._arrays = (*units, nxt)
 
-    def state(self, state_id: int) -> AutomatonState:
-        return self.states[state_id]
-
-    def successor(self, state_id: int, signal: str) -> Optional[int]:
-        return self.transitions.get((state_id, signal))
+    @property
+    def states(self) -> range:
+        """The state ids, 0 .. n-1."""
+        return range(len(self.belief))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(replace_prob, effort_prob, belief, next_state): per-state vectors
-        and the (n, S) next-state array, columns in ``signals`` order, with
-        -1 for a missing transition. Built once, when the automaton is, and
-        read-only."""
+        """(replace_prob, effort_prob, belief, next_state); the same tuple each call."""
         return self._arrays
 
 
@@ -202,7 +205,7 @@ class ValueTable:
 
 
 def construct_full_effort(
-    params: GameParams, monitoring: MonitoringStructure
+    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
 ) -> EquilibriumAutomaton:
     """Full-effort equilibrium automaton.
 
@@ -211,8 +214,9 @@ def construct_full_effort(
     first failing signal (certain replacement, prior belief preserved by
     the pooling update), and an absorbing dead state with belief 0, which
     is unconstrained because its predecessor replaces with probability 1.
+    ``cert``, :func:`fei.check_fei`'s certificate, is decided if not given.
     """
-    cert = fei.check_fei(params, monitoring)
+    cert = cert if cert is not None else fei.check_fei(params, monitoring)
     if not cert.holds:
         raise FeiFails("full-effort incentives fail; no full-effort equilibrium exists")
     if params.c > 1.0 - params.pi0:
@@ -220,34 +224,24 @@ def construct_full_effort(
             f"need c <= 1 - pi0, got c={params.c}, pi0={params.pi0}"
         )
     w = cert.witness
-    s_star = set(w.s_star)
-    states = [
-        AutomatonState(0, REGIME_PASS, 0.0, 1.0, params.pi0),
-        AutomatonState(1, REGIME_DEAD, 1.0, 0.0, params.pi0),
-        AutomatonState(2, REGIME_DEAD, 1.0, 0.0, 0.0),
-    ]
-    transitions: dict[tuple[int, str], int] = {}
-    for s in monitoring.signals:
-        transitions[(0, s)] = 0 if s in s_star else 1
-        transitions[(1, s)] = 2
-        transitions[(2, s)] = 2
+    dead = [2] * len(monitoring.signals)
     return EquilibriumAutomaton(
-        states=states,
-        transitions=transitions,
-        initial=0,
-        signals=monitoring.signals,
-        kind="full-effort",
-        complete=True,
+        replace_prob=[0.0, 1.0, 1.0], effort_prob=[1.0, 0.0, 0.0],
+        belief=[params.pi0, params.pi0, 0.0],
+        next_state=[[0 if s in w.s_star else 1 for s in monitoring.signals], dead, dead],
+        regime=[1, 0, 0], labels=(REGIME_DEAD, REGIME_PASS), initial=0,
+        signals=monitoring.signals, kind="full-effort", complete=True,
         meta={"v_bar": w.v_bar, "s_star": list(w.s_star)},
     )
 
 
 def non_efe_parameters(
-    params: GameParams, monitoring: MonitoringStructure
+    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
 ) -> NonEfeParameters:
     """Closed forms (v_bar, v_tilde, v_hat, x) from the cutoff witness,
-    plus the default initial effort probability a0 (see :func:`select_a0`)."""
-    cert = fei.check_fei(params, monitoring)
+    plus the default initial effort probability a0 (see :func:`select_a0`).
+    ``cert``, :func:`fei.check_fei`'s certificate, is decided if not given."""
+    cert = cert if cert is not None else fei.check_fei(params, monitoring)
     if not cert.holds:
         raise FeiFails("full-effort incentives fail; construction unavailable")
     w = cert.witness
@@ -257,18 +251,9 @@ def non_efe_parameters(
     v_hat = (1.0 - delta) * (1.0 - kappa) + delta * (
         w.f1_star * v_bar + (1.0 - w.f1_star) * v_tilde
     )
-    x = 1.0 - v_tilde / v_hat
-    a0 = select_a0(params, monitoring)
     return NonEfeParameters(
-        lam=w.lam,
-        s_star=w.s_star,
-        f1_star=w.f1_star,
-        f0_star=w.f0_star,
-        v_bar=v_bar,
-        v_tilde=v_tilde,
-        v_hat=v_hat,
-        x=x,
-        a0=a0,
+        lam=w.lam, s_star=w.s_star, f1_star=w.f1_star, f0_star=w.f0_star, v_bar=v_bar,
+        v_tilde=v_tilde, v_hat=v_hat, x=1.0 - v_tilde / v_hat, a0=select_a0(params, monitoring),
     )
 
 
@@ -327,100 +312,82 @@ def construct_non_efe(
     monitoring: MonitoringStructure,
     a0_override: Optional[float] = None,
     max_depth: int = 200,
+    cert: Optional[fei.FeiCertificate] = None,
 ) -> tuple[EquilibriumAutomaton, NonEfeParameters]:
     """No-eventual-full-effort equilibrium automaton.
 
     Requires the incentive check to hold and c < 1 - pi0. The FirstRegime
     tree extends lazily up to ``max_depth`` failing signals (``MAX_STATES``
     caps the total); belief-key memoization closes binary chains into a
-    finite automaton well before the default depth.
+    finite automaton well before the default depth. ``cert`` is passed to
+    :func:`non_efe_parameters`.
     """
     check_depth(max_depth)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
             f"need c < 1 - pi0, got c={params.c}, pi0={params.pi0}"
         )
-    base = non_efe_parameters(params, monitoring)
+    base = non_efe_parameters(params, monitoring, cert)
     if a0_override is not None:
         if not params.c / (1.0 - params.pi0) < a0_override < 1.0:
             raise NoFeasibleA0(f"a0 override {a0_override!r} outside (c/(1-pi0), 1)")
         if _a0_slack(params, monitoring, a0_override) < 0.0:
             raise NoFeasibleA0(f"a0 override {a0_override!r} fails the feasibility bound")
         base = NonEfeParameters(**{**base.__dict__, "a0": a0_override})
-    a0, x = base.a0, base.x
-    pi0, c = params.pi0, params.c
-    e_star = pi0 + (1.0 - pi0) * a0 - c
-    s_star = set(base.s_star)
+    pi0, x = params.pi0, base.x
+    e_star = pi0 + (1.0 - pi0) * base.a0 - params.c
+    n_signals = len(monitoring.signals)
+    passing = [s in base.s_star for s in monitoring.signals]
+    first, initial_code, second, third = range(len(_NON_EFE_LABELS))
 
-    def key(belief: float) -> float:
-        return round(belief, BELIEF_KEY_DECIMALS)
-
-    states: list[AutomatonState] = []
-    transitions: dict[tuple[int, str], int] = {}
-    first_ids: dict[float, int] = {}
-    second_ids: dict[float, int] = {}
-    third_ids: dict[float, int] = {}
+    # per-state fields, and the next-state array flattened row by row
+    regime, replace_prob, effort_prob, beliefs, nxt = [], [], [], [], []
+    first_ids, second_ids = {}, {}  # state id by belief key
     complete = True
 
-    def add_state(regime, replace_prob, effort_prob, belief) -> int:
-        sid = len(states)
-        states.append(AutomatonState(sid, regime, replace_prob, effort_prob, belief))
-        return sid
+    def add_state(code, sigma_v, sigma_p, belief, row) -> int:
+        regime.append(code)
+        replace_prob.append(sigma_v)
+        effort_prob.append(sigma_p)
+        beliefs.append(belief)
+        nxt.extend(row)
+        return len(regime) - 1
 
-    initial = add_state(REGIME_INITIAL, 0.0, a0, pi0)
-    dead = add_state(REGIME_THIRD, 1.0, 0.0, 0.0)
-    for s in monitoring.signals:
-        transitions[(dead, s)] = dead
+    open_row = [-1] * n_signals  # filled in when the state is expanded
+    initial = add_state(initial_code, 0.0, base.a0, pi0, open_row)
+    dead_row = [initial + 1] * n_signals  # the absorbing state, added next
+    add_state(third, 1.0, 0.0, 0.0, dead_row)
 
-    def get_second(belief: float) -> int:
-        b = key(belief)
-        if b not in second_ids:
-            second_ids[b] = add_state(REGIME_SECOND, 0.0, 1.0, b)
-            sid = second_ids[b]
-            tid = get_third(b)
-            for s in monitoring.signals:
-                transitions[(sid, s)] = sid if s in s_star else tid
-        return second_ids[b]
-
-    def get_third(belief: float) -> int:
-        b = key(belief)
-        if b not in third_ids:
-            third_ids[b] = add_state(REGIME_THIRD, 1.0, 0.0, b)
-            sid = third_ids[b]
-            for s in monitoring.signals:
-                transitions[(sid, s)] = dead
-        return third_ids[b]
-
-    # Breadth-first materialization of the pre-first-pass tree.
-    queue: deque[tuple[int, float, float, int]] = deque()
-    queue.append((initial, pi0, a0, 0))
-    while queue:
-        sid, belief, effort, depth = queue.popleft()
-        for s in monitoring.signals:
-            nxt_belief = bayes_update(monitoring, belief, effort, s) if belief > 0.0 else 0.0
-            if s in s_star:
-                transitions[(sid, s)] = get_second(nxt_belief)
-                continue
-            b = key(nxt_belief)
-            if b in first_ids:
-                transitions[(sid, s)] = first_ids[b]
-                continue
-            if depth + 1 > max_depth or len(states) >= MAX_STATES:
-                complete = False  # frontier left unmaterialized
-                continue
-            nid = add_state(REGIME_FIRST, x, indifference_effort(e_star, b), b)
-            first_ids[b] = nid
-            transitions[(sid, s)] = nid
-            queue.append((nid, b, states[nid].effort_prob, depth + 1))
+    # Breadth-first materialization of the pre-first-pass tree, a depth at a time.
+    level, depth = [initial], 0
+    while level:
+        deeper = []
+        for sid in level:
+            belief, effort = beliefs[sid], effort_prob[sid]
+            for j, s in enumerate(monitoring.signals):
+                nxt_belief = bayes_update(monitoring, belief, effort, s) if belief > 0.0 else 0.0
+                b = round(nxt_belief, BELIEF_KEY_DECIMALS)
+                if passing[j]:
+                    if b not in second_ids:  # then the ThirdRegime state it fails into
+                        new = second_ids[b] = len(regime)
+                        add_state(second, 0.0, 1.0, b, [new if p else new + 1 for p in passing])
+                        add_state(third, 1.0, 0.0, b, dead_row)
+                    nxt[sid * n_signals + j] = second_ids[b]
+                    continue
+                if b not in first_ids:
+                    if depth + 1 > max_depth or len(regime) >= MAX_STATES:
+                        complete = False  # frontier left unmaterialized
+                        continue
+                    first_ids[b] = add_state(first, x, indifference_effort(e_star, b), b, open_row)
+                    deeper.append(first_ids[b])
+                nxt[sid * n_signals + j] = first_ids[b]
+        level, depth = deeper, depth + 1
 
     automaton = EquilibriumAutomaton(
-        states=states,
-        transitions=transitions,
-        initial=initial,
-        signals=monitoring.signals,
-        kind="non-efe",
-        complete=complete,
-        meta={**base.to_dict(), "e_star": e_star},
+        replace_prob=replace_prob, effort_prob=effort_prob, belief=beliefs,
+        next_state=np.array(nxt, dtype=np.int64).reshape(-1, n_signals),
+        regime=regime, labels=_NON_EFE_LABELS, initial=initial, signals=monitoring.signals,
+        kind="non-efe", complete=complete, meta={**base.to_dict(), "e_star": e_star},
     )
     return automaton, base
 
@@ -525,26 +492,25 @@ def automaton_to_dict(
     params: GameParams,
     monitoring: MonitoringStructure,
 ) -> dict:
+    """The automaton file's fields: states in id order, and transitions
+    ordered by (from, signal name)."""
+    sv, sp, pi, nxt = automaton.as_arrays()
+    regimes = [automaton.labels[code] for code in automaton.regime.tolist()]
+    by_name = sorted(range(len(automaton.signals)), key=automaton.signals.__getitem__)
+    names, nxt = [automaton.signals[j] for j in by_name], nxt[:, by_name]
+    src, col = np.nonzero(nxt >= 0)
     return {
         "states": [
-            {
-                "id": q.id,
-                "regime": q.regime,
-                "replace_prob": q.replace_prob,
-                "effort_prob": q.effort_prob,
-                "belief": q.belief,
-            }
-            for q in automaton.states
+            {"id": q, "regime": r, "replace_prob": v, "effort_prob": p, "belief": b}
+            for q, r, v, p, b in zip(automaton.states, regimes, sv.tolist(), sp.tolist(),
+                                     pi.tolist())
         ],
         "transitions": [
-            {"from": qid, "signal": sig, "to": tid}
-            for (qid, sig), tid in sorted(automaton.transitions.items())
+            {"from": q, "signal": names[j], "to": t}
+            for q, j, t in zip(src.tolist(), col.tolist(), nxt[src, col].tolist())
         ],
-        "initial": automaton.initial,
-        "params_echo": model_to_dict(params, monitoring),
-        "kind": automaton.kind,
-        "complete": automaton.complete,
-        "meta": automaton.meta,
+        "initial": automaton.initial, "params_echo": model_to_dict(params, monitoring),
+        "kind": automaton.kind, "complete": automaton.complete, "meta": automaton.meta,
     }
 
 
@@ -552,22 +518,34 @@ _FILE_FIELDS = ("params_echo", "states", "transitions", "initial")
 _STATE_FIELDS = ("id", "regime", *_UNIT_FIELDS)
 
 
-def _unit(value) -> float:
-    """A state's number as a float; NaN, which the automaton refuses, for
+def _columns(rows: list, fields: tuple[str, ...]) -> list[list]:
+    """Each field of every row, column by column. A malformed row raises the
+    KeyError or TypeError that reading row by row would raise first."""
+    try:
+        return [[row[name] for row in rows] for name in fields]
+    except (KeyError, TypeError):
+        [[row[name] for name in fields] for row in rows]  # raises the first row's error
+        raise
+
+
+def _unit_column(values: list) -> np.ndarray:
+    """A state field as floats, with NaN, which the automaton refuses, for
     anything that is not a JSON number."""
-    x = _as_float(value)
-    return np.nan if x is None else x
+    return np.array([np.nan if x is None else x for x in map(_as_float, values)], dtype=float)
 
 
 def automaton_from_dict(
     payload: dict,
 ) -> tuple[EquilibriumAutomaton, GameParams, MonitoringStructure]:
-    """Inverse of :func:`automaton_to_dict` for a parsed automaton file.
+    """Inverse of :func:`automaton_to_dict` for a parsed automaton file,
+    read column by column into arrays. States may come in any order of id;
+    a transition listed twice keeps its last target.
 
     Raises :class:`ValidationError` for a malformed file: a missing or
     mistyped field, a ``params_echo`` that :func:`model_from_dict`
-    rejects, or an automaton that fails its own checks
-    (:class:`EquilibriumAutomaton`). States may come in any order of id.
+    rejects, state ids other than 0 .. n-1, one violation per transition
+    with a signal not in the model or a state outside [0, n), or an
+    automaton that fails its own checks (:class:`EquilibriumAutomaton`).
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -580,33 +558,52 @@ def automaton_from_dict(
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValidationError([Violation("BadAutomatonFile", "meta is not a JSON object")])
+    column = {s: j for j, s in enumerate(monitoring.signals)}
     try:
-        raw_states = list(payload["states"])
-        transitions = {
-            (t["from"], t["signal"]): t["to"] for t in payload["transitions"]
-        }
+        rows = list(payload["states"])
+        froms, signals, tos = _columns(list(payload["transitions"]), ("from", "signal", "to"))
+        cols = np.array([column.get(s, -1) for s in signals], dtype=np.int64)
     except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            [Violation("BadAutomatonFile", f"missing or mistyped field: {exc!r}")]
-        ) from exc
+        raise ValidationError([Violation(
+            "BadAutomatonFile", f"missing or mistyped field: {exc!r}")]) from exc
     try:
-        states = [
-            AutomatonState(s["id"], s["regime"], _unit(s["replace_prob"]),
-                           _unit(s["effort_prob"]), _unit(s["belief"]))
-            for s in raw_states
-        ]
+        ids, regimes, *units = _columns(rows, _STATE_FIELDS)
     except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            [Violation("BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]
-        ) from exc
-    states.sort(key=lambda q: q.id if type(q.id) is int else -1)  # bad ids: checked when built
+        raise ValidationError([Violation(
+            "BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]) from exc
+    n, n_signals = len(rows), len(monitoring.signals)
+    keys = np.array([q if type(q) is int else -1 for q in ids])  # -1: refused below
+    order = np.argsort(keys, kind="stable")
+    middle = []
+    if not np.array_equal(keys[order], np.arange(n)):
+        middle.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
+    def state_ids(values):  # each entry that is an integer in [0, n), else -1
+        return np.array([v if type(v) is int and 0 <= v < n else -1 for v in values], np.int64)
+
+    src, dst = state_ids(froms), state_ids(tos)
+    middle += [
+        Violation("BadTransition", f"{froms[i]!r} --{signals[i]}--> {tos[i]!r}: " + (
+            f"unknown signal {signals[i]!r}" if cols[i] < 0 else f"state outside [0, {n})"))
+        for i in np.flatnonzero((cols < 0) | (src < 0) | (dst < 0)).tolist()
+    ]
+    units = [_unit_column(values)[order] for values in units]
+    regime_ok = np.array([isinstance(r, str) for r in regimes], dtype=bool)[order]
+    kind, complete = payload.get("kind", "custom"), payload.get("complete", True)
+    bad = _violations(units, regime_ok, kind, complete, payload["initial"], n,
+                      lambda i: ids[order[i]], middle)
+    if bad:
+        raise ValidationError(bad)
+    labels = sorted(set(regimes))  # all strings by now
+    code = {label: i for i, label in enumerate(labels)}
+    regime = np.array([code[r] for r in regimes], dtype=np.int64)[order]
+    nxt = np.full((n, n_signals), -1, dtype=np.int64)
+    flat = src * n_signals + cols
+    _, last = np.unique(flat[::-1], return_index=True)  # a repeated edge's last entry wins
+    keep = len(flat) - 1 - last
+    nxt.reshape(-1)[flat[keep]] = dst[keep]
     automaton = EquilibriumAutomaton(
-        states=states,
-        transitions=transitions,
-        initial=payload["initial"],
-        signals=monitoring.signals,
-        kind=payload.get("kind", "custom"),
-        complete=payload.get("complete", True),
-        meta=meta,
+        replace_prob=units[0], effort_prob=units[1], belief=units[2], next_state=nxt,
+        regime=regime, labels=tuple(labels), initial=payload["initial"],
+        signals=monitoring.signals, kind=kind, complete=complete, meta=meta,
     )
     return automaton, params, monitoring

@@ -44,7 +44,7 @@ import numpy as np
 from .equilibria import EquilibriumAutomaton
 from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
-from .verifier import _on_path_states
+from .verifier import _on_path_states, expected_effort
 
 # paths per batch and per staging block: at horizon 500 the (horizon, 4,
 # _BATCH) batch is 61 MB and the (_BLOCK, horizon, 4) block 2 MB
@@ -351,14 +351,14 @@ def _acting_chain(automaton: EquilibriumAutomaton, monitoring: MonitoringStructu
     expected effort)."""
     from scipy.sparse import csr_matrix
 
-    sv, sp, pi, nxt = automaton.as_arrays()
+    sv, _, _, nxt = automaton.as_arrays()
     acting = _on_path_states(automaton) & (sv < 1.0)
     acting[automaton.initial] = True
     states = np.flatnonzero(acting)
     n = len(states)
     local = np.full(len(sv), -1)
     local[states] = np.arange(n)
-    efforts = pi[states] + (1.0 - pi[states]) * sp[states]
+    efforts = expected_effort(automaton)[states]
     law = np.stack(monitoring.mixture(efforts), axis=1)
     succ = nxt[states]
     has = succ >= 0
@@ -437,17 +437,17 @@ def _try_lumped(
     the initial state must have every edge. It lumps if each regime's acting
     states share one row and one effort, and is solved over reachable regimes.
     """
-    sv, sp, pi, nxt = automaton.as_arrays()
+    sv, _, _, nxt = automaton.as_arrays()
     if automaton.kind != "non-efe" or np.any(nxt[automaton.initial] < 0):
         return None
-    labels, block = np.unique([q.regime for q in automaton.states], return_inverse=True)
+    block = automaton.regime  # labels are sorted, so blocks come in label order
     acting = sv < 1.0
     acting[automaton.initial] = True
     states = np.flatnonzero(acting)
-    effort = (pi + (1.0 - pi) * sp)[states]
+    effort = expected_effort(automaton)[states]
     law = np.stack(monitoring.mixture(effort), axis=1)
     succ = np.where(nxt[states] >= 0, nxt[states], states[:, None])
-    rows = np.zeros((len(states), len(labels)))
+    rows = np.zeros((len(states), len(automaton.labels)))
     np.add.at(rows, (np.arange(len(states))[:, None], block[succ]), law * (1.0 - sv[succ]))
     rows[:, block[automaton.initial]] += (law * sv[succ]).sum(axis=1)
     used, first, of = np.unique(block[states], return_index=True, return_inverse=True)

@@ -91,11 +91,11 @@ class VerificationReport:
         }
 
 
-def expected_effort(automaton: EquilibriumAutomaton, state_id: int) -> float:
-    """e(q) = pi + (1 - pi) sigma_P; at the initial state this is the
-    voters' outside option."""
-    q = automaton.state(state_id)
-    return q.belief + (1.0 - q.belief) * q.effort_prob
+def expected_effort(automaton: EquilibriumAutomaton) -> np.ndarray:
+    """e(q) = pi + (1 - pi) sigma_P at every state q; at the initial state
+    this is the voters' outside option."""
+    _, sp, pi, _ = automaton.as_arrays()
+    return pi + (1.0 - pi) * sp
 
 
 def _on_path_states(automaton: EquilibriumAutomaton) -> np.ndarray:
@@ -152,7 +152,7 @@ def verify(
     has = nxt >= 0
     succ = np.where(has, nxt, 0)
     surv = 1.0 - sv[succ]
-    effort = pi + (1.0 - pi) * sp  # e(q)
+    effort = expected_effort(automaton)
     u0 = float(effort[initial])
     target = u0 - params.c
 

@@ -21,7 +21,6 @@ import pytest
 from scipy.optimize import brentq, linprog
 
 from replab import (
-    EquilibriumAutomaton,
     GameParams,
     MonitoringStructure,
     SimulationConfig,
@@ -134,39 +133,31 @@ def test_criterion_4_verifier_soundness():
     assert verify(bad, REF, BINARY, tol=1e-8).passed
 
     def patched(auto, sid, **fields):
-        states = [dataclasses.replace(q, **fields) if q.id == sid else q
-                  for q in auto.states]
-        return EquilibriumAutomaton(
-            states=states, transitions=dict(auto.transitions), initial=auto.initial,
-            signals=auto.signals, kind=auto.kind, complete=auto.complete,
-            meta=dict(auto.meta),
-        )
+        changed = {}
+        for name, value in fields.items():
+            changed[name] = getattr(auto, name).copy()
+            changed[name][sid] = value
+        return dataclasses.replace(auto, **changed)
 
-    first = next(q.id for q in bad.states if q.regime == REGIME_FIRST)
-    second = next(q.id for q in bad.states if q.regime == REGIME_SECOND)
-    x_states = [dataclasses.replace(q, replace_prob=q.replace_prob * 1.05)
-                if q.regime == REGIME_FIRST else q for q in bad.states]
-    rewired = dict(bad.transitions)
-    rewired[(first, "Pass")] = first
+    regime = np.array(bad.labels)[bad.regime]
+    first = int(np.flatnonzero(regime == REGIME_FIRST)[0])
+    second = int(np.flatnonzero(regime == REGIME_SECOND)[0])
+    x_perturbed = np.where(regime == REGIME_FIRST, bad.replace_prob * 1.05, bad.replace_prob)
+    rewired = bad.next_state.copy()
+    rewired[first, bad.signals.index("Pass")] = first
     mutations = [
         ("sigma_P at a first-regime state", "voter_ic",
-         patched(bad, first, effort_prob=bad.state(first).effort_prob + 0.05)),
+         patched(bad, first, effort_prob=bad.effort_prob[first] + 0.05)),
         ("sigma_V at a first-regime state", "politician_ic",
-         patched(bad, first, replace_prob=bad.state(first).replace_prob + 0.02)),
+         patched(bad, first, replace_prob=bad.replace_prob[first] + 0.02)),
         ("belief at a second-regime state", "bayes",
-         patched(bad, second, belief=bad.state(second).belief + 0.03)),
+         patched(bad, second, belief=bad.belief[second] + 0.03)),
         ("transition rewiring", "politician_ic",
-         EquilibriumAutomaton(states=list(bad.states), transitions=rewired,
-                              initial=bad.initial, signals=bad.signals,
-                              kind=bad.kind, complete=bad.complete,
-                              meta=dict(bad.meta))),
+         dataclasses.replace(bad, next_state=rewired)),
         ("global x perturbation", "politician_ic",
-         EquilibriumAutomaton(states=x_states, transitions=dict(bad.transitions),
-                              initial=bad.initial, signals=bad.signals,
-                              kind=bad.kind, complete=bad.complete,
-                              meta=dict(bad.meta))),
+         dataclasses.replace(bad, replace_prob=x_perturbed)),
         ("a0 perturbation at the initial state", "voter_ic",
-         patched(bad, bad.initial, effort_prob=bad.state(bad.initial).effort_prob + 0.05)),
+         patched(bad, bad.initial, effort_prob=bad.effort_prob[bad.initial] + 0.05)),
     ]
     for name, category, corrupted in mutations:
         rep = verify(corrupted, REF, BINARY, tol=1e-8)

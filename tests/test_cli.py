@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -691,6 +692,122 @@ def test_mutated_automaton_file_exits_cleanly(reference_payload, tmp_path_factor
         ["verify"], ["simulate", "--paths", "20", "--horizon", "30"],
     ]))
     _assert_exits_cleanly([command[0], "--automaton", str(bad), *command[1:]])
+
+
+# sha256 of the files these commands write, pinned so that a change to the
+# construction, the file writer or the verifier that moves one byte fails
+_PINNED = {
+    "reference": "83666a70d5fbce62546a36f361f7ce7c6e3846cf21beeba012720a05346e38ab",
+    "two-fail-25": "15c2924065844f4222684bc82998e646326f83c1492cc7f1c8447dd5ba0ea162",
+    "two-fail-25-verification":
+        "898396456de85de95cfb049c98686d545cb80e507a2066e491ee6367c11967b3",
+    "zam": "380b3fc9a19147a99cd4e82bd9d5250c0271920a7932296b4700565760f67228",
+}
+_TWO_FAIL = {"kappa": 0.1, "delta": 0.7, "pi0": 0.3, "c": 0.05, "signals": [
+    {"name": "A", "f0": 0.1, "f1": 0.4}, {"name": "B", "f0": 0.2, "f1": 0.3},
+    {"name": "C", "f0": 0.3, "f1": 0.2}, {"name": "D", "f0": 0.4, "f1": 0.1},
+]}
+# signal names out of sorted order: a file lists transitions by signal name
+_ZAM = {"kappa": 0.1, "delta": 0.6, "pi0": 0.3, "c": 0.05, "signals": [
+    {"name": "Z", "f0": 0.2, "f1": 0.5}, {"name": "A", "f0": 0.2, "f1": 0.3},
+    {"name": "M", "f0": 0.6, "f1": 0.2},
+]}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedFiles:
+    def test_reference_automaton(self, capsys, tmp_path):
+        assert run(capsys, "construct", "--kind", "non-efe", *_HOLDING,
+                   "--out", str(tmp_path))[0] == 0
+        assert _sha256(tmp_path / "automaton-non-efe.json") == _PINNED["reference"]
+
+    def test_two_fail_depth_25_automaton_and_verification(self, capsys, tmp_path):
+        config = tmp_path / "two-fail.json"
+        config.write_text(json.dumps(_TWO_FAIL))
+        code, out, _ = run(capsys, "construct", "--kind", "non-efe", "--config", str(config),
+                           "--depth", "25", "--out", str(tmp_path))
+        assert code == 0 and out.endswith("(6206 states)\n")
+        automaton = tmp_path / "automaton-non-efe.json"
+        assert _sha256(automaton) == _PINNED["two-fail-25"]
+        assert run(capsys, "verify", "--automaton", str(automaton),
+                   "--out", str(tmp_path / "verified"))[0] == 0
+        verification = tmp_path / "verified" / "verification.json"
+        assert _sha256(verification) == _PINNED["two-fail-25-verification"]
+
+    def test_unsorted_signal_names_round_trip(self, capsys, tmp_path):
+        config = tmp_path / "zam.json"
+        config.write_text(json.dumps(_ZAM))
+        assert run(capsys, "construct", "--kind", "non-efe", "--config", str(config),
+                   "--out", str(tmp_path))[0] == 0
+        path = tmp_path / "automaton-non-efe.json"
+        assert _sha256(path) == _PINNED["zam"]
+        payload = json.loads(path.read_text())
+        edges = [(t["from"], t["signal"]) for t in payload["transitions"]]
+        assert edges == sorted(edges) and edges[:3] == [(0, "A"), (0, "M"), (0, "Z")]
+        assert replab.automaton_to_dict(*replab.automaton_from_dict(payload)) == payload
+
+
+def _refused(payload, capsys, tmp_path) -> str:
+    """The message ``verify`` refuses ``payload`` with, one JSON line, exit 2."""
+    bad = tmp_path / "refused.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--automaton", str(bad))
+    assert out == ""
+    assert_one_json_error(code, err, "ValidationError")
+    return json.loads(err)["message"]
+
+
+class TestLoaderRefusals:
+    def test_states_out_of_id_order_load(self, reference_payload, capsys, tmp_path):
+        payload = copy.deepcopy(reference_payload)
+        payload["states"].reverse()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--automaton", str(path))
+        assert code == 0 and out.startswith("PASSED")
+        auto, params, monitoring = replab.automaton_from_dict(payload)
+        assert replab.automaton_to_dict(auto, params, monitoring) == reference_payload
+
+    def test_bad_ids_and_edges_in_file_order(self, reference_payload, capsys, tmp_path):
+        payload = copy.deepcopy(reference_payload)
+        payload["states"].reverse()
+        next(s for s in payload["states"] if s["id"] == 5)["id"] = True
+        payload["transitions"][3]["signal"] = "Maybe"
+        payload["transitions"][10]["to"] = 99999
+        payload["transitions"][20]["to"] = True
+        payload["transitions"].append({"from": 400, "signal": "Pass", "to": 0})
+        assert _refused(payload, capsys, tmp_path) == (
+            "BadStateIds: state ids must be 0 .. n-1; "
+            "BadTransition: 1 --Maybe--> 1: unknown signal 'Maybe'; "
+            "BadTransition: 5 --Fail--> 99999: state outside [0, 172); "
+            "BadTransition: 10 --Fail--> True: state outside [0, 172); "
+            "BadTransition: 400 --Pass--> 0: state outside [0, 172)"
+        )
+
+    def test_bad_states_are_named_by_their_ids(self, reference_payload, capsys, tmp_path):
+        payload = copy.deepcopy(reference_payload)
+        payload["states"].reverse()
+        payload["states"][0]["id"] = "x"  # state 171, now sorted first
+        payload["states"][3]["belief"] = 2.0
+        payload["states"][7]["regime"] = 4
+        assert _refused(payload, capsys, tmp_path) == (
+            "BadState: belief is not a number in [0, 1] in 1 state(s), first 2.0 at state 168; "
+            "BadState: regime is not a string in 1 state(s), first at state 164; "
+            "BadStateIds: state ids must be 0 .. n-1"
+        )
+
+    def test_first_malformed_row_is_reported(self, reference_payload, capsys, tmp_path):
+        payload = copy.deepcopy(reference_payload)
+        del payload["states"][2]["belief"]
+        del payload["states"][5]["id"]
+        assert "KeyError('belief')" in _refused(payload, capsys, tmp_path)
+        payload = copy.deepcopy(reference_payload)
+        del payload["transitions"][2]["to"]
+        payload["transitions"][5] = 7
+        assert "KeyError('to')" in _refused(payload, capsys, tmp_path)
 
 
 _CONFIGS = (

@@ -28,7 +28,6 @@ from replab.equilibria import (
     REGIME_PASS,
     REGIME_SECOND,
     REGIME_THIRD,
-    AutomatonState,
     indifference_effort,
     select_a0,
 )
@@ -65,6 +64,17 @@ def _dense_values(auto, params, monitoring):
                 m[q, nxt[q, i]] += w * (1.0 - sv[nxt[q, i]])
     b = (1.0 - delta) * (1.0 - kappa * sp)
     return np.linalg.solve(np.eye(n) - m, np.column_stack([b, miss])).T
+
+
+def successor(auto, state, signal):
+    """The next state after ``signal`` at ``state``; None if unmaterialized."""
+    target = int(auto.next_state[state, auto.signals.index(signal)])
+    return None if target < 0 else target
+
+
+def regimes(auto) -> np.ndarray:
+    """Each state's regime label."""
+    return np.array(auto.labels)[auto.regime]
 
 
 _REWIRABLE = {
@@ -141,18 +151,17 @@ class TestClosedForms:
 
 class TestFullEffortConstruction:
     def test_shape(self, fe_automaton, ref_params):
-        regimes = [q.regime for q in fe_automaton.states]
-        assert regimes == [REGIME_PASS, REGIME_DEAD, REGIME_DEAD]
-        pass_state, dead_entry, dead_deep = fe_automaton.states
-        assert pass_state.effort_prob == 1.0 and pass_state.replace_prob == 0.0
-        assert pass_state.belief == ref_params.pi0
+        assert regimes(fe_automaton).tolist() == [REGIME_PASS, REGIME_DEAD, REGIME_DEAD]
+        sv, sp, pi, _ = fe_automaton.as_arrays()
+        assert sp[0] == 1.0 and sv[0] == 0.0
+        assert pi[0] == ref_params.pi0
         # first failing signal keeps the prior (pooled update); only the
         # certainly-replaced successor carries the unconstrained 0 belief
-        assert dead_entry.replace_prob == 1.0 and dead_entry.belief == ref_params.pi0
-        assert dead_deep.belief == 0.0
-        assert fe_automaton.successor(0, "Pass") == 0
-        assert fe_automaton.successor(0, "Fail") == 1
-        assert fe_automaton.successor(1, "Pass") == 2
+        assert sv[1] == 1.0 and pi[1] == ref_params.pi0
+        assert pi[2] == 0.0
+        assert successor(fe_automaton, 0, "Pass") == 0
+        assert successor(fe_automaton, 0, "Fail") == 1
+        assert successor(fe_automaton, 1, "Pass") == 2
         assert fe_automaton.complete
 
     def test_values(self, fe_automaton, ref_params, binary75):
@@ -179,76 +188,75 @@ class TestFullEffortConstruction:
 
 class TestNonEfeConstruction:
     def test_initial_state(self, non_efe_automaton, ref_params):
-        init = non_efe_automaton.state(non_efe_automaton.initial)
-        assert init.regime == REGIME_INITIAL
-        assert init.belief == ref_params.pi0
-        assert init.effort_prob == pytest.approx(9.0 / 14.0, abs=1e-9)
+        init = non_efe_automaton.initial
+        assert regimes(non_efe_automaton)[init] == REGIME_INITIAL
+        assert non_efe_automaton.belief[init] == ref_params.pi0
+        assert non_efe_automaton.effort_prob[init] == pytest.approx(9.0 / 14.0, abs=1e-9)
 
     def test_first_regime_chain_monotone(self, non_efe_automaton):
         # walk the failing-signal chain from the initial state
+        auto = non_efe_automaton
         chain = []
-        sid = non_efe_automaton.successor(non_efe_automaton.initial, "Fail")
-        while sid is not None and non_efe_automaton.state(sid).regime == REGIME_FIRST:
-            q = non_efe_automaton.state(sid)
-            if chain and chain[-1].id == q.id:
+        sid = successor(auto, auto.initial, "Fail")
+        while sid is not None and regimes(auto)[sid] == REGIME_FIRST:
+            if chain and chain[-1] == sid:
                 break  # closed tail loop
-            chain.append(q)
-            sid = non_efe_automaton.successor(sid, "Fail")
+            chain.append(sid)
+            sid = successor(auto, sid, "Fail")
         assert len(chain) > 20
-        beliefs = [q.belief for q in chain]
-        efforts = [q.effort_prob for q in chain]
+        beliefs = auto.belief[chain].tolist()
+        efforts = auto.effort_prob[chain].tolist()
         assert all(b1 > b2 for b1, b2 in zip(beliefs, beliefs[1:]))
         assert all(a1 < a2 for a1, a2 in zip(efforts, efforts[1:]))
         assert all(a < 1.0 for a in efforts)
 
     def test_first_fail_belief_and_effort(self, non_efe_automaton, ref_params, binary75):
-        a0 = non_efe_automaton.state(non_efe_automaton.initial).effort_prob
+        auto = non_efe_automaton
+        a0 = auto.effort_prob[auto.initial]
         pi1 = bayes_update(binary75, ref_params.pi0, a0, "Fail")
         assert pi1 == pytest.approx(0.2, abs=1e-9)
-        first = non_efe_automaton.state(
-            non_efe_automaton.successor(non_efe_automaton.initial, "Fail")
-        )
-        assert first.belief == pytest.approx(pi1, abs=1e-12)
-        assert first.effort_prob == pytest.approx(0.625, abs=1e-8)
-        assert first.replace_prob == pytest.approx(43.0 / 67.0, abs=1e-9)
+        first = successor(auto, auto.initial, "Fail")
+        assert auto.belief[first] == pytest.approx(pi1, abs=1e-12)
+        assert auto.effort_prob[first] == pytest.approx(0.625, abs=1e-8)
+        assert auto.replace_prob[first] == pytest.approx(43.0 / 67.0, abs=1e-9)
 
     def test_regime_transitions(self, non_efe_automaton):
-        init = non_efe_automaton.initial
-        second = non_efe_automaton.successor(init, "Pass")
-        assert non_efe_automaton.state(second).regime == REGIME_SECOND
-        assert non_efe_automaton.state(second).belief == pytest.approx(0.36, abs=1e-9)
-        assert non_efe_automaton.successor(second, "Pass") == second
-        third = non_efe_automaton.successor(second, "Fail")
-        q3 = non_efe_automaton.state(third)
-        assert q3.regime == REGIME_THIRD
-        assert q3.replace_prob == 1.0 and q3.effort_prob == 0.0
+        auto = non_efe_automaton
+        second = successor(auto, auto.initial, "Pass")
+        assert regimes(auto)[second] == REGIME_SECOND
+        assert auto.belief[second] == pytest.approx(0.36, abs=1e-9)
+        assert successor(auto, second, "Pass") == second
+        third = successor(auto, second, "Fail")
+        assert regimes(auto)[third] == REGIME_THIRD
+        assert auto.replace_prob[third] == 1.0 and auto.effort_prob[third] == 0.0
         # entry keeps the frozen belief; only deeper states drop to 0
-        assert q3.belief == pytest.approx(0.36, abs=1e-9)
-        deeper = non_efe_automaton.successor(third, "Fail")
-        assert non_efe_automaton.state(deeper).belief == 0.0
+        assert auto.belief[third] == pytest.approx(0.36, abs=1e-9)
+        deeper = successor(auto, third, "Fail")
+        assert auto.belief[deeper] == 0.0
 
     def test_values_match_closed_forms(
         self, non_efe_automaton, ref_params, binary75, non_efe_params_out
     ):
         vt = compute_values(non_efe_automaton, ref_params, binary75)
         assert vt.values[non_efe_automaton.initial] == pytest.approx(0.67, abs=1e-9)
-        for q in non_efe_automaton.states:
-            if q.regime in (REGIME_INITIAL, REGIME_FIRST):
-                assert vt.values[q.id] == pytest.approx(0.67, abs=1e-9)
-            elif q.regime == REGIME_SECOND:
-                assert vt.values[q.id] == pytest.approx(0.64, abs=1e-9)
-            elif q.regime == REGIME_THIRD:
-                # post-retention value per the recursion; the pre-vote value
-                # (1 - sigma_V) V is 0 at certain replacement
-                assert vt.values[q.id] == pytest.approx(1 - 0.5, abs=1e-9)
-                assert (1 - q.replace_prob) * vt.values[q.id] == 0.0
+        regime = regimes(non_efe_automaton)
+        first = np.isin(regime, (REGIME_INITIAL, REGIME_FIRST))
+        second, third = regime == REGIME_SECOND, regime == REGIME_THIRD
+        assert (first | second | third).all() and third.sum() > 1
+        np.testing.assert_allclose(vt.values[first], 0.67, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(vt.values[second], 0.64, rtol=0, atol=1e-9)
+        # post-retention value per the recursion; the pre-vote value
+        # (1 - sigma_V) V is 0 at certain replacement
+        np.testing.assert_allclose(vt.values[third], 1 - 0.5, rtol=0, atol=1e-9)
+        assert ((1 - non_efe_automaton.replace_prob[third]) * vt.values[third] == 0.0).all()
 
     def test_all_replace_value_formula(self, ref_params, binary75):
         # single self-looping state under certain replacement:
         # V = (1-delta)(1 - kappa sigma_P)
         auto = EquilibriumAutomaton(
-            states=[AutomatonState(0, REGIME_THIRD, 1.0, 0.4, 0.3)],
-            transitions={(0, s): 0 for s in binary75.signals},
+            replace_prob=[1.0], effort_prob=[0.4], belief=[0.3],
+            next_state=[[0] * len(binary75.signals)],
+            regime=[0], labels=(REGIME_THIRD,),
             initial=0,
             signals=binary75.signals,
             kind="custom",
@@ -323,9 +331,10 @@ class TestValueRecursion:
         # one edge sent to any state may close a cycle, which only the
         # sparse LU block can solve
         params, monitoring, auto = _rewirable(case)
-        n = len(auto.states)
-        key = (source % n, monitoring.signals[signal % len(monitoring.signals)])
-        rewired = dataclasses.replace(auto, transitions={**auto.transitions, key: target % n})
+        n, n_signals = auto.next_state.shape
+        nxt = auto.next_state.copy()
+        nxt[source % n, signal % n_signals] = target % n
+        rewired = dataclasses.replace(auto, next_state=nxt)
         vt = compute_values(rewired, params, monitoring)
         values, errors = _dense_values(rewired, params, monitoring)
         np.testing.assert_allclose(vt.values, values, rtol=0, atol=1e-12)
@@ -347,27 +356,60 @@ class TestValueRecursion:
 
 
 class TestArrayForm:
-    def test_arrays_built_once_and_read_only(self, non_efe_automaton):
-        arrays = non_efe_automaton.as_arrays()
-        assert non_efe_automaton.as_arrays() is arrays
+    def test_arrays_built_once_and_read_only(self, non_efe_automaton, ref_params, binary75):
+        auto = non_efe_automaton
+        arrays = auto.as_arrays()
+        assert auto.as_arrays() is arrays
         sv, sp, pi, nxt = arrays
-        assert nxt.shape == (len(non_efe_automaton.states), len(non_efe_automaton.signals))
-        for (qid, sig), tid in non_efe_automaton.transitions.items():
-            assert nxt[qid, non_efe_automaton.signals.index(sig)] == tid
+        assert nxt.shape == (len(auto.states), len(auto.signals))
+        assert nxt.dtype == np.int64 and auto.regime.dtype.kind == "i"
+        edges = automaton_to_dict(auto, ref_params, binary75)["transitions"]
+        assert len(edges) == (nxt >= 0).sum() == nxt.size  # complete: every edge present
+        for edge in edges:
+            assert nxt[edge["from"], auto.signals.index(edge["signal"])] == edge["to"]
+        for array in (*arrays, auto.regime):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
             sv[0] = 0.5
 
+    def test_built_from_copies(self, fe_automaton):
+        belief = fe_automaton.belief.copy()
+        auto = dataclasses.replace(fe_automaton, belief=belief)
+        belief[0] = 0.9
+        assert auto.belief[0] == fe_automaton.belief[0] != 0.9
+
     def test_one_violation_per_bad_edge(self, fe_automaton):
-        transitions = dict(fe_automaton.transitions)
-        transitions[(0, "Fail")] = 99999
-        transitions[(1, "Maybe")] = 2
-        transitions[(-1, "Pass")] = 0
+        nxt = fe_automaton.next_state.copy()
+        nxt[0, 0] = 99999
+        nxt[1, 1] = -2
+        nxt[2, 0] = 3
         with pytest.raises(ValidationError) as exc:
-            EquilibriumAutomaton(
-                states=list(fe_automaton.states), transitions=transitions, initial=0,
-                signals=fe_automaton.signals, kind="custom", complete=True,
-            )
-        assert [v.code for v in exc.value.violations] == ["BadTransition"] * 3
+            dataclasses.replace(fe_automaton, next_state=nxt, kind="custom")
+        assert [str(v) for v in exc.value.violations] == [
+            "BadTransition: 0 --Fail--> 99999: state outside [0, 3)",
+            "BadTransition: 1 --Pass--> -2: state outside [0, 3)",
+            "BadTransition: 2 --Fail--> 3: state outside [0, 3)",
+        ]
+
+    def test_one_violation_per_bad_edge_in_a_file(self, fe_automaton, ref_params, binary75):
+        payload = automaton_to_dict(fe_automaton, ref_params, binary75)
+        payload["transitions"] += [{"from": 0, "signal": "Fail", "to": 99999},
+                                   {"from": 1, "signal": "Maybe", "to": 2},
+                                   {"from": -1, "signal": "Pass", "to": 0}]
+        with pytest.raises(ValidationError) as exc:
+            automaton_from_dict(payload)
+        assert [str(v) for v in exc.value.violations] == [
+            "BadTransition: 0 --Fail--> 99999: state outside [0, 3)",
+            "BadTransition: 1 --Maybe--> 2: unknown signal 'Maybe'",
+            "BadTransition: -1 --Pass--> 0: state outside [0, 3)",
+        ]
+
+    def test_repeated_edge_keeps_its_last_target(self, fe_automaton, ref_params, binary75):
+        payload = automaton_to_dict(fe_automaton, ref_params, binary75)
+        payload["transitions"] += [{"from": 0, "signal": "Pass", "to": 2},
+                                   {"from": 0, "signal": "Pass", "to": 1}]
+        auto, _, _ = automaton_from_dict(payload)
+        assert auto.next_state.tolist() == [[1, 1], [2, 2], [2, 2]]
 
 
 class TestSerialization:
@@ -377,8 +419,11 @@ class TestSerialization:
         auto2, params2, monitoring2 = automaton_from_dict(json.loads(blob))
         assert params2 == ref_params
         assert monitoring2 == binary75
-        assert auto2.transitions == non_efe_automaton.transitions
-        assert auto2.states == non_efe_automaton.states
+        for loaded, built in zip(auto2.as_arrays(), non_efe_automaton.as_arrays()):
+            np.testing.assert_array_equal(loaded, built)
+        assert regimes(auto2).tolist() == regimes(non_efe_automaton).tolist()
+        assert (auto2.initial, auto2.kind, auto2.complete, auto2.meta) == (
+            non_efe_automaton.initial, "non-efe", True, non_efe_automaton.meta)
         assert verify(auto2, params2, monitoring2).passed
 
     def test_serialized_keys_present(self, fe_automaton, ref_params, binary75):

@@ -10,6 +10,8 @@ from replab import (
     GameParams,
     MonitoringStructure,
     SimulationConfig,
+    automaton_from_dict,
+    automaton_to_dict,
     bayes_update,
     belief_growth_bound,
     construct_full_effort,
@@ -19,7 +21,6 @@ from replab import (
     model_from_dict,
     model_to_dict,
 )
-from replab.equilibria import AutomatonState
 from replab.errors import ReplacementCostTooLargeForConstruction, ValidationError
 
 
@@ -78,16 +79,24 @@ class TestValidation:
 
 
 def _automaton(**change) -> EquilibriumAutomaton:
-    """A valid two-state automaton over the binary signals, with ``change``
-    applied to its fields (``state`` replaces state 1's fields)."""
-    state = {"id": 1, "regime": "Dead", "replace_prob": 1.0, "effort_prob": 0.0,
-             "belief": 0.0, **change.pop("state", {})}
+    """A valid two-state automaton over the binary signals, built from its
+    arrays with ``change`` applied to its fields."""
     fields = {
-        "states": [AutomatonState(0, "Pass", 0.0, 1.0, 0.3), AutomatonState(**state)],
-        "transitions": {(0, "Pass"): 0, (0, "Fail"): 1, (1, "Pass"): 1, (1, "Fail"): 1},
+        "replace_prob": [0.0, 1.0], "effort_prob": [1.0, 0.0], "belief": [0.3, 0.0],
+        "next_state": [[1, 0], [1, 1]], "regime": [1, 0], "labels": ("Dead", "Pass"),
         "initial": 0, "signals": ("Fail", "Pass"), "kind": "custom", "complete": True,
     }
     return EquilibriumAutomaton(**{**fields, **change})
+
+
+def _loaded(state=None, transition=None) -> EquilibriumAutomaton:
+    """:func:`_automaton` read back from its file, with ``state`` replacing
+    fields of state 1 and ``transition`` appended to the transitions."""
+    payload = automaton_to_dict(_automaton(), GameParams(0.2, 0.5, 0.3),
+                                MonitoringStructure.binary(0.75))
+    payload["states"][1].update(state or {})
+    payload["transitions"] += [transition] if transition else []
+    return automaton_from_dict(payload)[0]
 
 
 class TestBuiltObjectsCheckThemselves:
@@ -99,15 +108,25 @@ class TestBuiltObjectsCheckThemselves:
          lambda: MonitoringStructure(("a", "b"), (0.4, 0.6), (0.4, 0.6))),
         ("ParamOutOfRange", lambda: GameParams(0.2, 0.5, 0.0, 0.0)),
         ("ParamOutOfRange", lambda: GameParams(0.2, 0.5, 0.3, float("inf"))),
-        ("BadState", lambda: _automaton(state={"replace_prob": float("nan")})),
-        ("BadState", lambda: _automaton(state={"belief": -0.25})),
-        ("BadState", lambda: _automaton(state={"regime": 3})),
+        ("BadState", lambda: _automaton(replace_prob=[0.0, float("nan")])),
+        ("BadState", lambda: _automaton(belief=[0.3, -0.25])),
+        ("BadState", lambda: _automaton(regime=[1, 3])),
+        ("BadState", lambda: _automaton(labels=("Pass", "Dead"))),
+        ("BadState", lambda: _automaton(labels=("Dead", 3))),
+        ("BadState", lambda: _automaton(next_state=[[1, 0]])),
+        ("BadState", lambda: _automaton(next_state=[[1.0, 0.0], [1.0, 1.0]])),
+        ("BadState", lambda: _automaton(belief=[0.3])),
+        ("BadState", lambda: _loaded(state={"replace_prob": float("nan")})),
+        ("BadState", lambda: _loaded(state={"belief": -0.25})),
+        ("BadState", lambda: _loaded(state={"regime": 3})),
         ("BadAutomatonFile", lambda: _automaton(kind=None)),
         ("BadAutomatonFile", lambda: _automaton(complete="false")),
-        ("BadStateIds", lambda: _automaton(state={"id": 2})),
-        ("BadStateIds", lambda: _automaton(state={"id": True})),
-        ("BadTransition", lambda: _automaton(transitions={(0, "Maybe"): 1})),
-        ("BadTransition", lambda: _automaton(transitions={(0, "Pass"): 2})),
+        ("BadStateIds", lambda: _loaded(state={"id": 2})),
+        ("BadStateIds", lambda: _loaded(state={"id": True})),
+        ("BadTransition", lambda: _automaton(next_state=[[1, 2], [1, 1]])),
+        ("BadTransition", lambda: _automaton(next_state=[[1, -2], [1, 1]])),
+        ("BadTransition", lambda: _loaded(transition={"from": 0, "signal": "Maybe", "to": 1})),
+        ("BadTransition", lambda: _loaded(transition={"from": 0, "signal": "Pass", "to": 2})),
         ("BadInitial", lambda: _automaton(initial=2)),
         ("BadSimulationConfig", lambda: SimulationConfig(horizon=0, paths=1, master_seed=1)),
         ("BadSimulationConfig", lambda: SimulationConfig(horizon=1, paths=1, master_seed=-1)),
@@ -117,6 +136,7 @@ class TestBuiltObjectsCheckThemselves:
 
     def test_the_base_objects_build(self):
         assert _automaton().as_arrays()[3].tolist() == [[1, 0], [1, 1]]
+        assert _loaded().as_arrays()[3].tolist() == [[1, 0], [1, 1]]
         assert SimulationConfig(horizon=1, paths=1, master_seed=2**64 - 1).master_seed > 0
 
     def test_replace_checks_again(self, ref_params, binary75, fe_automaton):

@@ -16,11 +16,16 @@ from replab import (
     martingale_diagnostic,
     simulate,
 )
-from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD, AutomatonState
+from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import DepthInsufficient, ValidationError
 import importlib
 
 sim_module = importlib.import_module("replab.simulate")
+
+
+def _regimes(auto) -> np.ndarray:
+    """Each state's regime label."""
+    return np.array(auto.labels)[auto.regime]
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +290,7 @@ class TestNonEfeDynamics:
     def test_favorable_replacements_positive(self, small_run, ref_params, binary75,
                                              non_efe_automaton):
         assert small_run.favorable_total > 0
-        a0 = non_efe_automaton.state(non_efe_automaton.initial).effort_prob
+        a0 = non_efe_automaton.effort_prob[non_efe_automaton.initial]
         assert bayes_update(binary75, ref_params.pi0, a0, "Pass") > ref_params.pi0
 
     def test_first_politician_survival_decays(self, small_run):
@@ -298,21 +303,10 @@ class TestNonEfeDynamics:
 
     def test_corrupted_beliefs_blow_up_the_z_score(self, non_efe_automaton, ref_params,
                                                    binary75):
-        states = [
-            dataclasses.replace(q, belief=min(q.belief + 0.05, 1.0))
-            if q.regime == REGIME_FIRST
-            else q
-            for q in non_efe_automaton.states
-        ]
-        corrupted = EquilibriumAutomaton(
-            states=states,
-            transitions=dict(non_efe_automaton.transitions),
-            initial=non_efe_automaton.initial,
-            signals=non_efe_automaton.signals,
-            kind=non_efe_automaton.kind,
-            complete=non_efe_automaton.complete,
-            meta=dict(non_efe_automaton.meta),
-        )
+        first = _regimes(non_efe_automaton) == REGIME_FIRST
+        belief = non_efe_automaton.belief.copy()
+        belief[first] = np.minimum(belief[first] + 0.05, 1.0)
+        corrupted = dataclasses.replace(non_efe_automaton, belief=belief)
         stats = simulate(corrupted, ref_params, binary75,
                          SimulationConfig(horizon=300, paths=5000, master_seed=3))
         assert abs(martingale_diagnostic(stats)) > 5.0
@@ -336,15 +330,7 @@ class TestNonEfeDynamics:
 class TestAnalyticOracle:
     def test_lumped_matches_direct_solve(self, non_efe_automaton, ref_params, binary75):
         lumped = analytic_long_run_effort(non_efe_automaton, ref_params, binary75)
-        untagged = EquilibriumAutomaton(
-            states=list(non_efe_automaton.states),
-            transitions=dict(non_efe_automaton.transitions),
-            initial=non_efe_automaton.initial,
-            signals=non_efe_automaton.signals,
-            kind="custom",
-            complete=non_efe_automaton.complete,
-            meta={},
-        )
+        untagged = dataclasses.replace(non_efe_automaton, kind="custom", meta={})
         direct = analytic_long_run_effort(untagged, ref_params, binary75)
         assert direct.method == "direct"
         assert lumped.value == pytest.approx(direct.value, abs=1e-12)
@@ -357,13 +343,11 @@ class TestAnalyticOracle:
         # every SecondRegime Pass edge now ends the career: the regime still
         # lumps, but into a different chain than the construction's closed forms
         auto = non_efe_automaton
-        dead = next(q.id for q in auto.states if q.replace_prob == 1.0
-                    and all(auto.successor(q.id, s) == q.id for s in auto.signals))
-        transitions = dict(auto.transitions)
-        for q in auto.states:
-            if q.regime == REGIME_SECOND:
-                transitions[(q.id, "Pass")] = dead
-        rewired = dataclasses.replace(auto, transitions=transitions)
+        sv, _, _, nxt = auto.as_arrays()
+        dead = np.flatnonzero((sv == 1.0) & (nxt == np.arange(len(sv))[:, None]).all(axis=1))[0]
+        nxt = nxt.copy()
+        nxt[_regimes(auto) == REGIME_SECOND, auto.signals.index("Pass")] = dead
+        rewired = dataclasses.replace(auto, next_state=nxt)
         lumped = analytic_long_run_effort(rewired, ref_params, binary75)
         direct = analytic_long_run_effort(
             dataclasses.replace(rewired, kind="custom"), ref_params, binary75
@@ -379,10 +363,16 @@ class TestAnalyticOracle:
         # an absorbing state no career reaches must not enter the lumped chain
         auto = non_efe_automaton
         orphan = len(auto.states)
+        labels = tuple(sorted((*auto.labels, "Orphan")))
         padded = dataclasses.replace(
             auto,
-            states=[*auto.states, AutomatonState(orphan, "Orphan", 0.0, 0.0, 0.5)],
-            transitions={**auto.transitions, **{(orphan, s): orphan for s in auto.signals}},
+            replace_prob=[*auto.replace_prob, 0.0],
+            effort_prob=[*auto.effort_prob, 0.0],
+            belief=[*auto.belief, 0.5],
+            next_state=[*auto.next_state, [orphan] * len(auto.signals)],
+            regime=[*(labels.index(label) for label in _regimes(auto)),
+                    labels.index("Orphan")],
+            labels=labels,
         )
         lumped = analytic_long_run_effort(padded, ref_params, binary75)
         assert lumped.method == "lumped"
@@ -403,16 +393,10 @@ class TestAnalyticOracle:
     def test_renewal_chain(self, ref_params, binary75):
         # shirk-always incumbents, replaced after every period: each period
         # is a fresh draw acting once, so long-run effort equals pi0
-        states = [
-            AutomatonState(0, "Initial", 0.0, 0.0, ref_params.pi0),
-            AutomatonState(1, REGIME_THIRD, 1.0, 0.0, ref_params.pi0),
-        ]
-        transitions = {}
-        for s in binary75.signals:
-            transitions[(0, s)] = 1
-            transitions[(1, s)] = 1
         auto = EquilibriumAutomaton(
-            states=states, transitions=transitions, initial=0,
+            replace_prob=[0.0, 1.0], effort_prob=[0.0, 0.0],
+            belief=[ref_params.pi0, ref_params.pi0], next_state=[[1, 1], [1, 1]],
+            regime=[0, 1], labels=("Initial", REGIME_THIRD), initial=0,
             signals=binary75.signals, kind="custom", complete=True,
         )
         result = analytic_long_run_effort(auto, ref_params, binary75)
@@ -429,11 +413,7 @@ class TestAnalyticOracle:
         auto, _ = construct_non_efe(params, monitoring, max_depth=8)
         lumped = analytic_long_run_effort(auto, params, monitoring)
         assert lumped.method == "lumped"
-        stripped = EquilibriumAutomaton(
-            states=list(auto.states), transitions=dict(auto.transitions),
-            initial=auto.initial, signals=auto.signals,
-            kind="custom", complete=False, meta={},
-        )
+        stripped = dataclasses.replace(auto, kind="custom", complete=False, meta={})
         truncated = analytic_long_run_effort(stripped, params, monitoring)
         assert truncated.method == "truncated"
         assert truncated.residual > 0.0
@@ -460,9 +440,10 @@ def test_lumped_oracle_equals_direct_solve_after_any_rewire(
     # one edge of the reference automaton rewired to any state: whenever the
     # regimes still lump, the lumped value is the direct solve's
     auto = non_efe_automaton
-    edge = data.draw(st.sampled_from(sorted(auto.transitions)))
-    target = data.draw(st.integers(0, len(auto.states) - 1))
-    rewired = dataclasses.replace(auto, transitions={**auto.transitions, edge: target})
+    edge = data.draw(st.sampled_from(np.argwhere(auto.next_state >= 0).tolist()))
+    nxt = auto.next_state.copy()
+    nxt[tuple(edge)] = data.draw(st.integers(0, len(auto.states) - 1))
+    rewired = dataclasses.replace(auto, next_state=nxt)
     lumped = analytic_long_run_effort(rewired, ref_params, binary75)
     direct = analytic_long_run_effort(
         dataclasses.replace(rewired, kind="custom"), ref_params, binary75

@@ -4,37 +4,26 @@ import numpy as np
 import pytest
 
 from replab import EquilibriumAutomaton, GameParams, MonitoringStructure, verify
-from replab.equilibria import (
-    REGIME_FIRST,
-    REGIME_SECOND,
-    REGIME_THIRD,
-    AutomatonState,
-)
+from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import ValidationError
 from replab.verifier import expected_effort
 
 
-def clone(auto, states=None, transitions=None):
-    return EquilibriumAutomaton(
-        states=list(states if states is not None else auto.states),
-        transitions=dict(transitions if transitions is not None else auto.transitions),
-        initial=auto.initial,
-        signals=auto.signals,
-        kind=auto.kind,
-        complete=auto.complete,
-        meta=dict(auto.meta),
-    )
-
-
 def patch_state(auto, sid, **fields):
-    states = [
-        dataclasses.replace(q, **fields) if q.id == sid else q for q in auto.states
-    ]
-    return clone(auto, states=states)
+    """``auto`` with each named per-state field changed at state ``sid``."""
+    changed = {}
+    for name, value in fields.items():
+        changed[name] = getattr(auto, name).copy()
+        changed[name][sid] = value
+    return dataclasses.replace(auto, **changed)
+
+
+def in_regime(auto, label):
+    return np.flatnonzero(np.array(auto.labels)[auto.regime] == label).tolist()
 
 
 def first_ids(auto):
-    return [q.id for q in auto.states if q.regime == REGIME_FIRST]
+    return in_regime(auto, REGIME_FIRST)
 
 
 class TestSoundness:
@@ -52,13 +41,9 @@ class TestSoundness:
     def test_voter_indifference_constant_on_first_regime(
         self, non_efe_automaton, ref_params
     ):
-        efforts = {
-            expected_effort(non_efe_automaton, qid)
-            for qid in first_ids(non_efe_automaton)
-        }
-        target = 0.75 - ref_params.c
-        for e in efforts:
-            assert e == pytest.approx(target, abs=1e-10)
+        efforts = expected_effort(non_efe_automaton)[first_ids(non_efe_automaton)]
+        assert len(efforts) > 20
+        np.testing.assert_allclose(efforts, 0.75 - ref_params.c, rtol=0, atol=1e-10)
 
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
@@ -75,7 +60,7 @@ class TestMutationCatalog:
         sid = first_ids(non_efe_automaton)[0]
         bad = patch_state(
             non_efe_automaton, sid,
-            effort_prob=non_efe_automaton.state(sid).effort_prob + 0.05,
+            effort_prob=non_efe_automaton.effort_prob[sid] + 0.05,
         )
         report = verify(bad, ref_params, binary75)
         assert not report.passed
@@ -88,7 +73,7 @@ class TestMutationCatalog:
         init = non_efe_automaton.initial
         bad = patch_state(
             non_efe_automaton, init,
-            effort_prob=non_efe_automaton.state(init).effort_prob + 0.05,
+            effort_prob=non_efe_automaton.effort_prob[init] + 0.05,
         )
         report = verify(bad, ref_params, binary75)
         assert not report.passed
@@ -102,18 +87,16 @@ class TestMutationCatalog:
         sid = first_ids(non_efe_automaton)[0]
         bad = patch_state(
             non_efe_automaton, sid,
-            replace_prob=non_efe_automaton.state(sid).replace_prob + 0.02,
+            replace_prob=non_efe_automaton.replace_prob[sid] + 0.02,
         )
         report = verify(bad, ref_params, binary75)
         assert not report.passed
         assert {o.category for o in report.offenders} == {"politician_ic"}
 
     def test_perturb_belief(self, non_efe_automaton, ref_params, binary75):
-        sid = next(
-            q.id for q in non_efe_automaton.states if q.regime == REGIME_SECOND
-        )
+        sid = in_regime(non_efe_automaton, REGIME_SECOND)[0]
         bad = patch_state(
-            non_efe_automaton, sid, belief=non_efe_automaton.state(sid).belief + 0.03
+            non_efe_automaton, sid, belief=non_efe_automaton.belief[sid] + 0.03
         )
         report = verify(bad, ref_params, binary75)
         assert not report.passed
@@ -121,21 +104,18 @@ class TestMutationCatalog:
 
     def test_rewire_transition(self, non_efe_automaton, ref_params, binary75):
         sid = first_ids(non_efe_automaton)[0]
-        transitions = dict(non_efe_automaton.transitions)
-        transitions[(sid, "Pass")] = sid  # pass should move to the second regime
-        report = verify(clone(non_efe_automaton, transitions=transitions),
+        nxt = non_efe_automaton.next_state.copy()
+        nxt[sid, binary75.index("Pass")] = sid  # pass should move to the second regime
+        report = verify(dataclasses.replace(non_efe_automaton, next_state=nxt),
                         ref_params, binary75)
         assert not report.passed
         assert any(o.category == "politician_ic" for o in report.offenders)
 
     def test_perturb_x_globally(self, non_efe_automaton, ref_params, binary75):
-        states = [
-            dataclasses.replace(q, replace_prob=q.replace_prob * 1.05)
-            if q.regime == REGIME_FIRST
-            else q
-            for q in non_efe_automaton.states
-        ]
-        report = verify(clone(non_efe_automaton, states=states), ref_params, binary75)
+        replace_prob = non_efe_automaton.replace_prob.copy()
+        replace_prob[first_ids(non_efe_automaton)] *= 1.05
+        report = verify(dataclasses.replace(non_efe_automaton, replace_prob=replace_prob),
+                        ref_params, binary75)
         assert not report.passed
         assert {o.category for o in report.offenders} == {"politician_ic"}
 
@@ -145,7 +125,8 @@ class TestScope:
         self, non_efe_automaton, ref_params, binary75
     ):
         report = verify(non_efe_automaton, ref_params, binary75)
-        third = [q.id for q in non_efe_automaton.states if q.regime == REGIME_THIRD]
+        third = in_regime(non_efe_automaton, REGIME_THIRD)
+        assert len(third) > 1
         for qid in third:
             for s in binary75.signals:
                 assert np.isnan(report.bayes[qid, binary75.index(s)])
@@ -163,18 +144,10 @@ class TestScope:
     def test_informational_violation_does_not_fail(self, ref_params, binary75):
         # off-path state prescribes retention although effort there is far
         # below the outside option; weak scope keeps this non-binding
-        states = [
-            AutomatonState(0, "Pass", 0.0, 1.0, 0.3),
-            AutomatonState(1, REGIME_THIRD, 1.0, 0.0, 0.3),
-            AutomatonState(2, "Dead", 0.0, 0.0, 0.0),
-        ]
-        transitions = {}
-        for s in binary75.signals:
-            transitions[(0, s)] = 0 if s == "Pass" else 1
-            transitions[(1, s)] = 2
-            transitions[(2, s)] = 2
         auto = EquilibriumAutomaton(
-            states=states, transitions=transitions, initial=0,
+            replace_prob=[0.0, 1.0, 0.0], effort_prob=[1.0, 0.0, 0.0], belief=[0.3, 0.3, 0.0],
+            next_state=[[0 if s == "Pass" else 1 for s in binary75.signals], [2, 2], [2, 2]],
+            regime=[1, 2, 0], labels=("Dead", "Pass", REGIME_THIRD), initial=0,
             signals=binary75.signals, kind="custom", complete=True,
         )
         report = verify(auto, ref_params, binary75)
@@ -186,20 +159,20 @@ class TestScope:
 class TestExpectedEffort:
     def test_degenerate_good_state(self, binary75):
         auto = EquilibriumAutomaton(
-            states=[AutomatonState(0, "Pass", 0.0, 0.0, 1.0)],
-            transitions={(0, s): 0 for s in binary75.signals},
-            initial=0,
+            replace_prob=[0.0], effort_prob=[0.0], belief=[1.0], next_state=[[0, 0]],
+            regime=[0], labels=("Pass",), initial=0,
             signals=binary75.signals,
             kind="custom",
             complete=True,
         )
-        assert expected_effort(auto, 0) == 1.0
+        assert expected_effort(auto).tolist() == [1.0]
 
     def test_non_efe_reference_values(self, non_efe_automaton):
-        assert expected_effort(
-            non_efe_automaton, non_efe_automaton.initial
-        ) == pytest.approx(0.75, abs=1e-9)
-        for qid in first_ids(non_efe_automaton):
-            assert expected_effort(non_efe_automaton, qid) == pytest.approx(
-                0.7, abs=1e-9
-            )
+        efforts = expected_effort(non_efe_automaton)
+        assert efforts.shape == non_efe_automaton.belief.shape
+        assert efforts[non_efe_automaton.initial] == pytest.approx(0.75, abs=1e-9)
+        np.testing.assert_allclose(efforts[first_ids(non_efe_automaton)], 0.7,
+                                   rtol=0, atol=1e-9)
+        sv, sp, pi, _ = non_efe_automaton.as_arrays()
+        for q in non_efe_automaton.states:
+            assert efforts[q] == pi[q] + (1.0 - pi[q]) * sp[q]
