@@ -572,11 +572,12 @@ def automaton_from_dict(
         raise ValidationError([Violation(
             "BadState", f"a state is not an object with {_STATE_FIELDS}: {exc!r}")]) from exc
     n, n_signals = len(rows), len(monitoring.signals)
-    keys = np.array([q if type(q) is int else -1 for q in ids])  # -1: refused below
-    order = np.argsort(keys, kind="stable")
+    keys = [q if type(q) is int else -1 for q in ids]  # -1: refused below
+    order = sorted(range(n), key=keys.__getitem__)
     middle = []
-    if not np.array_equal(keys[order], np.arange(n)):
+    if [keys[i] for i in order] != list(range(n)):
         middle.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
+
     def state_ids(values):  # each entry that is an integer in [0, n), else -1
         return np.array([v if type(v) is int and 0 <= v < n else -1 for v in values], np.int64)
 
@@ -597,10 +598,9 @@ def automaton_from_dict(
     code = {label: i for i, label in enumerate(labels)}
     regime = np.array([code[r] for r in regimes], dtype=np.int64)[order]
     nxt = np.full((n, n_signals), -1, dtype=np.int64)
-    flat = src * n_signals + cols
-    _, last = np.unique(flat[::-1], return_index=True)  # a repeated edge's last entry wins
-    keep = len(flat) - 1 - last
-    nxt.reshape(-1)[flat[keep]] = dst[keep]
+    last = np.full(nxt.size, -1)  # each edge's last entry in the file, which wins
+    np.maximum.at(last, src * n_signals + cols, np.arange(len(src)))
+    nxt.reshape(-1)[last >= 0] = dst[last[last >= 0]]
     automaton = EquilibriumAutomaton(
         replace_prob=units[0], effort_prob=units[1], belief=units[2], next_state=nxt,
         regime=regime, labels=tuple(labels), initial=payload["initial"],
