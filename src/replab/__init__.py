@@ -38,7 +38,7 @@ from .equilibria import (  # noqa: F401
     construct_non_efe,
     non_efe_parameters,
 )
-from .verifier import VerificationReport, expected_effort, verify  # noqa: F401
+from .verifier import VerificationReport, expected_effort, verify, verify_many  # noqa: F401
 from .bounds import OutsideOptionBound, bound_sweep, outside_option_bound  # noqa: F401
 from .simulate import (  # noqa: F401
     AnalyticEffort,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
 MAX_GRID_CELLS = 1_000_000  # cells a sweep may have: check-fei's axis, phase-sweep's product
+PHASE_BLOCK_CELLS = 8  # phase-sweep cells whose automata are certified in one verify_many
 
 
 def _fmt(value) -> str:
@@ -48,10 +50,10 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv(header: list[str], rows: Iterable, lineterminator: str = "\r\n") -> str:
-    """A table as CSV text: files keep csv.writer's CRLF, stdout uses LF."""
+def _csv(header: list[str], rows: Iterable) -> str:
+    """A table as CSV text with csv.writer's CRLF line ends."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
@@ -75,16 +77,22 @@ class Result:
 
 
 def _table(config: dict, name: str, header: list[str], rows: list[list]) -> Result:
-    """A CSV table written to ``name`` under --out, else printed."""
-    return Result(config, files={name: _csv(header, rows)}, fallback=_csv(header, rows, "\n"))
+    """A CSV table written to ``name`` under --out (CRLF), else printed (LF).
+    No header or cell holds a line break, so every CRLF ends a row."""
+    text = _csv(header, rows)
+    return Result(config, files={name: text}, fallback=text.replace("\r\n", "\n"))
 
 
 def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
+    """Record this run in ``out_dir/manifest.json``, which maps each output
+    file to the record of the run that last wrote it; so two commands into
+    one directory keep both records. A manifest that cannot be read that
+    way is replaced."""
     import numpy
     import scipy
 
     canonical = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
-    manifest = {
+    record = {
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "config": result.config,
@@ -99,8 +107,16 @@ def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
         "outputs": list(result.files),
     }
     if result.counts is not None:
-        manifest["counts"] = result.counts
-    (out_dir / "manifest.json").write_text(_json(manifest))
+        record["counts"] = result.counts
+    path = out_dir / "manifest.json"
+    try:
+        runs = json.loads(path.read_bytes())["outputs"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        runs = {}
+    if not isinstance(runs, dict):  # another layout
+        runs = {}
+    runs.update(dict.fromkeys(result.files, record))
+    path.write_text(_json({"outputs": runs}))
 
 
 def _load_config(path: str) -> dict:
@@ -315,20 +331,20 @@ def _cmd_bound_sweep(args) -> Result:
     return _table(cfg, "bound_sweep.csv", header, [[r[key] for key in header] for r in rows])
 
 
-def _phase_cell(precision, kappa, delta, pi0, c, tol, depth):
+def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
+    """A phase-sweep row, with its two verified columns left None, and the
+    (automaton, params, monitoring) cases that fill them: both constructions
+    on a cell where full-effort incentives hold, none elsewhere."""
     monitoring = MonitoringStructure.binary(precision)
     params = GameParams(kappa, delta, pi0, c)
     cert = fei.check_fei(params, monitoring)
-    fe_ok = non_efe_ok = None
-    bound_value = None
-    if cert.holds:
-        fe = equilibria.construct_full_effort(params, monitoring, cert)
-        fe_ok = verifier.verify(fe, params, monitoring, tol=tol).passed
-        bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth, cert=cert)
-        non_efe_ok = verifier.verify(bad, params, monitoring, tol=tol).passed
-    else:
-        bound_value = bounds.outside_option_bound(params, monitoring, cert).bound_value
-    return [precision, kappa, delta, pi0, c, cert.holds, fe_ok, non_efe_ok, bound_value]
+    row = [precision, kappa, delta, pi0, c, cert.holds, None, None, None]
+    if not cert.holds:
+        row[-1] = bounds.outside_option_bound(params, monitoring, cert).bound_value
+        return row, []
+    fe = equilibria.construct_full_effort(params, monitoring, cert)
+    bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth, cert=cert)
+    return row, [(fe, params, monitoring), (bad, params, monitoring)]
 
 
 def _cmd_phase_sweep(args) -> Result:
@@ -338,12 +354,16 @@ def _cmd_phase_sweep(args) -> Result:
     # checked up front: a grid with no holding cell never reaches them
     verifier.check_tolerance(args.tol)
     equilibria.check_depth(args.depth)
-    rows = [
-        _phase_cell(p, k, d, pi0, c, args.tol, args.depth)
-        for p in precisions
-        for k in kappas
-        for d in deltas
-    ]
+    cells = itertools.product(precisions, kappas, deltas)
+    rows = []
+    while block := [_phase_cell(*cell, pi0, c, args.depth)
+                    for cell in itertools.islice(cells, PHASE_BLOCK_CELLS)]:
+        cases = [case for _, cell_cases in block for case in cell_cases]
+        passed = iter([report.passed for report in verifier.verify_many(cases, args.tol)])
+        for row, cell_cases in block:
+            if cell_cases:  # the full-effort and the non-efe automaton, in that order
+                row[6], row[7] = next(passed), next(passed)
+            rows.append(row)
     header = [
         "binary_precision", "kappa", "delta", "pi0", "c",
         "fei_holds", "fe_construction_verified", "non_efe_construction_verified",

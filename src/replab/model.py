@@ -188,9 +188,14 @@ def bayes_update(monitoring: MonitoringStructure, pi: Belief, a: float, s: str) 
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"effort probability must be in [0, 1], got {a!r}")
     i = monitoring.index(s)
-    num = pi * monitoring.f1[i]
-    den = (pi + (1.0 - pi) * a) * monitoring.f1[i] + (1.0 - pi) * (1.0 - a) * monitoring.f0[i]
-    return num / den
+    return _posterior(pi, a, monitoring.f1[i], monitoring.f0[i])
+
+
+def _posterior(pi: Belief, a: float, q1: float, q0: float) -> Belief:
+    """:func:`bayes_update` for a signal with likelihoods ``q1`` (work) and
+    ``q0`` (shirk), without its range checks, for callers that keep pi and
+    a in range themselves."""
+    return pi * q1 / ((pi + (1.0 - pi) * a) * q1 + (1.0 - pi) * (1.0 - a) * q0)
 
 
 def max_update(monitoring: MonitoringStructure, pi: Belief, eta: float) -> Belief:

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import EquilibriumAutomaton, compute_values
+from .equilibria import (  # noqa: F401 - perfbench/spans.py wraps compute_values here
+    Batch, Case, EquilibriumAutomaton, batch_values, compute_values, join,
+)
 from .errors import ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 
@@ -91,25 +93,26 @@ class VerificationReport:
         }
 
 
-def expected_effort(automaton: EquilibriumAutomaton) -> np.ndarray:
+def expected_effort(automaton: EquilibriumAutomaton | Batch) -> np.ndarray:
     """e(q) = pi + (1 - pi) sigma_P at every state q; at the initial state
     this is the voters' outside option."""
     _, sp, pi, _ = automaton.as_arrays()
     return pi + (1.0 - pi) * sp
 
 
-def _on_path_states(automaton: EquilibriumAutomaton) -> np.ndarray:
-    """Mask of the states reachable from the initial state without crossing
-    a certain-replacement state; every other state is only consulted after
-    the career has already ended. Found by a depth-first search over the
-    next-state array's columns that enters, but does not leave, a
-    certain-replacement state."""
+def _on_path_states(automaton: EquilibriumAutomaton | Batch) -> np.ndarray:
+    """Mask of the states reachable from the initial state (each case's, in
+    a batch) without crossing a certain-replacement state; every other
+    state is only consulted after the career has already ended. Found by a
+    depth-first search over the next-state array's columns that enters, but
+    does not leave, a certain-replacement state."""
     sv, _, _, nxt = automaton.as_arrays()
     expands = (sv < 1.0).tolist()
     columns = nxt.T.tolist()  # S lists rather than n: far fewer objects to build
     seen = [False] * len(sv)
-    seen[automaton.initial] = True
-    stack = [automaton.initial]  # expanded whatever its replace_prob
+    stack = np.atleast_1d(automaton.initial).tolist()  # expanded whatever their replace_prob
+    for q in stack:
+        seen[q] = True
     while stack:
         q = stack.pop()
         for column in columns:
@@ -140,69 +143,95 @@ def verify(
     monitoring: MonitoringStructure,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Check every equilibrium condition at every materialized state to ``tol``."""
+    """Check every equilibrium condition at every materialized state to
+    ``tol``: :func:`verify_many` on the batch of this one case."""
+    return verify_many([(automaton, params, monitoring)], tol)[0]
+
+
+def verify_many(cases: list[Case], tol: float = 1e-8) -> list[VerificationReport]:
+    """One :class:`VerificationReport` per (automaton, params, monitoring)
+    case, each bit for bit the report of its case alone. The cases are
+    joined into one disjoint union (:func:`equilibria.join`; every case
+    must have the same number of signals), and the value solve, the on-path
+    search, the residuals and the offender ordering run once over it. Each
+    report's arrays are slices of the union's."""
     check_tolerance(tol)
-    values = compute_values(automaton, params, monitoring)
-    sv, sp, pi, nxt = automaton.as_arrays()
-    delta, kappa = params.delta, params.kappa
-    f0, f1 = np.array(monitoring.f0), np.array(monitoring.f1)
-    signals = monitoring.signals
+    if not cases:
+        return []
+    batch = join(cases)
+    values, errors = batch_values(batch)
+    sv, sp, pi, nxt = batch.as_arrays()
+    delta, kappa, f0, f1 = batch.delta, batch.kappa, batch.f0, batch.f1
     n = len(sv)
-    initial = automaton.initial
     has = nxt >= 0
     succ = np.where(has, nxt, 0)
     surv = 1.0 - sv[succ]
-    effort = expected_effort(automaton)
-    u0 = float(effort[initial])
-    target = u0 - params.c
+    effort = expected_effort(batch)
+    u0 = effort[batch.initial]
+    target = (u0 - np.array([p.c for _, p, _ in cases]))[batch.owner]
 
     # -- one-shot deviation gap for the officeholder -------------------------
-    cont = np.where(has, delta * surv * values.values[succ], 0.0)
+    cont = np.where(has, delta[:, None] * surv * values[succ], 0.0)
     gap = -(1.0 - delta) * kappa + (f1 * cont).sum(axis=1) - (f0 * cont).sum(axis=1)
     # widening from unmaterialized successors
-    slack = delta * (f1 + f0) * np.where(has, surv * values.errors[succ], 1.0)
+    slack = delta[:, None] * (f1 + f0) * np.where(has, surv * errors[succ], 1.0)
     p_tol = tol + slack.sum(axis=1)
     p_viol = _violation(gap, (0.0 < sp) & (sp < 1.0), sp >= 1.0)
 
-    # -- voter replacement choice at every state but the initial one ---------
-    voters = np.arange(n) != initial
+    # -- voter replacement choice at every state but the initial ones --------
+    voters = np.ones(n, dtype=bool)
+    voters[batch.initial] = False
     v_gap = effort - target
     v_viol = _violation(v_gap, (0.0 < sv) & (sv < 1.0), sv <= 0.0)
-    on_path = _on_path_states(automaton)
+    on_path = _on_path_states(batch)
 
     # -- Bayes consistency along edges out of states that may retain ---------
-    law = np.stack(monitoring.mixture(effort), axis=1)
+    law = batch.mixture(effort)
     checked = has & ((sv < 1.0) | ~voters)[:, None]
     bayes_res = np.abs(law * pi[succ] - pi[:, None] * f1)
 
     # worst ratio first; ties in (state, check, signal) order
+    owner, starts = batch.owner, batch.starts
+
+    def local(q: int) -> int:  # the state's id in its own case
+        return q - int(starts[owner[q]])
+
     found = [
-        (q, 0, 0, Offender("politician_ic", str(q), float(p_viol[q]), float(p_tol[q])))
+        (q, 0, 0, Offender("politician_ic", str(local(q)), float(p_viol[q]), float(p_tol[q])))
         for q in np.flatnonzero(p_viol > p_tol).tolist()
     ]
     found += [
-        (q, 1, 0, Offender("voter_ic", str(q), float(v_viol[q]), tol))
+        (q, 1, 0, Offender("voter_ic", str(local(q)), float(v_viol[q]), tol))
         for q in np.flatnonzero(voters & on_path & (v_viol > tol)).tolist()
     ]
     found += [
-        (q, 2, i, Offender("bayes", f"{q} --{signals[i]}--> {nxt[q, i]}",
-                           float(bayes_res[q, i]), tol))
+        (q, 2, i, Offender("bayes", f"{local(q)} --{cases[owner[q]][2].signals[i]}--> "
+                           f"{local(int(nxt[q, i]))}", float(bayes_res[q, i]), tol))
         for q, i in zip(*(a.tolist() for a in np.nonzero(checked & (bayes_res > tol))))
     ]
     found.sort(key=lambda c: (-c[3].residual / max(c[3].tolerance, 1e-300), *c[:3]))
-    offenders = [c[3] for c in found]
+    offenders = [[] for _ in cases]
+    for q, *_, offender in found:
+        offenders[owner[q]].append(offender)
 
-    return VerificationReport(
-        passed=not offenders,
-        tol=tol,
-        tail_bound=values.tail_bound,
-        outside_option=u0,
-        politician_ic=p_viol,
-        politician_gap=gap,
-        politician_tol=p_tol,
-        voter_ic=np.where(voters, v_viol, np.nan),
-        voter_gap=np.where(voters, v_gap, np.nan),
-        informational_states=voters & ~on_path,
-        bayes=np.where(checked, bayes_res, np.nan),
-        offenders=offenders,
-    )
+    voter_ic, voter_gap = np.where(voters, v_viol, np.nan), np.where(voters, v_gap, np.nan)
+    informational, bayes = voters & ~on_path, np.where(checked, bayes_res, np.nan)
+    tail_bounds = np.maximum.reduceat(errors, starts[:-1])  # no case is empty
+    ends = starts.tolist()
+    return [
+        VerificationReport(
+            passed=not offenders[k],
+            tol=tol,
+            tail_bound=float(tail_bounds[k]),
+            outside_option=float(u0[k]),
+            politician_ic=p_viol[a:b],
+            politician_gap=gap[a:b],
+            politician_tol=p_tol[a:b],
+            voter_ic=voter_ic[a:b],
+            voter_gap=voter_gap[a:b],
+            informational_states=informational[a:b],
+            bayes=bayes[a:b],
+            offenders=offenders[k],
+        )
+        for k, (a, b) in enumerate(zip(ends, ends[1:]))
+    ]

@@ -25,6 +25,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def manifest_record(out, name):
+    """The manifest record of the run that last wrote ``out/name``."""
+    return json.loads((out / "manifest.json").read_text())["outputs"][name]
+
+
 def assert_one_json_error(code, err, error):
     assert code == 2
     lines = err.strip().splitlines()
@@ -130,7 +135,7 @@ class TestCheckFei:
             code, _, _ = run(capsys, "bound-outside-option", *inputs,
                              "--out", str(tmp_path / name))
             assert code == 0
-            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+            manifests.append(manifest_record(tmp_path / name, "bound.csv"))
         assert manifests[0]["config"] == manifests[1]["config"]
         assert repr(manifests[0]["config"]["c"]) == "0.0"
         assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
@@ -200,9 +205,10 @@ class TestConstructVerifySimulate:
         assert csv_a == (out_b / "per_period.csv").read_bytes()
         header = csv_a.decode().splitlines()[0]
         assert header == "t,mean_effort,replace_rate,mean_belief,favorable_replacements"
-        manifest_a = json.loads((out_a / "manifest.json").read_text())
-        manifest_b = json.loads((out_b / "manifest.json").read_text())
+        manifest_a = manifest_record(out_a, "per_period.csv")
+        manifest_b = manifest_record(out_b, "per_period.csv")
         assert manifest_a["config_hash"] == manifest_b["config_hash"]
+        assert manifest_a["outputs"] == ["simulation_stats.json", "per_period.csv"]
 
     @pytest.mark.parametrize("command", [
         ["verify"],
@@ -375,7 +381,7 @@ class TestConstructVerifySimulate:
             "--paths", "500", "--horizon", "20", "--seed", "3", "--out", str(tmp_path),
         )
         assert code == 0
-        counts = json.loads((tmp_path / "manifest.json").read_text())["counts"]
+        counts = manifest_record(tmp_path, "simulation_stats.json")["counts"]
         assert counts == {"batches": 1}
         stats = json.loads((tmp_path / "simulation_stats.json").read_text())
         assert "counts" not in stats and "batches" not in stats
@@ -598,12 +604,12 @@ class TestOutputPath:
         argv = [arg.format(automaton=automaton) for arg in command]
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 0 and err == ""
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == command[0]
-        assert manifest["outputs"]
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            [*manifest["outputs"], "manifest.json"]
-        )
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+        for record in outputs.values():  # one run wrote every file
+            assert record["command"] == command[0]
+            assert sorted(record["outputs"]) == sorted(outputs)
 
     @pytest.mark.parametrize("command, name", _TABLES, ids=[n for _, n in _TABLES])
     def test_table_without_out_prints_the_file_rows(self, capsys, tmp_path, command, name):
@@ -621,9 +627,34 @@ class TestOutputPath:
         code, out, _ = run(capsys, "construct", "--kind", "fe", *_HOLDING)
         assert code == 0
         assert out.startswith("wrote automaton-fe.json (")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["outputs"] == ["automaton-fe.json"]
+        assert manifest_record(tmp_path, "automaton-fe.json")["outputs"] == ["automaton-fe.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["automaton-fe.json", "manifest.json"]
+
+    def test_two_commands_into_one_directory_keep_both_records(self, capsys, tmp_path):
+        for kind in ("fe", "non-efe"):
+            assert run(capsys, "construct", "--kind", kind, *_HOLDING, "--depth", "20",
+                       "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "bound-outside-option", *_FAILING, "--out", str(tmp_path))[0] == 0
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["automaton-fe.json", "automaton-non-efe.json", "bound.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*outputs, "manifest.json"])
+        assert outputs["automaton-non-efe.json"]["outputs"] == ["automaton-non-efe.json"]
+        assert outputs["bound.csv"]["command"] == "bound-outside-option"
+        assert outputs["automaton-fe.json"]["config"]["delta"] == 0.5
+        assert outputs["bound.csv"]["config"]["delta"] == 0.3
+        # a command that rewrites a file replaces that file's record only
+        assert run(capsys, "construct", "--kind", "fe", *_FAILING[:-1], "0.6",
+                   "--out", str(tmp_path))[0] == 0
+        rewritten = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert rewritten["automaton-fe.json"]["config"]["delta"] == 0.6
+        assert rewritten["automaton-non-efe.json"] == outputs["automaton-non-efe.json"]
+
+    def test_unreadable_manifest_is_replaced(self, capsys, tmp_path):
+        (tmp_path / "manifest.json").write_text("{not json")
+        assert run(capsys, "construct", "--kind", "fe", *_HOLDING, "--out", str(tmp_path))[0] == 0
+        assert list(json.loads((tmp_path / "manifest.json").read_text())["outputs"]) == [
+            "automaton-fe.json"
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -702,6 +733,7 @@ _PINNED = {
     "two-fail-25-verification":
         "898396456de85de95cfb049c98686d545cb80e507a2066e491ee6367c11967b3",
     "zam": "380b3fc9a19147a99cd4e82bd9d5250c0271920a7932296b4700565760f67228",
+    "phase-sweep-24": "898d7c77070d5ffaad5242c8a51e3952d8e873e17b7c7c99b1b97651f04949af",
 }
 _TWO_FAIL = {"kappa": 0.1, "delta": 0.7, "pi0": 0.3, "c": 0.05, "signals": [
     {"name": "A", "f0": 0.1, "f1": 0.4}, {"name": "B", "f0": 0.2, "f1": 0.3},
@@ -736,6 +768,17 @@ class TestPinnedFiles:
                    "--out", str(tmp_path / "verified"))[0] == 0
         verification = tmp_path / "verified" / "verification.json"
         assert _sha256(verification) == _PINNED["two-fail-25-verification"]
+
+    def test_phase_sweep_across_verification_blocks(self, capsys, tmp_path):
+        # 24 cells, 16 holding and 8 failing, certified in several blocks
+        assert cli.PHASE_BLOCK_CELLS < 24
+        code, _, _ = run(capsys, "phase-sweep", "--binary-precision", "0.6:0.9:0.15",
+                         "--kappa", "0.1:0.3:0.2", "--delta", "0.3:0.9:0.2", "--pi0", "0.3",
+                         "--c", "0.05", "--out", str(tmp_path))
+        assert code == 0
+        table = (tmp_path / "phase_sweep.csv").read_text()
+        assert (table.count("true,true,true"), table.count("false,,,")) == (16, 8)
+        assert _sha256(tmp_path / "phase_sweep.csv") == _PINNED["phase-sweep-24"]
 
     def test_unsorted_signal_names_round_trip(self, capsys, tmp_path):
         config = tmp_path / "zam.json"
@@ -835,9 +878,10 @@ def test_mutated_config_file_exits_cleanly(tmp_path_factory, data):
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # the CLI and a simulation on a lumpable automaton need neither solver
+    # the CLI, a phase sweep with holding and failing cells and a simulation
+    # on a lumpable automaton need neither solver
     probe = """
-import sys
+import contextlib, io, sys
 import replab.cli
 from replab import GameParams, MonitoringStructure, construct_non_efe
 from replab.simulate import SimulationConfig, analytic_long_run_effort, simulate
@@ -846,6 +890,11 @@ def loaded():
     return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
 
 replab.cli.build_parser()
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()) as table:
+    assert replab.cli.main(["phase-sweep", "--binary-precision", "0.6:0.9:0.3", "--kappa",
+                            "0.1:0.3:0.2", "--delta", "0.3:0.8:0.5", "--c", "0.05"]) == 0
+assert "true,true,true" in table.getvalue() and "false,,," in table.getvalue()
 print(loaded())
 params, monitoring = GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75)
 auto, _ = construct_non_efe(params, monitoring)
@@ -856,7 +905,7 @@ print(loaded())
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["[]", "[]"]
+    assert out.split() == ["[]", "[]", "[]"]
 
 
 @pytest.mark.parametrize("cyclic", [False, True], ids=["constructed", "cyclic"])

@@ -3,10 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from replab import EquilibriumAutomaton, GameParams, MonitoringStructure, verify
+from replab import (
+    EquilibriumAutomaton, GameParams, MonitoringStructure, construct_non_efe, verify, verify_many,
+)
 from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import ValidationError
 from replab.verifier import expected_effort
+
+FOUR_SIGNAL = MonitoringStructure(
+    signals=("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
+)
+FOUR_SIGNAL_PARAMS = GameParams(kappa=0.1, delta=0.7, pi0=0.3, c=0.05)
 
 
 def patch_state(auto, sid, **fields):
@@ -176,3 +183,95 @@ class TestExpectedEffort:
         sv, sp, pi, _ = non_efe_automaton.as_arrays()
         for q in non_efe_automaton.states:
             assert efforts[q] == pi[q] + (1.0 - pi[q]) * sp[q]
+
+
+def assert_same_report(got, want):
+    """Field by field and bit for bit: arrays by dtype, shape and bytes (NaN
+    positions included), floats by their bits, offenders in order."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+            assert other.tobytes() == value.tobytes(), name
+        elif isinstance(value, float):
+            assert np.float64(other).tobytes() == np.float64(value).tobytes(), name
+        else:
+            assert other == value, name
+
+
+def _broken_everywhere(auto):
+    """The reference automaton with a voter, an officeholder and a Bayes fault."""
+    first, second = first_ids(auto)[0], in_regime(auto, REGIME_SECOND)[0]
+    bad = patch_state(auto, first, effort_prob=auto.effort_prob[first] + 0.05)
+    bad = patch_state(bad, first_ids(auto)[1], replace_prob=auto.replace_prob[first] + 0.02)
+    return patch_state(bad, second, belief=auto.belief[second] + 0.03)
+
+
+def _cyclic(auto, source):
+    """``auto`` with ``source``'s Fail edge sent back to the initial state."""
+    nxt = auto.next_state.copy()
+    nxt[source, 0] = auto.initial
+    return dataclasses.replace(auto, next_state=nxt)
+
+
+class TestVerifyMany:
+    """A batch is one union of its cases, but each report is its case's own."""
+
+    def test_each_report_is_its_case_alone(self, fe_automaton, non_efe_automaton,
+                                           ref_params, binary75, fail_params):
+        broken = _broken_everywhere(non_efe_automaton)
+        other = construct_non_efe(GameParams(0.1, 0.7, 0.3, 0.05),
+                                  MonitoringStructure.binary(0.6))[0]
+        cases = [
+            (fe_automaton, ref_params, binary75),
+            (non_efe_automaton, ref_params, binary75),
+            (broken, ref_params, binary75),
+            (_cyclic(non_efe_automaton, 2), ref_params, binary75),
+            (other, GameParams(0.1, 0.7, 0.3, 0.05), MonitoringStructure.binary(0.6)),
+            (_cyclic(broken, first_ids(broken)[3]), ref_params, binary75),
+            (fe_automaton, fail_params, binary75),
+        ]
+        reports = verify_many(cases, tol=1e-8)
+        assert len(reports) == len(cases)
+        for report, case in zip(reports, cases):
+            assert_same_report(report, verify(*case, tol=1e-8))
+        assert [r.passed for r in reports[:3]] == [True, True, False]
+        assert {o.category for o in reports[2].offenders} == {
+            "politician_ic", "voter_ic", "bayes",
+        }
+
+    def test_truncated_four_signal_batch(self):
+        cases = [(construct_non_efe(FOUR_SIGNAL_PARAMS, FOUR_SIGNAL, max_depth=depth)[0],
+                  FOUR_SIGNAL_PARAMS, FOUR_SIGNAL) for depth in (2, 5, 3)]
+        reports = verify_many(cases, tol=1e-8)
+        for report, case in zip(reports, cases):
+            assert report.tail_bound > 0.0
+            assert_same_report(report, verify(*case, tol=1e-8))
+
+    def test_cyclic_cases_are_factored_alone(self):
+        # randomly rewired trees hold large cycles; one sparse LU over the
+        # union of their cyclic states would move last bits (seed 26 did)
+        base = construct_non_efe(FOUR_SIGNAL_PARAMS, FOUR_SIGNAL, max_depth=6)[0]
+        rng = np.random.default_rng(26)
+        cases = []
+        for _ in range(3):
+            nxt = base.next_state.copy()
+            for _ in range(40):
+                nxt[rng.integers(0, len(nxt)), rng.integers(0, 4)] = rng.integers(0, len(nxt))
+            cases.append((dataclasses.replace(base, next_state=nxt),
+                          FOUR_SIGNAL_PARAMS, FOUR_SIGNAL))
+        for report, case in zip(verify_many(cases), cases):
+            assert_same_report(report, verify(*case))
+
+    def test_mixed_signal_counts_are_refused(self, fe_automaton, ref_params, binary75):
+        four = construct_non_efe(FOUR_SIGNAL_PARAMS, FOUR_SIGNAL, max_depth=2)[0]
+        with pytest.raises(ValidationError, match="BadBatch"):
+            verify_many([(fe_automaton, ref_params, binary75),
+                         (four, FOUR_SIGNAL_PARAMS, FOUR_SIGNAL)])
+        with pytest.raises(ValidationError, match="BadBatch"):
+            verify_many([(fe_automaton, FOUR_SIGNAL_PARAMS, FOUR_SIGNAL)])
+
+    def test_empty_batch(self):
+        assert verify_many([]) == []
+        with pytest.raises(ValidationError):
+            verify_many([], tol=float("nan"))
