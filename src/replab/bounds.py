@@ -16,7 +16,7 @@ so callers can substitute a sharper horizon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import fei
@@ -32,12 +32,7 @@ class OutsideOptionBound:
     g_value: float      # g(eta_star)
 
     def to_dict(self) -> dict:
-        return {
-            "horizon_T": self.horizon_T,
-            "eta_star": self.eta_star,
-            "bound_value": self.bound_value,
-            "g_value": self.g_value,
-        }
+        return dict(vars(self))
 
 
 def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
@@ -93,30 +88,18 @@ def bound_sweep(
         for c in c_grid:
             GameParams(params.kappa, params.delta, pi0, c)  # refuses an invalid cell
     cert = fei.check_fei(params, monitoring)
-    if cert.holds:
-        raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")
-    horizon_T = cert.refutation.horizon_T
-
-    g_by_pi0 = {}
-    for pi0 in pi0_grid:
-        eta_star, g_min = minimize_g(pi0, horizon_T)
-        g_by_pi0[pi0] = (eta_star, g_min)
+    # the ceiling at c = 0 is g's minimum; pi0 leaves the FEI decision unchanged
+    by_pi0 = {
+        pi0: outside_option_bound(replace(params, pi0=pi0, c=0.0), monitoring, cert)
+        for pi0 in pi0_grid
+    }
     ordered = sorted(pi0_grid, reverse=True)
     for hi, lo in zip(ordered, ordered[1:]):
-        if g_by_pi0[hi][1] < g_by_pi0[lo][1]:
+        if by_pi0[hi].g_value < by_pi0[lo].g_value:
             raise ReplabError(f"bound rose as pi0 fell from {hi!r} to {lo!r}")
 
-    rows = []
-    for pi0 in pi0_grid:
-        eta_star, g_min = g_by_pi0[pi0]
-        for c in c_grid:
-            rows.append(
-                {
-                    "pi0": pi0,
-                    "c": c,
-                    "T": horizon_T,
-                    "eta_star": eta_star,
-                    "bound": c + g_min,
-                }
-            )
-    return rows
+    return [
+        {"pi0": pi0, "c": c, "T": by_pi0[pi0].horizon_T, "eta_star": by_pi0[pi0].eta_star,
+         "bound": c + by_pi0[pi0].g_value}
+        for pi0 in pi0_grid for c in c_grid
+    ]

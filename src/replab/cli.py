@@ -192,6 +192,8 @@ def _parse_range(spec: str) -> tuple[int, Iterator[float]]:
     if step <= 0:
         raise ConfigParse("range step must be positive")
     count = _range_count(a, b, step)
+    if not count:
+        raise ConfigParse(f"bad range {spec!r}; a > b leaves no point")
     return count, (min(a + k * step, b) for k in range(count))
 
 
@@ -417,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--kind", choices=["fe", "non-efe"], required=True)
     p.add_argument("--a0", type=float, help="override the initial effort probability")
-    p.add_argument("--depth", type=int, default=200)
+    p.add_argument("--depth", type=int, default=equilibria.DEFAULT_DEPTH)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="certify an automaton file")
     p.add_argument("--automaton", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=verifier.DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -455,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, help="scalar or a:b:step")
     p.add_argument("--pi0", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--depth", type=int, default=200)
+    p.add_argument("--tol", type=float, default=verifier.DEFAULT_TOL)
+    p.add_argument("--depth", type=int, default=equilibria.DEFAULT_DEPTH)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_phase_sweep)
 
@@ -479,6 +481,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(exc.code, str(exc))
     except OSError as exc:  # an unreadable input or unwritable output path
         return _fail(type(exc).__name__.removesuffix("Error"), str(exc))
+    except MemoryError as exc:  # an allocation the input asks for fails
+        return _fail("OutOfMemory", f"out of memory: {exc}")
     print(result.echo if out is not None else result.echo + result.fallback, end="")
     return result.code
 

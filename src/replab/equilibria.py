@@ -60,6 +60,7 @@ REGIME_DEAD = "Dead"
 BELIEF_KEY_DECIMALS = 12
 A0_BISECTION_TOL = 1e-10  # width at which select_a0 stops bisecting
 MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
+DEFAULT_DEPTH = 200  # failing signals the FirstRegime tree extends to by default
 _UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
 _NON_EFE_LABELS = (REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD)  # sorted
 
@@ -175,17 +176,7 @@ class NonEfeParameters:
     a0: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "s_star": list(self.s_star),
-            "f1_star": self.f1_star,
-            "f0_star": self.f0_star,
-            "v_bar": self.v_bar,
-            "v_tilde": self.v_tilde,
-            "v_hat": self.v_hat,
-            "x": self.x,
-            "a0": self.a0,
-        }
+        return fei.cutoff_to_dict(self)
 
 
 @dataclass
@@ -311,7 +302,7 @@ def construct_non_efe(
     params: GameParams,
     monitoring: MonitoringStructure,
     a0_override: Optional[float] = None,
-    max_depth: int = 200,
+    max_depth: int = DEFAULT_DEPTH,
     cert: Optional[fei.FeiCertificate] = None,
 ) -> tuple[EquilibriumAutomaton, NonEfeParameters]:
     """No-eventual-full-effort equilibrium automaton.

@@ -37,6 +37,15 @@ from .model import GameParams, MonitoringStructure
 FEASIBILITY_TOL = 0.0  # weak inequalities: boundary instances count as holding
 
 
+def cutoff_to_dict(cutoff) -> dict:
+    """The fields of a dataclass holding a cutoff test (``lam`` and
+    ``s_star`` among them) as JSON: ``lam`` written as "lambda", ``s_star``
+    as a list."""
+    out = {"lambda": cutoff.lam, **vars(cutoff), "s_star": list(cutoff.s_star)}
+    del out["lam"]
+    return out
+
+
 @dataclass(frozen=True)
 class FeiWitness:
     """A feasible cutoff test: pass exactly the signals with likelihood
@@ -50,14 +59,7 @@ class FeiWitness:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "s_star": list(self.s_star),
-            "f1_star": self.f1_star,
-            "f0_star": self.f0_star,
-            "v_bar": self.v_bar,
-            "slack": self.slack,
-        }
+        return cutoff_to_dict(self)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class FeiRefutation:
     horizon_T: int
 
     def to_dict(self) -> dict:
-        return {"min_gap": self.min_gap, "horizon_T": self.horizon_T}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

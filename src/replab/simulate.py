@@ -59,7 +59,6 @@ class SimulationConfig:
     horizon: int
     paths: int
     master_seed: int
-    record_traces: bool = False
 
     def __post_init__(self):
         bad = []
@@ -96,35 +95,19 @@ class SimulationStats:
     final_tenure_exceeds: dict[int, float]
     first_replacement_histogram: np.ndarray  # index = period of first replacement
     first_politician_survival: dict[int, float]  # P(first career outlives t)
-    traces: Optional[dict] = field(default=None, repr=False)
-    # run counts for the manifest; like traces, never part of the stats JSON
+    # run counts for the manifest; never part of the stats JSON
     counts: dict = field(default_factory=dict, repr=False)
 
     def to_json(self) -> str:
-        """Canonical JSON; byte-identical across reruns with equal inputs."""
-        payload = {
-            "horizon": self.horizon,
-            "paths": self.paths,
-            "master_seed": self.master_seed,
-            "mean_effort": self.mean_effort.tolist(),
-            "replace_rate": self.replace_rate.tolist(),
-            "mean_belief": self.mean_belief.tolist(),
-            "favorable_replacements": self.favorable_replacements.tolist(),
-            "favorable_total": self.favorable_total,
-            "burn_in": self.burn_in,
-            "long_run_effort": self.long_run_effort,
-            "long_run_se": self.long_run_se,
-            "burn_in_sensitivity": {str(k): v for k, v in self.burn_in_sensitivity.items()},
-            "martingale_mean": self.martingale_mean,
-            "martingale_se": self.martingale_se,
-            "tenure_histogram": self.tenure_histogram.tolist(),
-            "censored_tenures": self.censored_tenures,
-            "final_tenure_exceeds": {str(k): v for k, v in self.final_tenure_exceeds.items()},
-            "first_replacement_histogram": self.first_replacement_histogram.tolist(),
-            "first_politician_survival": {
-                str(k): v for k, v in self.first_politician_survival.items()
-            },
-        }
+        """Canonical JSON of every field but ``counts``: arrays as lists and
+        dict keys as strings; byte-identical across reruns with equal inputs."""
+        payload = dict(vars(self))
+        del payload["counts"]
+        for name, value in payload.items():
+            if isinstance(value, np.ndarray):
+                payload[name] = value.tolist()
+            elif isinstance(value, dict):
+                payload[name] = {str(k): v for k, v in value.items()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -203,9 +186,6 @@ def simulate(
     step = np.where(next2 >= 0, pi2.take(next2) - np.repeat(pi2, n_signals), 0.0)
     fresh_bad, fresh_good = automaton.initial, automaton.initial + n
 
-    if config.record_traces and paths * horizon > 20_000_000:
-        raise ValueError("record_traces is meant for desk-scale runs")
-
     effort_sum = np.zeros(horizon)
     occupancy = np.zeros((horizon, 2 * n), dtype=np.int64)  # acting paths per row
     replace_count = np.zeros(horizon)
@@ -220,14 +200,6 @@ def simulate(
     # per-path aggregates, reduced once at the end in a batching-independent order
     lr_means = {cut: np.zeros(paths) for cut in cutoffs}
     mart_means = np.zeros(paths)
-
-    traces = None
-    if config.record_traces:
-        traces = {
-            "effort": np.zeros((paths, horizon), dtype=np.uint8),
-            "state": np.zeros((paths, horizon), dtype=np.int32),
-            "belief": np.zeros((paths, horizon)),
-        }
 
     batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
     for start in range(0, paths, _BATCH):
@@ -270,10 +242,6 @@ def simulate(
                     f"path walked off the materialized automaton at period {t}"
                 )
             path_mart += step.take(edge)
-            if traces is not None:
-                traces["effort"][start:stop, t] = act
-                traces["state"][start:stop, t] = state % n
-                traces["belief"][start:stop, t] = pi2.take(state)
             state = state_next
 
         censored_tenures += nb
@@ -320,7 +288,6 @@ def simulate(
         },
         first_replacement_histogram=first_rep_hist,
         first_politician_survival=survival,
-        traces=traces,
         counts={"batches": -(-paths // _BATCH)},
     )
 
@@ -340,7 +307,7 @@ class AnalyticEffort:
     residual: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "method": self.method, "residual": self.residual}
+        return dict(vars(self))
 
 
 def _acting_chain(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):

@@ -38,6 +38,8 @@ from .equilibria import (  # noqa: F401 - perfbench/spans.py wraps compute_value
 from .errors import ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 
+DEFAULT_TOL = 1e-8  # residual tolerance of every check, widened per state for truncation
+
 
 @dataclass(frozen=True)
 class Offender:
@@ -47,12 +49,7 @@ class Offender:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "location": self.location,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
+        return dict(vars(self))
 
 
 def _max(values: np.ndarray) -> float:
@@ -72,10 +69,7 @@ class VerificationReport:
     tail_bound: float
     outside_option: float
     politician_ic: np.ndarray          # violation magnitude per state
-    politician_gap: np.ndarray         # signed work-minus-shirk gap
-    politician_tol: np.ndarray
     voter_ic: np.ndarray               # violation magnitude; NaN at the initial state
-    voter_gap: np.ndarray              # signed e(q) - (u0 - c); NaN at the initial state
     informational_states: np.ndarray   # mask: voter checks evaluated but non-binding
     bayes: np.ndarray                  # edge residual; NaN where no check applies
     offenders: list[Offender] = field(default_factory=list)
@@ -141,14 +135,14 @@ def verify(
     automaton: EquilibriumAutomaton,
     params: GameParams,
     monitoring: MonitoringStructure,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Check every equilibrium condition at every materialized state to
     ``tol``: :func:`verify_many` on the batch of this one case."""
     return verify_many([(automaton, params, monitoring)], tol)[0]
 
 
-def verify_many(cases: list[Case], tol: float = 1e-8) -> list[VerificationReport]:
+def verify_many(cases: list[Case], tol: float = DEFAULT_TOL) -> list[VerificationReport]:
     """One :class:`VerificationReport` per (automaton, params, monitoring)
     case, each bit for bit the report of its case alone. The cases are
     joined into one disjoint union (:func:`equilibria.join`; every case
@@ -214,7 +208,7 @@ def verify_many(cases: list[Case], tol: float = 1e-8) -> list[VerificationReport
     for q, *_, offender in found:
         offenders[owner[q]].append(offender)
 
-    voter_ic, voter_gap = np.where(voters, v_viol, np.nan), np.where(voters, v_gap, np.nan)
+    voter_ic = np.where(voters, v_viol, np.nan)
     informational, bayes = voters & ~on_path, np.where(checked, bayes_res, np.nan)
     tail_bounds = np.maximum.reduceat(errors, starts[:-1])  # no case is empty
     ends = starts.tolist()
@@ -225,10 +219,7 @@ def verify_many(cases: list[Case], tol: float = 1e-8) -> list[VerificationReport
             tail_bound=float(tail_bounds[k]),
             outside_option=float(u0[k]),
             politician_ic=p_viol[a:b],
-            politician_gap=gap[a:b],
-            politician_tol=p_tol[a:b],
             voter_ic=voter_ic[a:b],
-            voter_gap=voter_gap[a:b],
             informational_states=informational[a:b],
             bayes=bayes[a:b],
             offenders=offenders[k],

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replab
-from replab import cli
+from replab import cli, equilibria, verifier
 from replab.cli import main
 from replab.errors import ConfigParse
 
@@ -561,7 +561,7 @@ def test_non_finite_range_exits_2(argv):
     ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:1e-12"],
     ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:0.45:1e-12"],
     ["phase-sweep", "--kappa", "0.1:0.2:1e-4", "--delta", "0.3:0.4:1e-4"],  # 1001 x 1001
-    # an empty axis leaves no cells, but the endless one is still refused
+    # an endless axis beside a reversed one, which has no point: refused either way
     ["phase-sweep", "--kappa=-1e308:1e308:1e-300", "--delta", "0.5:0.4:0.1"],
 ])
 def test_oversized_grid_exits_2(argv):
@@ -577,6 +577,54 @@ def test_grid_cap_is_on_cells():
     assert len(kappas) == len(deltas) == 1000 and kappas[-1] == 0.999
     with pytest.raises(ConfigParse):
         cli._grid_axes("0:1:0.001", "1:1.999:0.001")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-sweep", "--binary-precision", "0.9:0.6:0.05", "--kappa", "0.2", "--delta", "0.5"],
+    ["check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
+     "--sweep", "delta=0.9:0.1:0.1"],
+])
+def test_reversed_range_exits_2(capsys, argv):
+    # a > b has no point: refused, not printed as a header-only table
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_json_error(code, err, "ConfigParse")
+    assert cli._parse_range("0.5:0.5:0.1")[0] == 1  # a == b is one point
+
+
+def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch):
+    def exhausted(*_):
+        raise MemoryError("Unable to allocate 728. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_simulation", exhausted)
+    automaton = tmp_path / "automaton.json"
+    automaton.write_text(json.dumps(reference_payload))
+    code, out, err = run(capsys, "simulate", "--automaton", str(automaton))
+    assert out == ""
+    assert_one_json_error(code, err, "OutOfMemory")
+    assert "728. GiB" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("size", [
+    ["--paths", "100000000000", "--horizon", "2"],
+    ["--paths", "1", "--horizon", "100000000"],
+])
+def test_oversized_simulation_exits_2(reference_payload, tmp_path, size):
+    # under _run_capped's address-space limit the run's arrays cannot be had
+    automaton = tmp_path / "automaton.json"
+    automaton.write_text(json.dumps(reference_payload))
+    done = _run_capped("simulate", "--automaton", str(automaton), *size)
+    assert done.stdout == ""
+    assert_one_json_error(done.returncode, done.stderr, "OutOfMemory")
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    sweep = ["phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.5"]
+    for argv in (["verify", "--automaton", "a.json"], sweep):
+        assert parser.parse_args(argv).tol == verifier.DEFAULT_TOL == 1e-8
+    for argv in (["construct", "--kind", "non-efe"], sweep):
+        assert parser.parse_args(argv).depth == equilibria.DEFAULT_DEPTH == 200
 
 
 class TestOutputPath:
@@ -734,6 +782,12 @@ _PINNED = {
         "898396456de85de95cfb049c98686d545cb80e507a2066e491ee6367c11967b3",
     "zam": "380b3fc9a19147a99cd4e82bd9d5250c0271920a7932296b4700565760f67228",
     "phase-sweep-24": "898d7c77070d5ffaad5242c8a51e3952d8e873e17b7c7c99b1b97651f04949af",
+    "simulation-stats": "45e41ff9a409e8a932bd569dd826c4abb88af84d15f99e3f96af723945821a4b",
+    "per-period": "efba3a769d4bce6e142fe6b164cd62c0589bc03f79e429f01aef6379cad08df8",
+    "fei-holds": "cb824b7e0bf3e336e8ca27aec9f89cb6c0c88dccd794be9073d62d59f3a08efc",
+    "fei-fails": "0d31164a4900ef008584fd97117dbedfb50c2580a601f80fef1202380161d25b",
+    "bound": "d02e28893de9eba643dd731f47c703b96d3676096918933dc14830e954de829d",
+    "bound-sweep": "1aa38643f442fc480697ed8d57978e0351b1154c4b663ef7d8c56628f511fc0f",
 }
 _TWO_FAIL = {"kappa": 0.1, "delta": 0.7, "pi0": 0.3, "c": 0.05, "signals": [
     {"name": "A", "f0": 0.1, "f1": 0.4}, {"name": "B", "f0": 0.2, "f1": 0.3},
@@ -779,6 +833,27 @@ class TestPinnedFiles:
         table = (tmp_path / "phase_sweep.csv").read_text()
         assert (table.count("true,true,true"), table.count("false,,,")) == (16, 8)
         assert _sha256(tmp_path / "phase_sweep.csv") == _PINNED["phase-sweep-24"]
+
+    def test_simulation_stats_and_per_period(self, capsys, reference_payload, tmp_path):
+        automaton = tmp_path / "automaton-non-efe.json"
+        automaton.write_text(json.dumps(reference_payload))
+        assert run(capsys, "simulate", "--automaton", str(automaton), "--paths", "3000",
+                   "--horizon", "300", "--seed", "7", "--per-period-csv",
+                   "--out", str(tmp_path))[0] == 0
+        assert _sha256(tmp_path / "simulation_stats.json") == _PINNED["simulation-stats"]
+        assert _sha256(tmp_path / "per_period.csv") == _PINNED["per-period"]
+
+    @pytest.mark.parametrize("model, name", [(_HOLDING, "fei-holds"), (_FAILING, "fei-fails")])
+    def test_fei_certificate(self, capsys, tmp_path, model, name):
+        assert run(capsys, "check-fei", *model, "--out", str(tmp_path))[0] == 0
+        assert _sha256(tmp_path / "fei_certificate.json") == _PINNED[name]
+
+    def test_bound_and_bound_sweep(self, capsys, tmp_path):
+        assert run(capsys, "bound-outside-option", *_FAILING, "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "bound-sweep", *_FAILING, "--pi0-grid", "0.1,0.3,0.5,0.3",
+                   "--c-grid", "0,0.05", "--out", str(tmp_path))[0] == 0
+        assert _sha256(tmp_path / "bound.csv") == _PINNED["bound"]
+        assert _sha256(tmp_path / "bound_sweep.csv") == _PINNED["bound-sweep"]
 
     def test_unsorted_signal_names_round_trip(self, capsys, tmp_path):
         config = tmp_path / "zam.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestDeterminism:
         assert full.martingale_mean == rebatched.martingale_mean
         assert np.array_equal(full.mean_belief, rebatched.mean_belief)
         assert full.to_json() == rebatched.to_json()
+        assert full.counts == {"batches": 1}
+        assert rebatched.counts == {"batches": 8}
+
+    def test_json_holds_every_field_but_counts(self, fe_automaton, ref_params, binary75):
+        stats = simulate(fe_automaton, ref_params, binary75,
+                         SimulationConfig(horizon=20, paths=50, master_seed=1))
+        names = {f.name for f in dataclasses.fields(stats)} - {"counts"}
+        assert set(json.loads(stats.to_json())) == names
 
 
 class TestFastPathOracles:
@@ -127,28 +136,6 @@ class TestFastPathOracles:
         )
         thresholds = sim_module._signal_thresholds(monitoring)
         assert np.array_equal(sim_module._signals(thresholds, act, u), expected)
-
-
-class TestRowIndex:
-    """The kernel carries (state, type) as one row index; traces must still
-    report automaton states and their beliefs, under any batching."""
-
-    def test_traces_are_states_and_batching_invariant(
-        self, non_efe_automaton, ref_params, binary75, monkeypatch
-    ):
-        config = SimulationConfig(horizon=80, paths=600, master_seed=13, record_traces=True)
-        full = simulate(non_efe_automaton, ref_params, binary75, config)
-        monkeypatch.setattr(sim_module, "_BATCH", 256)
-        monkeypatch.setattr(sim_module, "_BLOCK", 16)
-        rebatched = simulate(non_efe_automaton, ref_params, binary75, config)
-        for name in ("state", "belief", "effort"):
-            assert full.traces[name].dtype == rebatched.traces[name].dtype
-            assert np.array_equal(full.traces[name], rebatched.traces[name]), name
-        _, _, pi, _ = non_efe_automaton.as_arrays()
-        assert full.traces["state"].max() < len(pi)
-        assert np.array_equal(full.traces["belief"], pi[full.traces["state"]])
-        assert full.counts == {"batches": 1}
-        assert rebatched.counts == {"batches": 3}
 
 
 def _transient_curves(automaton, params, monitoring, horizon):
@@ -466,14 +453,3 @@ class TestConfig:
     def test_rejects_seeds_outside_philox_keys(self, seed):
         with pytest.raises(ValidationError):
             SimulationConfig(horizon=10, paths=10, master_seed=seed)
-
-    def test_traces_guarded(self, fe_automaton, ref_params, binary75):
-        with pytest.raises(ValueError):
-            simulate(fe_automaton, ref_params, binary75,
-                     SimulationConfig(horizon=30_000, paths=1000, master_seed=1,
-                                      record_traces=True))
-        stats = simulate(fe_automaton, ref_params, binary75,
-                         SimulationConfig(horizon=20, paths=50, master_seed=1,
-                                          record_traces=True))
-        assert stats.traces["effort"].shape == (50, 20)
-        assert np.all(stats.traces["effort"] == 1)
