@@ -30,15 +30,15 @@ from .fei import (  # noqa: F401
 from .equilibria import (  # noqa: F401
     EquilibriumAutomaton,
     NonEfeParameters,
-    ValueTable,
     automaton_from_dict,
     automaton_to_dict,
-    compute_values,
     construct_full_effort,
     construct_non_efe,
     non_efe_parameters,
 )
-from .verifier import VerificationReport, expected_effort, verify, verify_many  # noqa: F401
+from .verifier import (  # noqa: F401
+    ValueTable, VerificationReport, compute_values, expected_effort, verify, verify_many,
+)
 from .bounds import OutsideOptionBound, bound_sweep, outside_option_bound  # noqa: F401
 from .simulate import (  # noqa: F401
     AnalyticEffort,

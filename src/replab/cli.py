@@ -290,11 +290,12 @@ def _cmd_simulate(args) -> Result:
     config = SimulationConfig(horizon=args.horizon, paths=args.paths, master_seed=args.seed)
     stats = run_simulation(automaton, params, monitoring, config)
     analytic = analytic_long_run_effort(automaton, params, monitoring)
+    z = martingale_diagnostic(stats)
     summary = {
         "long_run_effort": stats.long_run_effort,
         "long_run_se": stats.long_run_se,
         "analytic_long_run_effort": analytic.to_dict(),
-        "martingale_z": martingale_diagnostic(stats),
+        "martingale_z": z if math.isfinite(z) else None,  # JSON has no infinity
         "favorable_replacements": stats.favorable_total,
         "seed": args.seed,
         "paths": args.paths,

@@ -41,7 +41,6 @@ from .errors import (
     FeiFails,
     IndifferenceOutOfRange,
     NoFeasibleA0,
-    NonContractive,
     ReplacementCostTooLargeForConstruction,
     ValidationError,
     Violation,
@@ -177,22 +176,6 @@ class NonEfeParameters:
 
     def to_dict(self) -> dict:
         return fei.cutoff_to_dict(self)
-
-
-@dataclass
-class ValueTable:
-    """Continuation values of the opportunist at each automaton state,
-    solving V(q) = (1-delta)(1 - kappa sigma_P(q))
-                 + delta sum_s f_{sigma_P(q)}(s) [1 - sigma_V(succ)] V(succ).
-
-    ``values`` and ``errors`` are indexed by state id. ``errors`` bounds
-    the per-state truncation error from unmaterialized branches
-    (identically 0 on complete automata).
-    """
-
-    values: np.ndarray
-    errors: np.ndarray
-    tail_bound: float
 
 
 def construct_full_effort(
@@ -382,166 +365,6 @@ def construct_non_efe(
         kind="non-efe", complete=complete, meta={**base.to_dict(), "e_star": e_star},
     )
     return automaton, base
-
-
-Case = tuple[EquilibriumAutomaton, GameParams, MonitoringStructure]
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Cases joined into one disjoint union: case k holds states
-    ``starts[k]`` .. ``starts[k + 1] - 1`` and its initial state
-    ``initial[k]``; next states are offset into the union (-1 stays -1).
-    ``delta``, ``kappa``, ``f0`` and ``f1`` are per state, from ``owner``."""
-
-    starts: np.ndarray
-    owner: np.ndarray
-    initial: np.ndarray
-    replace_prob: np.ndarray
-    effort_prob: np.ndarray
-    belief: np.ndarray
-    next_state: np.ndarray
-    delta: np.ndarray
-    kappa: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.replace_prob, self.effort_prob, self.belief, self.next_state
-
-    def mixture(self, effort: np.ndarray) -> np.ndarray:
-        """:meth:`MonitoringStructure.mixture` at each state, (states, signals)."""
-        effort = effort[:, None]
-        return effort * self.f1 + (1.0 - effort) * self.f0
-
-
-def join(cases: list[Case]) -> Batch:
-    """The union of (automaton, params, monitoring) cases that all have one
-    signal count; :class:`ValidationError` (``BadBatch``) otherwise."""
-    counts = {a.next_state.shape[1] for a, _, _ in cases} | {len(m.signals) for *_, m in cases}
-    if len(counts) != 1:
-        raise ValidationError([Violation(
-            "BadBatch", f"a batch needs one signal count, got {sorted(counts)}")])
-    automata = [a for a, _, _ in cases]
-    sizes = [len(a.belief) for a in automata]
-    starts = np.cumsum([0, *sizes])
-    owner = np.repeat(np.arange(len(cases)), sizes)
-    nxt = np.concatenate([a.next_state for a in automata])
-    nxt = np.where(nxt >= 0, nxt + starts[owner][:, None], -1)
-    return Batch(
-        starts=starts, owner=owner,
-        initial=starts[:-1] + [a.initial for a in automata],
-        replace_prob=np.concatenate([a.replace_prob for a in automata]),
-        effort_prob=np.concatenate([a.effort_prob for a in automata]),
-        belief=np.concatenate([a.belief for a in automata]), next_state=nxt,
-        delta=np.array([p.delta for _, p, _ in cases])[owner],
-        kappa=np.array([p.kappa for _, p, _ in cases])[owner],
-        f0=np.array([m.f0 for *_, m in cases])[owner],
-        f1=np.array([m.f1 for *_, m in cases])[owner],
-    )
-
-
-def compute_values(
-    automaton: EquilibriumAutomaton,
-    params: GameParams,
-    monitoring: MonitoringStructure,
-) -> ValueTable:
-    """:func:`batch_values` for the batch of one case."""
-    values, errors = batch_values(join([(automaton, params, monitoring)]))
-    return ValueTable(values=values, errors=errors, tail_bound=float(errors.max()))
-
-
-def batch_values(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the continuation-value recursion (I - M) V = b over the
-    materialized states of every case at once, sinks first, for the union's
-    ``values`` and ``errors`` (:class:`ValueTable`). No step mixes two
-    cases, so each case's values are bit for bit its batch of one's.
-
-    M's weight on the edge q -> succ is delta f_{sigma_P(q)}(s) (1 -
-    sigma_V(succ)); self-loops fold into the diagonal. States with no
-    weighted edge to another state are solved at once; the rest are solved
-    by back-substitution in topological order (Kahn), each once all its
-    successors are. States left over lie on or upstream of a cycle: they
-    alone are factored with a sparse LU, one block per case, their solved
-    successors folded into the right-hand side. No automaton the
-    constructions build has such a cycle.
-
-    Unmaterialized successors contribute 0 to the solve; their worst-case
-    influence is bounded exactly by a companion right-hand side, solved
-    with the same matrix in the same pass, whose solution is reported per
-    state in ``errors`` (all 0 when the automaton is complete).
-    """
-    delta, kappa = batch.delta, batch.kappa
-    sv, sp, _, nxt = batch.as_arrays()
-    n = len(sv)
-    law = delta[:, None] * batch.mixture(sp)
-    has = nxt >= 0
-    weight = np.where(has, law * (1.0 - sv[nxt]), 0.0)  # nxt = -1 reads sv[-1], masked
-    loop = nxt == np.arange(n)[:, None]
-    diag = 1.0 - np.where(loop, weight, 0.0).sum(axis=1)
-    edge = (weight != 0.0) & ~loop
-    b = (1.0 - delta) * (1.0 - kappa * sp)
-    miss = np.where(has, 0.0, law).sum(axis=1)  # successor value unknown in [0, 1]
-
-    # States with no weighted edge to another state are solved in one step,
-    # and folded into the right-hand side of their predecessors.
-    src, col = np.nonzero(edge)
-    dst, w = nxt[src, col], weight[src, col]
-    leaf = ~edge.any(axis=1)
-    values, errors = b / diag, miss / diag  # final at the leaves only
-    into = leaf[dst]
-    acc_b = b + np.bincount(src[into], w[into] * values[dst[into]], minlength=n)
-    acc_miss = miss + np.bincount(src[into], w[into] * errors[dst[into]], minlength=n)
-    # Kahn's order over the other states, renumbered 0, 1, ... among
-    # themselves: a state is solved once its last successor is. Each case's
-    # states keep the queue order of its batch of one.
-    rest = np.flatnonzero(~leaf)
-    local = np.cumsum(~leaf) - 1
-    src, dst, w = local[src[~into]], local[dst[~into]], w[~into]
-    by_dst = np.argsort(dst, kind="stable")
-    preds, pred_w = src[by_dst].tolist(), w[by_dst].tolist()
-    starts = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(rest)))]).tolist()
-    pending = np.bincount(src, minlength=len(rest))
-    order = np.flatnonzero(pending == 0).tolist()
-    pending = pending.tolist()
-    acc_b, acc_miss, d = acc_b[rest].tolist(), acc_miss[rest].tolist(), diag[rest].tolist()
-    for q in order:  # grows as states are solved; a solved state's sums become its values
-        v = acc_b[q] = acc_b[q] / d[q]
-        e = acc_miss[q] = acc_miss[q] / d[q]
-        for k in range(starts[q], starts[q + 1]):
-            p = preds[k]
-            acc_b[p] += pred_w[k] * v
-            acc_miss[p] += pred_w[k] * e
-            pending[p] -= 1
-            if not pending[p]:
-                order.append(p)
-    values[rest[order]], errors[rest[order]] = np.take(acc_b, order), np.take(acc_miss, order)
-    if len(order) < len(rest):  # the states on or upstream of a cycle
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        cyclic = np.ones(len(rest), dtype=bool)
-        cyclic[order] = False
-        # acc_b and acc_miss already hold the solved successors' part
-        rhs = np.column_stack([acc_b, acc_miss])
-        owner = batch.owner[rest]
-        for case in np.unique(owner[cyclic]).tolist():  # edges never join two cases
-            block_of = cyclic & (owner == case)
-            ids = np.flatnonzero(block_of)
-            block_id = np.cumsum(block_of) - 1
-            inner = block_of[src] & block_of[dst]
-            block = csc_matrix(
-                (np.concatenate([diag[rest[ids]], -w[inner]]),
-                 (np.concatenate([block_id[ids], block_id[src[inner]]]),
-                  np.concatenate([block_id[ids], block_id[dst[inner]]]))),
-                shape=(len(ids), len(ids)),
-            )
-            try:
-                lu = splu(block)
-            except RuntimeError as exc:  # pragma: no cover - delta<1 keeps A invertible
-                raise NonContractive(str(exc)) from exc
-            values[rest[ids]], errors[rest[ids]] = lu.solve(rhs[ids]).T
-    return values, errors
 
 
 # --- serialization ----------------------------------------------------------

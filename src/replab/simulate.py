@@ -91,7 +91,7 @@ class SimulationStats:
     martingale_mean: float
     martingale_se: float
     tenure_histogram: np.ndarray  # completed tenures, index = periods served
-    censored_tenures: int
+    censored_tenures: int  # tenures still running at the horizon, one per path
     final_tenure_exceeds: dict[int, float]
     first_replacement_histogram: np.ndarray  # index = period of first replacement
     first_politician_survival: dict[int, float]  # P(first career outlives t)
@@ -192,7 +192,6 @@ def simulate(
     favorable_count = np.zeros(horizon)
     tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
     first_rep_hist = np.zeros(horizon + 1, dtype=np.int64)  # [horizon] = censored
-    censored_tenures = 0
     exceed_counts = {thr: 0 for thr in TENURE_THRESHOLDS}
 
     burn_in = horizon // 5
@@ -244,7 +243,6 @@ def simulate(
             path_mart += step.take(edge)
             state = state_next
 
-        censored_tenures += nb
         tenure_final = horizon - since
         for thr in TENURE_THRESHOLDS:
             exceed_counts[thr] += int(np.count_nonzero(tenure_final > thr))
@@ -282,7 +280,7 @@ def simulate(
         martingale_mean=mart_mean,
         martingale_se=mart_se,
         tenure_histogram=tenure_hist,
-        censored_tenures=censored_tenures,
+        censored_tenures=paths,
         final_tenure_exceeds={
             thr: exceed_counts[thr] / paths for thr in TENURE_THRESHOLDS
         },

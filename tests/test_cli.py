@@ -386,6 +386,28 @@ class TestConstructVerifySimulate:
         stats = json.loads((tmp_path / "simulation_stats.json").read_text())
         assert "counts" not in stats and "batches" not in stats
 
+    @pytest.mark.parametrize("argv", [
+        ["check-fei", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.4"],
+        ["horizon", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.3"],
+        ["bound-outside-option", "--binary-precision", "0.75", "--kappa", "0.2",
+         "--delta", "0.3", "--pi0", "0.3", "--c", "0.05"],
+        ["verify", "--automaton", "{automaton}"],
+        # one path has no standard error, so its z-score is infinite
+        ["simulate", "--automaton", "{automaton}", "--paths", "1", "--horizon", "50",
+         "--seed", "3"],
+        ["simulate", "--automaton", "{automaton}", "--paths", "20", "--horizon", "50",
+         "--seed", "3"],
+    ])
+    def test_stdout_is_strict_json(self, capsys, automaton_file, argv):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = [arg.format(automaton=automaton_file) for arg in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        report = out[out.index("{"):]  # verify prints its PASSED line first
+        assert isinstance(json.loads(report, parse_constant=refuse), dict)
+
     @pytest.mark.parametrize("name", ["automaton-non-efe.json", "missing.json"])
     def test_per_period_csv_needs_out(self, capsys, automaton_file, name):
         # refused before the automaton is read, so a missing file is no matter
@@ -445,6 +467,18 @@ class TestBoundsCommands:
         lines = (tmp_path / "bound_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "pi0,c,T,eta_star,bound"
         assert len(lines) == 7
+
+    def test_bound_sweep_allows_rounding_between_adjacent_priors(self, capsys, tmp_path):
+        # g at the smaller prior rounds a few ulps above g at the larger one
+        code, _, err = run(
+            capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+            "--delta", "0.3", "--pi0", "0.3", "--c", "0.05",
+            "--pi0-grid", "0.1416769592301532,0.14167695923015317", "--c-grid", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 0 and err == ""
+        lines = (tmp_path / "bound_sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
 
     @pytest.mark.parametrize("grid", [",", ""])
     def test_bad_grid_is_config_error(self, capsys, grid):
