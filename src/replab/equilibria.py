@@ -28,9 +28,16 @@ full-effort construction with frozen beliefs. A failing signal there
 FirstRegime states are memoized by belief rounded to 1e-12; the chain of
 failing signals therefore closes into a self-loop once beliefs underflow,
 making desk-scale automata finite.
+
+The tree of states (beliefs, efforts, regimes and next states) reads only
+pi0, c, a0, f0, f1, S*, the depth and the state cap; a0 in turn reads only
+(pi0, c, f0, f1). kappa and delta enter only through x, the FirstRegime
+replacement probability. The last tree and the last a0 are kept, so a
+sweep that moves kappa and delta under one precision builds one tree.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,6 +69,7 @@ MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
 DEFAULT_DEPTH = 200  # failing signals the FirstRegime tree extends to by default
 _UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
 _NON_EFE_LABELS = (REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD)  # sorted
+_FIRST, _INITIAL, _SECOND, _THIRD = range(len(_NON_EFE_LABELS))  # their regime codes
 
 
 def _violations(units, regime_ok, kind, complete, initial, n, name, middle) -> list[Violation]:
@@ -242,35 +250,41 @@ def indifference_effort(e_star: float, belief: float) -> float:
     return a
 
 
-def _a0_slack(params: GameParams, monitoring: MonitoringStructure, a: float) -> float:
+def _a0_slack(pi0: float, c: float, f0: tuple, f1: tuple, a: float) -> float:
     """Feasibility margin of an initial effort probability: the voter must
     prefer replacement at any belief one update can reach from the prior."""
-    pi0 = params.pi0
-    worst = max([_posterior(pi0, a, q1, q0) for q0, q1 in zip(monitoring.f0, monitoring.f1)])
-    return pi0 + (1.0 - pi0) * a - params.c - worst
+    worst = max([_posterior(pi0, a, q1, q0) for q0, q1 in zip(f0, f1)])
+    return pi0 + (1.0 - pi0) * a - c - worst
 
 
 def select_a0(params: GameParams, monitoring: MonitoringStructure) -> float:
     """Default initial effort probability: bisect for the smallest feasible
     a_min over (c/(1-pi0), 1), then return the interior point (1+a_min)/2."""
-    lo = params.c / (1.0 - params.pi0)
+    return _a0(params.pi0, params.c, tuple(monitoring.f0), tuple(monitoring.f1))
+
+
+@functools.lru_cache(maxsize=1)
+def _a0(pi0: float, c: float, f0: tuple, f1: tuple) -> float:
+    """:func:`select_a0` on the only inputs it reads; the last answer is kept,
+    since a sweep asks for one (pi0, c, f0, f1) many times in a row."""
+    lo = c / (1.0 - pi0)
     hi = 1.0
     eps = 1e-12
-    if _a0_slack(params, monitoring, hi - eps) < 0.0:
+    if _a0_slack(pi0, c, f0, f1, hi - eps) < 0.0:
         raise NoFeasibleA0("no feasible initial effort probability near 1")
-    if _a0_slack(params, monitoring, lo + eps) >= 0.0:
+    if _a0_slack(pi0, c, f0, f1, lo + eps) >= 0.0:
         a_min = lo + eps
     else:
         a, b = lo + eps, hi - eps
         while b - a > A0_BISECTION_TOL:
             mid = 0.5 * (a + b)
-            if _a0_slack(params, monitoring, mid) >= 0.0:
+            if _a0_slack(pi0, c, f0, f1, mid) >= 0.0:
                 b = mid
             else:
                 a = mid
         a_min = b
     a0 = 0.5 * (1.0 + a_min)
-    if _a0_slack(params, monitoring, a0) < 0.0:
+    if _a0_slack(pi0, c, f0, f1, a0) < 0.0:
         raise NoFeasibleA0("midpoint rule landed on an infeasible a0")
     return a0
 
@@ -294,7 +308,8 @@ def construct_non_efe(
     tree extends lazily up to ``max_depth`` failing signals (``MAX_STATES``
     caps the total); belief-key memoization closes binary chains into a
     finite automaton well before the default depth. ``cert`` is passed to
-    :func:`non_efe_parameters`.
+    :func:`non_efe_parameters`. The tree is :func:`_tree`'s, kept from the
+    last call with the same inputs; x is set here on its FirstRegime states.
     """
     check_depth(max_depth)
     if params.c >= 1.0 - params.pi0:
@@ -302,36 +317,54 @@ def construct_non_efe(
             f"need c < 1 - pi0, got c={params.c}, pi0={params.pi0}"
         )
     base = non_efe_parameters(params, monitoring, cert)
+    pi0, f0, f1 = params.pi0, tuple(monitoring.f0), tuple(monitoring.f1)
     if a0_override is not None:
-        if not params.c / (1.0 - params.pi0) < a0_override < 1.0:
+        if not params.c / (1.0 - pi0) < a0_override < 1.0:
             raise NoFeasibleA0(f"a0 override {a0_override!r} outside (c/(1-pi0), 1)")
-        if _a0_slack(params, monitoring, a0_override) < 0.0:
+        if _a0_slack(pi0, params.c, f0, f1, a0_override) < 0.0:
             raise NoFeasibleA0(f"a0 override {a0_override!r} fails the feasibility bound")
         base = NonEfeParameters(**{**base.__dict__, "a0": a0_override})
-    pi0, x = params.pi0, base.x
     e_star = pi0 + (1.0 - pi0) * base.a0 - params.c
-    n_signals = len(monitoring.signals)
-    passing = [s in base.s_star for s in monitoring.signals]
-    likelihoods = list(enumerate(zip(monitoring.f1, monitoring.f0)))
-    first, initial_code, second, third = range(len(_NON_EFE_LABELS))
+    passing = tuple(s in base.s_star for s in monitoring.signals)
+    regime, effort_prob, belief, nxt, complete = _tree(
+        pi0, base.a0, e_star, f1, f0, passing, max_depth, MAX_STATES)
+    automaton = EquilibriumAutomaton(
+        replace_prob=np.where(regime == _FIRST, base.x, regime == _THIRD),
+        effort_prob=effort_prob, belief=belief, next_state=nxt, regime=regime,
+        labels=_NON_EFE_LABELS, initial=0, signals=monitoring.signals,
+        kind="non-efe", complete=complete, meta={**base.to_dict(), "e_star": e_star},
+    )
+    return automaton, base
+
+
+@functools.lru_cache(maxsize=1)
+def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
+    """The non-efe automaton but for the FirstRegime replacement probability
+    x, which is all that kappa and delta reach: read-only ``regime``,
+    ``effort_prob``, ``belief`` and ``next_state`` arrays and ``complete``.
+    At most ``cap`` states are built; a branch that would pass it, or a
+    FirstRegime state deeper than ``max_depth``, is left at -1. The last
+    tree built is kept, so a sweep that holds the precision while it moves
+    kappa and delta builds each tree once."""
+    n_signals = len(passing)
+    likelihoods = list(enumerate(zip(f1, f0)))
 
     # per-state fields, and the next-state array flattened row by row
-    regime, replace_prob, effort_prob, beliefs, nxt = [], [], [], [], []
+    regime, effort_prob, beliefs, nxt = [], [], [], []
     first_ids, second_ids = {}, {}  # state id by belief key
     complete = True
 
-    def add_state(code, sigma_v, sigma_p, belief, row) -> int:
+    def add_state(code, sigma_p, belief, row) -> int:
         regime.append(code)
-        replace_prob.append(sigma_v)
         effort_prob.append(sigma_p)
         beliefs.append(belief)
         nxt.extend(row)
         return len(regime) - 1
 
     open_row = [-1] * n_signals  # filled in when the state is expanded
-    initial = add_state(initial_code, 0.0, base.a0, pi0, open_row)
+    initial = add_state(_INITIAL, a0, pi0, open_row)
     dead_row = [initial + 1] * n_signals  # the absorbing state, added next
-    add_state(third, 1.0, 0.0, 0.0, dead_row)
+    add_state(_THIRD, 0.0, 0.0, dead_row)
 
     # Breadth-first materialization of the pre-first-pass tree, a depth at a time.
     level, depth = [initial], 0
@@ -344,27 +377,28 @@ def construct_non_efe(
                 b = round(nxt_belief, BELIEF_KEY_DECIMALS)
                 if passing[j]:
                     if b not in second_ids:  # then the ThirdRegime state it fails into
+                        if len(regime) + 2 > cap:
+                            complete = False  # no room for the pair; the edge stays open
+                            continue
                         new = second_ids[b] = len(regime)
-                        add_state(second, 0.0, 1.0, b, [new if p else new + 1 for p in passing])
-                        add_state(third, 1.0, 0.0, b, dead_row)
+                        add_state(_SECOND, 1.0, b, [new if p else new + 1 for p in passing])
+                        add_state(_THIRD, 0.0, b, dead_row)
                     nxt[sid * n_signals + j] = second_ids[b]
                     continue
                 if b not in first_ids:
-                    if depth + 1 > max_depth or len(regime) >= MAX_STATES:
+                    if depth + 1 > max_depth or len(regime) >= cap:
                         complete = False  # frontier left unmaterialized
                         continue
-                    first_ids[b] = add_state(first, x, indifference_effort(e_star, b), b, open_row)
+                    first_ids[b] = add_state(_FIRST, indifference_effort(e_star, b), b, open_row)
                     deeper.append(first_ids[b])
                 nxt[sid * n_signals + j] = first_ids[b]
         level, depth = deeper, depth + 1
 
-    automaton = EquilibriumAutomaton(
-        replace_prob=replace_prob, effort_prob=effort_prob, belief=beliefs,
-        next_state=np.array(nxt, dtype=np.int64).reshape(-1, n_signals),
-        regime=regime, labels=_NON_EFE_LABELS, initial=initial, signals=monitoring.signals,
-        kind="non-efe", complete=complete, meta={**base.to_dict(), "e_star": e_star},
-    )
-    return automaton, base
+    arrays = (np.array(regime, dtype=np.int64), np.array(effort_prob), np.array(beliefs),
+              np.array(nxt, dtype=np.int64).reshape(-1, n_signals))
+    for array in arrays:
+        array.flags.writeable = False
+    return (*arrays, complete)
 
 
 # --- serialization ----------------------------------------------------------

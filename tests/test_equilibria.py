@@ -21,6 +21,7 @@ from replab import (
     non_efe_parameters,
     verify,
 )
+from replab import cli, equilibria
 from replab.equilibria import (
     REGIME_DEAD,
     REGIME_FIRST,
@@ -45,6 +46,10 @@ TWO_FAIL = MonitoringStructure(
     ("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
 )
 TWO_FAIL_PARAMS = GameParams(kappa=0.1, delta=0.7, pi0=0.3, c=0.05)
+# two passing and three failing signals: the uncapped depth-400 tree has over 100,000 states
+FIVE_SIGNAL = MonitoringStructure(
+    ("A", "B", "C", "D", "E"), f0=(0.05, 0.1, 0.2, 0.3, 0.35), f1=(0.4, 0.3, 0.15, 0.1, 0.05)
+)
 
 
 def _dense_values(auto, params, monitoring):
@@ -301,6 +306,84 @@ class TestNonEfeConstruction:
         assert vt.tail_bound > 0.0
         # verification stays sound: frontier tolerances widen as needed
         assert verify(auto, TWO_FAIL_PARAMS, TWO_FAIL).passed
+
+
+class TestTreeReuse:
+    """The FirstRegime tree reads pi0, c, the monitoring and S*, never kappa
+    or delta, which reach only x; one tree serves a run of such cells."""
+
+    @staticmethod
+    def _tree_arrays(auto):
+        return auto.belief, auto.effort_prob, auto.next_state, auto.regime
+
+    def test_cells_sharing_a_precision_share_the_tree(self, ref_params, binary75):
+        a, nep_a = construct_non_efe(ref_params, binary75)
+        other = GameParams(kappa=0.1, delta=0.8, pi0=ref_params.pi0, c=ref_params.c)
+        b, nep_b = construct_non_efe(other, binary75)
+        assert nep_a.x != nep_b.x
+        for x, y in zip(self._tree_arrays(a), self._tree_arrays(b)):
+            np.testing.assert_array_equal(x, y)
+        first = regimes(a) == REGIME_FIRST
+        assert first.any()
+        assert (a.replace_prob[first] == nep_a.x).all()
+        assert (b.replace_prob[first] == nep_b.x).all()
+        np.testing.assert_array_equal(a.replace_prob[~first], b.replace_prob[~first])
+        for array in (*a.as_arrays(), a.regime, *b.as_arrays(), b.regime):
+            assert not array.flags.writeable
+
+    def test_rebuilt_tree_is_bit_identical(self, ref_params, binary75):
+        a = construct_non_efe(ref_params, binary75)[0]
+        construct_non_efe(THREE_SIGNAL_PARAMS, THREE_SIGNAL)  # evicts a's tree
+        again = construct_non_efe(ref_params, binary75)[0]
+        for x, y in zip((*a.as_arrays(), a.regime), (*again.as_arrays(), again.regime)):
+            assert x.tobytes() == y.tobytes()
+        assert (a.complete, a.meta) == (again.complete, again.meta)
+
+    def test_a0_override_builds_its_own_tree(self, ref_params, binary75):
+        default = construct_non_efe(ref_params, binary75)[0]
+        override = construct_non_efe(ref_params, binary75, a0_override=0.8)[0]
+        assert override.effort_prob[override.initial] == 0.8
+        assert not np.array_equal(default.effort_prob, override.effort_prob)
+        assert construct_non_efe(ref_params, binary75)[0].effort_prob.tobytes() == (
+            default.effort_prob.tobytes())
+
+    def test_refusals_are_raised_on_every_call(self, ref_params, binary75, monkeypatch):
+        too_costly = GameParams(0.2, 0.5, 0.3, 0.7)  # c = 1 - pi0: no a0 is feasible
+        for _ in range(2):
+            with pytest.raises(NoFeasibleA0):
+                select_a0(too_costly, binary75)
+
+        def refuse(e_star, belief):
+            raise IndifferenceOutOfRange("refused")
+
+        equilibria._tree.cache_clear()
+        monkeypatch.setattr(equilibria, "indifference_effort", refuse)
+        for _ in range(2):
+            with pytest.raises(IndifferenceOutOfRange):
+                construct_non_efe(ref_params, binary75)
+        monkeypatch.undo()
+        assert construct_non_efe(ref_params, binary75)[0].complete
+
+    @pytest.mark.parametrize("cap", [2, 5, 50, 51])
+    def test_state_cap_holds_for_passing_branches(self, cap, monkeypatch):
+        monkeypatch.setattr(equilibria, "MAX_STATES", cap)
+        auto, _ = construct_non_efe(TWO_FAIL_PARAMS, FIVE_SIGNAL, max_depth=400)
+        assert len(auto.states) == cap and not auto.complete
+        # a passing branch that found no room is left open
+        passing = [j for j, s in enumerate(FIVE_SIGNAL.signals) if s in ("A", "B")]
+        assert (auto.next_state[auto.initial, passing] < 0).all() == (cap < 4)
+        assert verify(auto, TWO_FAIL_PARAMS, FIVE_SIGNAL).passed
+
+    def test_phase_sweep_builds_one_tree_per_precision(self, capsys):
+        equilibria._tree.cache_clear()
+        assert cli.main(["phase-sweep", "--binary-precision", "0.7:0.9:0.2", "--kappa",
+                         "0.1:0.2:0.1", "--delta", "0.3:0.9:0.3", "--pi0", "0.3",
+                         "--c", "0.05"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 12
+        holding = {row[0] for row in rows if row[5] == "true"}
+        assert len(holding) == 2 and len(holding) < sum(row[5] == "true" for row in rows)
+        assert equilibria._tree.cache_info().misses == len(holding)
 
 
 class TestValueRecursion:
