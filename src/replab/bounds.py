@@ -40,7 +40,11 @@ class OutsideOptionBound:
 def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
     """(eta_star, g(eta_star)). g'(eta) = 0 reduces to the root of
     h(eta) = eta^(T+1) + (T+1) q eta - T q, q = pi0/(1-pi0), on (0, 1);
-    h(0) < 0 < h(1) and h' > 0, so bisection finds it to the last bit."""
+    h(0) < 0 < h(1) and h' > 0, so bisection finds it to the last bit.
+    At a huge T the root lies within rounding of 1 and the bracket can close
+    at 1.0; eta_star is then the bracket's lower end, the largest double
+    below 1, so eta_star < 1 and c + g(eta_star) <= c + 1 is still a
+    ceiling."""
     q = pi0 / (1.0 - pi0)
     t = horizon_T
     lo, hi = 0.0, 1.0
@@ -52,6 +56,8 @@ def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
             lo = eta_star
         else:
             hi = eta_star
+    if eta_star == 1.0:
+        eta_star = lo
     return eta_star, belief_growth_bound(pi0, eta_star, horizon_T)
 
 

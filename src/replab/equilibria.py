@@ -156,16 +156,11 @@ class EquilibriumAutomaton:
         self.next_state, self.regime, self.labels = nxt, regime, labels
         for array in (*units, nxt, regime):
             array.flags.writeable = False
-        self._arrays = (*units, nxt)
 
     @property
     def states(self) -> range:
         """The state ids, 0 .. n-1."""
         return range(len(self.belief))
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(replace_prob, effort_prob, belief, next_state); the same tuple each call."""
-        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -410,16 +405,15 @@ def automaton_to_dict(
 ) -> dict:
     """The automaton file's fields: states in id order, and transitions
     ordered by (from, signal name)."""
-    sv, sp, pi, nxt = automaton.as_arrays()
     regimes = [automaton.labels[code] for code in automaton.regime.tolist()]
     by_name = sorted(range(len(automaton.signals)), key=automaton.signals.__getitem__)
-    names, nxt = [automaton.signals[j] for j in by_name], nxt[:, by_name]
+    names, nxt = [automaton.signals[j] for j in by_name], automaton.next_state[:, by_name]
     src, col = np.nonzero(nxt >= 0)
     return {
         "states": [
             {"id": q, "regime": r, "replace_prob": v, "effort_prob": p, "belief": b}
-            for q, r, v, p, b in zip(automaton.states, regimes, sv.tolist(), sp.tolist(),
-                                     pi.tolist())
+            for q, r, v, p, b in zip(automaton.states, regimes, automaton.replace_prob.tolist(),
+                                     automaton.effort_prob.tolist(), automaton.belief.tolist())
         ],
         "transitions": [
             {"from": q, "signal": names[j], "to": t}

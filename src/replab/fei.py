@@ -106,11 +106,15 @@ def _cutoff_candidates(monitoring: MonitoringStructure):
 
 
 def check_fei(params: GameParams, monitoring: MonitoringStructure) -> FeiCertificate:
-    """Decide FEI exactly by cutoff enumeration.
+    """Decide FEI by cutoff enumeration, an exact reduction whose slacks
+    and gap are computed in floating point.
 
     Returns the witness maximizing the incentive slack
     (1-kappa)(1 - delta f0*) - (1 - delta f1*), ties broken by the smallest
     passing set; on failure, attaches the uniform-failure refutation.
+    Raises :class:`ResolutionTooCoarse` when every slack is negative but
+    the failure gap is not positive, which rounding allows only at the
+    frontier.
     """
     kappa, delta = params.kappa, params.delta
     best: Optional[FeiWitness] = None
@@ -195,6 +199,11 @@ def _failure_gap_and_horizon(
     g1 = _min_gap_unit_box(kappa, delta, monitoring.f0, monitoring.f1)
     g2 = (1.0 - delta) * kappa
     gap = min(g1, g2)
+    if not gap > 0.0:  # a failing decision has a positive gap, up to rounding
+        raise ResolutionTooCoarse(
+            "the float decision lies within rounding of the full-effort frontier: "
+            f"every cutoff fails but the promise-keeping gap is {gap!r}"
+        )
     horizon = max(2, math.floor(1.0 / gap) + 1)
     while 1.0 / horizon >= gap:  # strictness guard against float edges
         horizon += 1

@@ -171,14 +171,14 @@ def simulate(
     """Run ``config.paths`` independent careers for ``config.horizon`` periods."""
     horizon, paths = config.horizon, config.paths
     pi0 = params.pi0
-    sv, sp, pi, nxt = automaton.as_arrays()
+    pi, nxt = automaton.belief, automaton.next_state
     n, n_signals = nxt.shape
     thresholds = _signal_thresholds(monitoring)
     # row k + n*g is state k held by an incumbent of type g (1 = good); good
     # types always work, and the type rides along every transition
-    sv2 = np.concatenate([sv, sv])
-    sp2 = np.concatenate([sp, np.ones(n)])
-    pi2 = np.concatenate([pi, pi])
+    sv2 = np.tile(automaton.replace_prob, 2)
+    sp2 = np.concatenate([automaton.effort_prob, np.ones(n)])
+    pi2 = np.tile(pi, 2)
     fav2 = pi2 > pi0
     walks_off = bool(np.any(nxt < 0))
     next2 = np.concatenate([nxt, np.where(nxt >= 0, nxt + n, -1)]).ravel()
@@ -212,7 +212,6 @@ def simulate(
         path_effort = np.zeros(nb)
         prefix = {cut: np.zeros(nb) for cut in cutoffs}
         path_mart = np.zeros(nb)
-        first_rep = np.full(nb, horizon, dtype=np.int64)
 
         for t in range(horizon):
             vote, draw_type, draw_act, draw_sig = u[t]
@@ -220,14 +219,14 @@ def simulate(
                 out = np.flatnonzero(vote < sv2.take(state))  # paths voted out
                 if len(out):
                     favorable_count[t] += np.count_nonzero(fav2.take(state.take(out)))
-                    tenure_hist += np.bincount(t - since.take(out), minlength=horizon + 1)
-                    first_rep[out[first_rep.take(out) == horizon]] = t
+                    began = since.take(out)
+                    tenure_hist += np.bincount(t - began, minlength=horizon + 1)
+                    first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
                     state[out] = np.where(draw_type.take(out) < pi0, fresh_good, fresh_bad)
                     since[out] = t
                 replace_count[t] += len(out)
-            for cut in cutoffs:
-                if t == cut:
-                    prefix[cut][:] = path_effort
+            if t in prefix:
+                prefix[t][:] = path_effort
 
             occupancy[t] += np.bincount(state, minlength=2 * n)
             act = draw_act < sp2.take(state)  # uniforms are < 1: good types work
@@ -246,7 +245,7 @@ def simulate(
         tenure_final = horizon - since
         for thr in TENURE_THRESHOLDS:
             exceed_counts[thr] += int(np.count_nonzero(tenure_final > thr))
-        first_rep_hist += np.bincount(first_rep, minlength=horizon + 1)
+        first_rep_hist[horizon] += np.count_nonzero(since == 0)  # never replaced
 
         for cut in cutoffs:
             lr_means[cut][start:stop] = (path_effort - prefix[cut]) / (horizon - cut)
@@ -257,7 +256,6 @@ def simulate(
     mart_mean = float(mart_means.mean())
     mart_se = float(mart_means.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
 
-    # first_rep_hist[horizon] counts paths never replaced within the window;
     # survival[t] = P(first incumbent still in office after the period-t vote)
     survival_points = sorted(t for t in (50, 100, 200, horizon - 1) if 0 <= t < horizon)
     survival = {
@@ -308,24 +306,31 @@ class AnalyticEffort:
         return dict(vars(self))
 
 
-def _acting_chain(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
-    """Sparse transition matrix of the state in which the incumbent acts,
-    over the acting states in id order: replacement redirects probability
-    mass to the initial state. Missing transitions are redirected too,
-    with their mass reported separately. Returns (P, missing mass,
-    expected effort)."""
-    from scipy.sparse import csr_matrix
-
-    sv, _, _, nxt = automaton.as_arrays()
-    acting = _on_path_states(automaton) & (sv < 1.0)
+def _acting(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
+    """The states in which an incumbent acts, in id order: the initial state
+    and every on-path state that may retain (see :func:`_on_path_states`);
+    no other state is occupied when an incumbent acts. Returns (states,
+    expected efforts, (states, S) signal laws)."""
+    acting = _on_path_states(automaton) & (automaton.replace_prob < 1.0)
     acting[automaton.initial] = True
     states = np.flatnonzero(acting)
+    efforts = expected_effort(automaton)[states]
+    return states, efforts, np.stack(monitoring.mixture(efforts), axis=1)
+
+
+def _acting_chain(automaton: EquilibriumAutomaton, states, efforts, law):
+    """Sparse transition matrix of the state in which the incumbent acts,
+    over the acting states (:func:`_acting`): replacement redirects
+    probability mass to the initial state. Missing transitions are
+    redirected too, with their mass reported separately. Returns (P,
+    missing mass, expected effort)."""
+    from scipy.sparse import csr_matrix
+
+    sv = automaton.replace_prob
     n = len(states)
     local = np.full(len(sv), -1)
     local[states] = np.arange(n)
-    efforts = expected_effort(automaton)[states]
-    law = np.stack(monitoring.mixture(efforts), axis=1)
-    succ = nxt[states]
+    succ = automaton.next_state[states]
     has = succ >= 0
     stay = np.where(has, 1.0 - sv[succ], 0.0)  # 0 on truncated branches: renewals
     moves = stay > 0.0
@@ -381,36 +386,30 @@ def analytic_long_run_effort(
     with any truncated mass redirected to renewal and reported as a
     residual.
     """
-    lump = _try_lumped(automaton, monitoring)
+    acting = _acting(automaton, monitoring)
+    lump = _try_lumped(automaton, *acting)
     if lump is not None:
         return lump
-    p, miss, efforts = _acting_chain(automaton, monitoring)
+    p, miss, efforts = _acting_chain(automaton, *acting)
     mu = _sparse_stationary(p)
     residual = float(mu @ miss)
     method = "direct" if (automaton.complete or residual == 0.0) else "truncated"
     return AnalyticEffort(value=float(mu @ efforts), method=method, residual=residual)
 
 
-def _try_lumped(
-    automaton: EquilibriumAutomaton, monitoring: MonitoringStructure
-) -> Optional[AnalyticEffort]:
+def _try_lumped(automaton: EquilibriumAutomaton, states, effort, law) -> Optional[AnalyticEffort]:
     """The acting chain lumped by regime label, or None if it does not lump.
 
-    An acting state (the initial one, or one that may retain) sends retained
-    mass to its successor's regime, replaced mass to the initial state's, and
-    a missing edge's mass back to itself, as the lazy tree's next state would;
-    the initial state must have every edge. It lumps if each regime's acting
-    states share one row and one effort, and is solved over reachable regimes.
+    An acting state (:func:`_acting`) sends retained mass to its successor's
+    regime, replaced mass to the initial state's, and a missing edge's mass
+    back to itself, as the lazy tree's next state would; the initial state
+    must have every edge. It lumps if each regime's acting states share one
+    row and one effort, and is solved over reachable regimes.
     """
-    sv, _, _, nxt = automaton.as_arrays()
+    sv, nxt = automaton.replace_prob, automaton.next_state
     if automaton.kind != "non-efe" or np.any(nxt[automaton.initial] < 0):
         return None
     block = automaton.regime  # labels are sorted, so blocks come in label order
-    acting = sv < 1.0
-    acting[automaton.initial] = True
-    states = np.flatnonzero(acting)
-    effort = expected_effort(automaton)[states]
-    law = np.stack(monitoring.mixture(effort), axis=1)
     succ = np.where(nxt[states] >= 0, nxt[states], states[:, None])
     rows = np.zeros((len(states), len(automaton.labels)))
     np.add.at(rows, (np.arange(len(states))[:, None], block[succ]), law * (1.0 - sv[succ]))

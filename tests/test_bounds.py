@@ -77,6 +77,14 @@ def test_minimize_g_matches_stationarity_root(horizon_T):
         assert g_min == pytest.approx(belief_growth_bound(pi0, ref_eta, horizon_T), rel=1e-15)
 
 
+def test_minimize_g_stays_inside_the_unit_interval_at_a_huge_horizon():
+    # the stationarity root lies within rounding of 1, so the bisection's
+    # bracket closes at 1.0; the bracket's lower end is returned instead
+    eta_star, g_min = minimize_g(0.3, 14_411_518_807_585_590)
+    assert 0.0 < eta_star < 1.0
+    assert g_min == belief_growth_bound(0.3, eta_star, 14_411_518_807_585_590) <= 1.0
+
+
 class TestBoundSweep:
     def test_pi0_column_strictly_decreasing(self, fail_params, binary75):
         grid = [3.0 * 10.0**-k for k in range(1, 10)]

@@ -563,10 +563,10 @@ _TABLES = [
 ]
 
 
-def _run_capped(*argv):
-    """The CLI in a child process with a 10 s timeout and a 1 GiB address
-    space, so that a command that never ends fails the test instead of
-    hanging it or exhausting the host's memory."""
+def _run_capped(*argv, timeout=10):
+    """The CLI in a child process with a timeout (10 s by default) and a
+    1 GiB address space, so that a command that never ends fails the test
+    instead of hanging it or exhausting the host's memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -574,7 +574,7 @@ def _run_capped(*argv):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "replab.cli", *argv], capture_output=True,
-                          text=True, timeout=10, preexec_fn=cap, env=env)
+                          text=True, timeout=timeout, preexec_fn=cap, env=env)
 
 
 @pytest.mark.parametrize("argv", [
@@ -603,6 +603,40 @@ def test_oversized_grid_exits_2(argv):
     done = _run_capped(*argv, "--binary-precision", "0.75")
     assert done.stdout == ""
     assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
+
+
+@pytest.mark.parametrize("model", [
+    # one ulp from the full-effort frontier, where every float cutoff slack is
+    # negative but the float failure gap is negative (this looped forever) or
+    # 0.0 (this raised ZeroDivisionError)
+    ["--binary-precision", "0.8913017037078852", "--kappa", "0.21043439909162676",
+     "--delta", "0.2612542990737442"],
+    ["--binary-precision", "0.9880201247111328", "--kappa", "0.7154691081002402",
+     "--delta", "0.7266511944590155"],
+])
+def test_frontier_check_fei_ends_cleanly(model):
+    done = _run_capped("check-fei", *model, timeout=20)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        assert done.stderr == "" and "holds" in json.loads(done.stdout)
+    else:
+        assert done.stdout == ""
+        assert_one_json_error(done.returncode, done.stderr, "ResolutionTooCoarse")
+
+
+def test_huge_horizon_bound_is_a_ceiling():
+    # T = 14,411,518,807,585,590 closed minimize_g's bracket at eta = 1.0,
+    # which belief_growth_bound refused with a traceback
+    done = _run_capped(
+        "bound-outside-option", "--binary-precision", "0.7720012339414994",
+        "--kappa", "0.5026126433462983", "--delta", "0.7631559794384524", "--pi0", "0.3",
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    bound, c = json.loads(done.stdout), cli._MODEL_DEFAULTS["c"]
+    assert bound["horizon_T"] == 14_411_518_807_585_590
+    assert bound["eta_star"] < 1.0
+    assert c < bound["bound_value"] <= 1.0 + c
 
 
 def test_grid_cap_is_on_cells():

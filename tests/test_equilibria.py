@@ -52,11 +52,16 @@ FIVE_SIGNAL = MonitoringStructure(
 )
 
 
+def _arrays(auto):
+    """Every per-state array of an automaton."""
+    return auto.replace_prob, auto.effort_prob, auto.belief, auto.next_state, auto.regime
+
+
 def _dense_values(auto, params, monitoring):
     """(values, errors) from a dense solve of (I - M) [V, E] = [b, miss],
     with I - M built edge by edge."""
     delta, kappa = params.delta, params.kappa
-    sv, sp, _, nxt = auto.as_arrays()
+    sv, sp, nxt = auto.replace_prob, auto.effort_prob, auto.next_state
     n, n_signals = nxt.shape
     m = np.zeros((n, n))
     miss = np.zeros(n)
@@ -157,7 +162,7 @@ class TestClosedForms:
 class TestFullEffortConstruction:
     def test_shape(self, fe_automaton, ref_params):
         assert regimes(fe_automaton).tolist() == [REGIME_PASS, REGIME_DEAD, REGIME_DEAD]
-        sv, sp, pi, _ = fe_automaton.as_arrays()
+        sv, sp, pi = fe_automaton.replace_prob, fe_automaton.effort_prob, fe_automaton.belief
         assert sp[0] == 1.0 and sv[0] == 0.0
         assert pi[0] == ref_params.pi0
         # first failing signal keeps the prior (pooled update); only the
@@ -328,14 +333,14 @@ class TestTreeReuse:
         assert (a.replace_prob[first] == nep_a.x).all()
         assert (b.replace_prob[first] == nep_b.x).all()
         np.testing.assert_array_equal(a.replace_prob[~first], b.replace_prob[~first])
-        for array in (*a.as_arrays(), a.regime, *b.as_arrays(), b.regime):
+        for array in (*_arrays(a), *_arrays(b)):
             assert not array.flags.writeable
 
     def test_rebuilt_tree_is_bit_identical(self, ref_params, binary75):
         a = construct_non_efe(ref_params, binary75)[0]
         construct_non_efe(THREE_SIGNAL_PARAMS, THREE_SIGNAL)  # evicts a's tree
         again = construct_non_efe(ref_params, binary75)[0]
-        for x, y in zip((*a.as_arrays(), a.regime), (*again.as_arrays(), again.regime)):
+        for x, y in zip(_arrays(a), _arrays(again)):
             assert x.tobytes() == y.tobytes()
         assert (a.complete, a.meta) == (again.complete, again.meta)
 
@@ -441,16 +446,14 @@ class TestValueRecursion:
 class TestArrayForm:
     def test_arrays_built_once_and_read_only(self, non_efe_automaton, ref_params, binary75):
         auto = non_efe_automaton
-        arrays = auto.as_arrays()
-        assert auto.as_arrays() is arrays
-        sv, sp, pi, nxt = arrays
+        sv, nxt = auto.replace_prob, auto.next_state
         assert nxt.shape == (len(auto.states), len(auto.signals))
         assert nxt.dtype == np.int64 and auto.regime.dtype.kind == "i"
         edges = automaton_to_dict(auto, ref_params, binary75)["transitions"]
         assert len(edges) == (nxt >= 0).sum() == nxt.size  # complete: every edge present
         for edge in edges:
             assert nxt[edge["from"], auto.signals.index(edge["signal"])] == edge["to"]
-        for array in (*arrays, auto.regime):
+        for array in _arrays(auto):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             sv[0] = 0.5
@@ -502,7 +505,7 @@ class TestSerialization:
         auto2, params2, monitoring2 = automaton_from_dict(json.loads(blob))
         assert params2 == ref_params
         assert monitoring2 == binary75
-        for loaded, built in zip(auto2.as_arrays(), non_efe_automaton.as_arrays()):
+        for loaded, built in zip(_arrays(auto2), _arrays(non_efe_automaton)):
             np.testing.assert_array_equal(loaded, built)
         assert regimes(auto2).tolist() == regimes(non_efe_automaton).tolist()
         assert (auto2.initial, auto2.kind, auto2.complete, auto2.meta) == (

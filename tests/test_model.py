@@ -135,8 +135,8 @@ class TestBuiltObjectsCheckThemselves:
         assert codes(build) == {code}
 
     def test_the_base_objects_build(self):
-        assert _automaton().as_arrays()[3].tolist() == [[1, 0], [1, 1]]
-        assert _loaded().as_arrays()[3].tolist() == [[1, 0], [1, 1]]
+        assert _automaton().next_state.tolist() == [[1, 0], [1, 1]]
+        assert _loaded().next_state.tolist() == [[1, 0], [1, 1]]
         assert SimulationConfig(horizon=1, paths=1, master_seed=2**64 - 1).master_seed > 0
 
     def test_replace_checks_again(self, ref_params, binary75, fe_automaton):

@@ -146,7 +146,8 @@ def _transient_curves(automaton, params, monitoring, horizon):
     after each vote."""
     from scipy.sparse import csr_matrix
 
-    sv, sp, pi, nxt = automaton.as_arrays()
+    sv, sp, pi = automaton.replace_prob, automaton.effort_prob, automaton.belief
+    nxt = automaton.next_state
     n, n_signals = nxt.shape
     f0, f1 = np.array(monitoring.f0), np.array(monitoring.f1)
     rows = np.repeat(np.arange(n), n_signals)
@@ -330,7 +331,7 @@ class TestAnalyticOracle:
         # every SecondRegime Pass edge now ends the career: the regime still
         # lumps, but into a different chain than the construction's closed forms
         auto = non_efe_automaton
-        sv, _, _, nxt = auto.as_arrays()
+        sv, nxt = auto.replace_prob, auto.next_state
         dead = np.flatnonzero((sv == 1.0) & (nxt == np.arange(len(sv))[:, None]).all(axis=1))[0]
         nxt = nxt.copy()
         nxt[_regimes(auto) == REGIME_SECOND, auto.signals.index("Pass")] = dead
@@ -363,6 +364,31 @@ class TestAnalyticOracle:
         )
         lumped = analytic_long_run_effort(padded, ref_params, binary75)
         assert lumped.method == "lumped"
+        assert lumped.value == analytic_long_run_effort(auto, ref_params, binary75).value
+
+    def test_unreachable_state_does_not_block_lumping(
+        self, non_efe_automaton, ref_params, binary75
+    ):
+        # a retaining SecondRegime state that no career reaches, whose row (every
+        # signal ends the career) differs from its peers': no incumbent ever acts
+        # there, so the regime still lumps
+        auto = non_efe_automaton
+        second = auto.labels.index(REGIME_SECOND)
+        dead = np.flatnonzero(_regimes(auto) == REGIME_THIRD)[0]
+        padded = dataclasses.replace(
+            auto,
+            replace_prob=[*auto.replace_prob, 0.0],
+            effort_prob=[*auto.effort_prob, 1.0],
+            belief=[*auto.belief, 0.5],
+            next_state=[*auto.next_state, [dead] * len(auto.signals)],
+            regime=[*auto.regime, second],
+        )
+        lumped = analytic_long_run_effort(padded, ref_params, binary75)
+        direct = analytic_long_run_effort(
+            dataclasses.replace(padded, kind="custom"), ref_params, binary75
+        )
+        assert lumped.method == "lumped" and direct.method == "direct"
+        assert lumped.value == pytest.approx(direct.value, abs=1e-12)
         assert lumped.value == analytic_long_run_effort(auto, ref_params, binary75).value
 
     def test_open_initial_branch_is_not_lumped(self, ref_params, binary75):

@@ -180,7 +180,7 @@ class TestExpectedEffort:
         assert efforts[non_efe_automaton.initial] == pytest.approx(0.75, abs=1e-9)
         np.testing.assert_allclose(efforts[first_ids(non_efe_automaton)], 0.7,
                                    rtol=0, atol=1e-9)
-        sv, sp, pi, _ = non_efe_automaton.as_arrays()
+        sp, pi = non_efe_automaton.effort_prob, non_efe_automaton.belief
         for q in non_efe_automaton.states:
             assert efforts[q] == pi[q] + (1.0 - pi[q]) * sp[q]
 
