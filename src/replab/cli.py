@@ -23,10 +23,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
-from .errors import ConfigParse, ReplabError, ValidationError, Violation
+from .errors import ConfigParse, ReplabError, ResolutionTooCoarse, ValidationError, Violation
 from .model import GameParams, MonitoringStructure, model_from_dict, model_to_dict
 from .simulate import (
     SimulationConfig,
@@ -163,26 +163,13 @@ def _floats(tokens: list[str], spec: str) -> list[float]:
         raise ConfigParse(f"bad number in {spec!r}: {exc}") from exc
 
 
-def _range_count(a: float, b: float, step: float) -> int:
-    """Number of points a + k step, k = 0, 1, ..., at or below b + 1e-9 step,
-    counted without building them; any count above MAX_GRID_CELLS is
-    reported as MAX_GRID_CELLS + 1."""
-    limit = b + step * 1e-9
-    if not (limit - a) / step <= MAX_GRID_CELLS:
-        return MAX_GRID_CELLS + 1
-    k = max(0, math.floor((limit - a) / step))
-    while k and a + (k - 1) * step > limit:  # the quotient is off by a step at most
-        k -= 1
-    while a + k * step <= limit:
-        k += 1
-    return k
-
-
-def _parse_range(spec: str) -> tuple[int, Iterator[float]]:
-    """'a:b:step' (inclusive endpoints) or a single scalar, as its number of
-    points and an iterator that builds them."""
+def _parse_range(spec: str) -> list[float]:
+    """'a:b:step' (inclusive endpoints) or a single scalar, as its points
+    min(a + k step, b), k = 0, 1, ..., while a + k step <= b + 1e-9 step.
+    An axis of more than MAX_GRID_CELLS points is refused: at once when
+    its span says so, else as soon as it passes the cap."""
     if ":" not in spec:
-        return 1, iter(_floats([spec], spec))
+        return _floats([spec], spec)
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigParse(f"bad range {spec!r}; expected a:b:step")
@@ -191,20 +178,25 @@ def _parse_range(spec: str) -> tuple[int, Iterator[float]]:
         raise ConfigParse(f"bad range {spec!r}; a, b and step must be finite")
     if step <= 0:
         raise ConfigParse("range step must be positive")
-    count = _range_count(a, b, step)
-    if not count:
+    limit, points = b + step * 1e-9, []
+    spans_few = (limit - a) / step <= MAX_GRID_CELLS + 1  # else none is built
+    while spans_few and len(points) <= MAX_GRID_CELLS and (x := a + len(points) * step) <= limit:
+        points.append(min(x, b))
+    if not spans_few or len(points) > MAX_GRID_CELLS:
+        raise ConfigParse(f"range {spec!r} has more than {MAX_GRID_CELLS} points; "
+                          "use a coarser step")
+    if not points:
         raise ConfigParse(f"bad range {spec!r}; a > b leaves no point")
-    return count, (min(a + k * step, b) for k in range(count))
+    return points
 
 
 def _grid_axes(*specs: str) -> list[list[float]]:
-    """The points of each axis of a grid, refused before any is built when
-    an axis or the grid has more than MAX_GRID_CELLS cells."""
+    """The points of each axis of a grid, refused when the grid has more
+    than MAX_GRID_CELLS cells."""
     axes = [_parse_range(spec) for spec in specs]
-    counts = [count for count, _ in axes]
-    if max(counts) > MAX_GRID_CELLS or math.prod(counts) > MAX_GRID_CELLS:
+    if math.prod(map(len, axes)) > MAX_GRID_CELLS:
         raise ConfigParse(f"grid has more than {MAX_GRID_CELLS} cells; use a coarser step")
-    return [list(points) for _, points in axes]
+    return axes
 
 
 def _grid_list(spec: str) -> list[float]:
@@ -212,6 +204,16 @@ def _grid_list(spec: str) -> list[float]:
     if not values:
         raise ConfigParse(f"empty grid {spec!r}")
     return values
+
+
+def _sweep_cert(params: GameParams, monitoring: MonitoringStructure):
+    """:func:`fei.check_fei`'s certificate for a sweep cell, or None for a
+    cell within rounding of the full-effort frontier: its row is written
+    undecided rather than refusing the whole sweep."""
+    try:
+        return fei.check_fei(params, monitoring)
+    except ResolutionTooCoarse:
+        return None
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -223,15 +225,10 @@ def _cmd_check_fei(args) -> Result:
         if not sep or axis != "delta":
             raise ConfigParse("check-fei sweeps support delta=a:b:step")
         rows = []
-        (deltas,) = _grid_axes(spec)
-        for d in deltas:
-            cert = fei.check_fei(
-                GameParams(params.kappa, d, params.pi0, params.c), monitoring
-            )
-            w = cert.witness
-            rows.append(
-                [d, cert.holds, w.slack if w else None, w.v_bar if w else None]
-            )
+        for d in _parse_range(spec):
+            cert = _sweep_cert(GameParams(params.kappa, d, params.pi0, params.c), monitoring)
+            w = cert and cert.witness
+            rows.append([d, cert and cert.holds, w and w.slack, w and w.v_bar])
         return _table(cfg, "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
     text = _json(fei.check_fei(params, monitoring).to_dict())
     return Result(cfg, echo=text, files={"fei_certificate.json": text})
@@ -340,8 +337,10 @@ def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
     on a cell where full-effort incentives hold, none elsewhere."""
     monitoring = MonitoringStructure.binary(precision)
     params = GameParams(kappa, delta, pi0, c)
-    cert = fei.check_fei(params, monitoring)
-    row = [precision, kappa, delta, pi0, c, cert.holds, None, None, None]
+    cert = _sweep_cert(params, monitoring)
+    row = [precision, kappa, delta, pi0, c, cert and cert.holds, None, None, None]
+    if cert is None:  # undecided: every derived column stays empty
+        return row, []
     if not cert.holds:
         row[-1] = bounds.outside_option_bound(params, monitoring, cert).bound_value
         return row, []

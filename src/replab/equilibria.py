@@ -38,7 +38,8 @@ sweep that moves kappa and delta under one precision builds one tree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -72,9 +73,9 @@ _NON_EFE_LABELS = (REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD)  #
 _FIRST, _INITIAL, _SECOND, _THIRD = range(len(_NON_EFE_LABELS))  # their regime codes
 
 
-def _violations(units, regime_ok, kind, complete, initial, n, name, middle) -> list[Violation]:
+def _violations(units, regime_ok, kind, initial, n, name, middle) -> list[Violation]:
     """Violations in check order: numbers outside [0, 1], regimes with no string
-    label, a mistyped kind or complete, ``middle``, the initial; ``name(i)`` is i's id."""
+    label, a mistyped kind, ``middle``, the initial; ``name(i)`` is i's id."""
     bad = []
     for field_name, values in zip(_UNIT_FIELDS, units):
         inside = (values >= 0.0) & (values <= 1.0)  # NaN is not
@@ -88,9 +89,8 @@ def _violations(units, regime_ok, kind, complete, initial, n, name, middle) -> l
         not_str = np.flatnonzero(~regime_ok)
         bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
                              f"state(s), first at state {name(not_str[0])!r}"))
-    if not (isinstance(kind, str) and isinstance(complete, bool)):
-        bad.append(Violation("BadAutomatonFile", "kind must be a string and complete "
-                             f"a boolean, got {kind!r} and {complete!r}"))
+    if not isinstance(kind, str):
+        bad.append(Violation("BadAutomatonFile", f"kind must be a string, got {kind!r}"))
     bad += middle
     if not (isinstance(initial, (int, np.integer)) and not isinstance(initial, bool)
             and 0 <= initial < n):
@@ -106,12 +106,12 @@ class EquilibriumAutomaton:
     ``belief`` and ``regime`` (indices into ``labels``, distinct strings in
     sorted order), and the (n, S) ``next_state`` array, columns in
     ``signals`` order, with -1 for an unmaterialized branch of a lazy tree
-    (``complete`` is then False).
+    (:attr:`complete` is then False).
 
     Building one copies the arrays into read-only ones and checks them with
     array expressions, raising :class:`ValidationError` with every
     violation: numbers outside [0, 1] (NaN too), regime codes without a
-    label, unsorted or repeated labels, a mistyped ``kind`` or ``complete``,
+    label, unsorted or repeated labels, a mistyped ``kind``,
     one per next state outside [-1, n), and an initial state outside
     [0, n); arrays of the wrong shape or type first. Immutable, and safe to
     share across threads.
@@ -126,7 +126,6 @@ class EquilibriumAutomaton:
     initial: int
     signals: tuple[str, ...]
     kind: str
-    complete: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -149,7 +148,7 @@ class EquilibriumAutomaton:
             for q, j in np.argwhere((nxt < -1) | (nxt >= n)).tolist()
         ]
         bad = _violations(units, (regime >= 0) & (regime < len(labels)), self.kind,
-                          self.complete, self.initial, n, int, middle)
+                          self.initial, n, int, middle)
         if bad:
             raise ValidationError(bad)
         self.replace_prob, self.effort_prob, self.belief = units
@@ -161,6 +160,20 @@ class EquilibriumAutomaton:
     def states(self) -> range:
         """The state ids, 0 .. n-1."""
         return range(len(self.belief))
+
+    @property
+    def complete(self) -> bool:
+        """Whether every branch is materialized: no -1 in ``next_state``."""
+        return bool((self.next_state >= 0).all())
+
+
+def check_signals(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure) -> None:
+    """Refuse a monitoring whose signals are not the automaton's in its
+    column order (``SignalMismatch``): its next-state columns would be read
+    against another signal's probabilities."""
+    if tuple(automaton.signals) != tuple(monitoring.signals):
+        raise ValidationError([Violation("SignalMismatch", f"automaton signals "
+                                         f"{automaton.signals!r} are not {monitoring.signals!r}")])
 
 
 @dataclass(frozen=True)
@@ -207,7 +220,7 @@ def construct_full_effort(
         belief=[params.pi0, params.pi0, 0.0],
         next_state=[[0 if s in w.s_star else 1 for s in monitoring.signals], dead, dead],
         regime=[1, 0, 0], labels=(REGIME_DEAD, REGIME_PASS), initial=0,
-        signals=monitoring.signals, kind="full-effort", complete=True,
+        signals=monitoring.signals, kind="full-effort",
         meta={"v_bar": w.v_bar, "s_star": list(w.s_star)},
     )
 
@@ -246,8 +259,11 @@ def indifference_effort(e_star: float, belief: float) -> float:
 
 
 def _a0_slack(pi0: float, c: float, f0: tuple, f1: tuple, a: float) -> float:
-    """Feasibility margin of an initial effort probability: the voter must
-    prefer replacement at any belief one update can reach from the prior."""
+    """Feasibility margin of an initial effort probability, -inf outside
+    (c/(1-pi0), 1): the voter must prefer replacement at any belief one
+    update can reach from the prior."""
+    if not c / (1.0 - pi0) < a < 1.0:
+        return -math.inf
     worst = max([_posterior(pi0, a, q1, q0) for q0, q1 in zip(f0, f1)])
     return pi0 + (1.0 - pi0) * a - c - worst
 
@@ -314,20 +330,19 @@ def construct_non_efe(
     base = non_efe_parameters(params, monitoring, cert)
     pi0, f0, f1 = params.pi0, tuple(monitoring.f0), tuple(monitoring.f1)
     if a0_override is not None:
-        if not params.c / (1.0 - pi0) < a0_override < 1.0:
-            raise NoFeasibleA0(f"a0 override {a0_override!r} outside (c/(1-pi0), 1)")
         if _a0_slack(pi0, params.c, f0, f1, a0_override) < 0.0:
-            raise NoFeasibleA0(f"a0 override {a0_override!r} fails the feasibility bound")
-        base = NonEfeParameters(**{**base.__dict__, "a0": a0_override})
+            raise NoFeasibleA0(f"a0 override {a0_override!r} is outside (c/(1-pi0), 1) "
+                               "or fails the feasibility bound")
+        base = replace(base, a0=a0_override)
     e_star = pi0 + (1.0 - pi0) * base.a0 - params.c
     passing = tuple(s in base.s_star for s in monitoring.signals)
-    regime, effort_prob, belief, nxt, complete = _tree(
+    regime, effort_prob, belief, nxt = _tree(
         pi0, base.a0, e_star, f1, f0, passing, max_depth, MAX_STATES)
     automaton = EquilibriumAutomaton(
         replace_prob=np.where(regime == _FIRST, base.x, regime == _THIRD),
         effort_prob=effort_prob, belief=belief, next_state=nxt, regime=regime,
         labels=_NON_EFE_LABELS, initial=0, signals=monitoring.signals,
-        kind="non-efe", complete=complete, meta={**base.to_dict(), "e_star": e_star},
+        kind="non-efe", meta={**base.to_dict(), "e_star": e_star},
     )
     return automaton, base
 
@@ -336,7 +351,7 @@ def construct_non_efe(
 def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
     """The non-efe automaton but for the FirstRegime replacement probability
     x, which is all that kappa and delta reach: read-only ``regime``,
-    ``effort_prob``, ``belief`` and ``next_state`` arrays and ``complete``.
+    ``effort_prob``, ``belief`` and ``next_state`` arrays.
     At most ``cap`` states are built; a branch that would pass it, or a
     FirstRegime state deeper than ``max_depth``, is left at -1. The last
     tree built is kept, so a sweep that holds the precision while it moves
@@ -347,7 +362,6 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
     # per-state fields, and the next-state array flattened row by row
     regime, effort_prob, beliefs, nxt = [], [], [], []
     first_ids, second_ids = {}, {}  # state id by belief key
-    complete = True
 
     def add_state(code, sigma_p, belief, row) -> int:
         regime.append(code)
@@ -373,8 +387,7 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
                 if passing[j]:
                     if b not in second_ids:  # then the ThirdRegime state it fails into
                         if len(regime) + 2 > cap:
-                            complete = False  # no room for the pair; the edge stays open
-                            continue
+                            continue  # no room for the pair; the edge stays open
                         new = second_ids[b] = len(regime)
                         add_state(_SECOND, 1.0, b, [new if p else new + 1 for p in passing])
                         add_state(_THIRD, 0.0, b, dead_row)
@@ -382,8 +395,7 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
                     continue
                 if b not in first_ids:
                     if depth + 1 > max_depth or len(regime) >= cap:
-                        complete = False  # frontier left unmaterialized
-                        continue
+                        continue  # frontier left unmaterialized
                     first_ids[b] = add_state(_FIRST, indifference_effort(e_star, b), b, open_row)
                     deeper.append(first_ids[b])
                 nxt[sid * n_signals + j] = first_ids[b]
@@ -393,7 +405,7 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
               np.array(nxt, dtype=np.int64).reshape(-1, n_signals))
     for array in arrays:
         array.flags.writeable = False
-    return (*arrays, complete)
+    return arrays
 
 
 # --- serialization ----------------------------------------------------------
@@ -453,9 +465,10 @@ def automaton_from_dict(
 
     Raises :class:`ValidationError` for a malformed file: a missing or
     mistyped field, a ``params_echo`` that :func:`model_from_dict`
-    rejects, state ids other than 0 .. n-1, one violation per transition
-    with a signal not in the model or a state outside [0, n), or an
-    automaton that fails its own checks (:class:`EquilibriumAutomaton`).
+    rejects, a non-boolean ``complete`` (only type-checked: the transitions
+    decide completeness), state ids other than 0 .. n-1, one violation per
+    transition with a signal not in the model or a state outside [0, n),
+    or an automaton that fails its own checks (:class:`EquilibriumAutomaton`).
     """
     if not isinstance(payload, dict):
         raise ValidationError([Violation("BadAutomatonFile", "not a JSON object")])
@@ -484,7 +497,9 @@ def automaton_from_dict(
     n, n_signals = len(rows), len(monitoring.signals)
     keys = [q if type(q) is int else -1 for q in ids]  # -1: refused below
     order = sorted(range(n), key=keys.__getitem__)
-    middle = []
+    kind, complete = payload.get("kind", "custom"), payload.get("complete", True)
+    middle = [] if isinstance(complete, bool) else [
+        Violation("BadAutomatonFile", f"complete must be a boolean, got {complete!r}")]
     if [keys[i] for i in order] != list(range(n)):
         middle.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
 
@@ -499,8 +514,7 @@ def automaton_from_dict(
     ]
     units = [_unit_column(values)[order] for values in units]
     regime_ok = np.array([isinstance(r, str) for r in regimes], dtype=bool)[order]
-    kind, complete = payload.get("kind", "custom"), payload.get("complete", True)
-    bad = _violations(units, regime_ok, kind, complete, payload["initial"], n,
+    bad = _violations(units, regime_ok, kind, payload["initial"], n,
                       lambda i: ids[order[i]], middle)
     if bad:
         raise ValidationError(bad)
@@ -514,6 +528,6 @@ def automaton_from_dict(
     automaton = EquilibriumAutomaton(
         replace_prob=units[0], effort_prob=units[1], belief=units[2], next_state=nxt,
         regime=regime, labels=tuple(labels), initial=payload["initial"],
-        signals=monitoring.signals, kind=kind, complete=complete, meta=meta,
+        signals=monitoring.signals, kind=kind, meta=meta,
     )
     return automaton, params, monitoring

@@ -21,7 +21,7 @@ class Violation:
     code: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 

@@ -34,8 +34,6 @@ from .errors import (
 )
 from .model import GameParams, MonitoringStructure
 
-FEASIBILITY_TOL = 0.0  # weak inequalities: boundary instances count as holding
-
 
 def cutoff_to_dict(cutoff) -> dict:
     """The fields of a dataclass holding a cutoff test (``lam`` and
@@ -122,7 +120,7 @@ def check_fei(params: GameParams, monitoring: MonitoringStructure) -> FeiCertifi
         f1_star = sum(monitoring.f1[i] for i in idx)
         f0_star = sum(monitoring.f0[i] for i in idx)
         slack = (1.0 - kappa) * (1.0 - delta * f0_star) - (1.0 - delta * f1_star)
-        if slack < FEASIBILITY_TOL:
+        if slack < 0.0:  # weak inequalities: boundary instances count as holding
             continue
         if best is not None and (
             slack < best.slack or (slack == best.slack and len(idx) >= len(best.s_star))

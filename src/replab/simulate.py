@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import EquilibriumAutomaton
+from .equilibria import EquilibriumAutomaton, check_signals
 from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states, expected_effort
@@ -168,7 +168,9 @@ def simulate(
     monitoring: MonitoringStructure,
     config: SimulationConfig,
 ) -> SimulationStats:
-    """Run ``config.paths`` independent careers for ``config.horizon`` periods."""
+    """Run ``config.paths`` independent careers for ``config.horizon``
+    periods. The monitoring must have the automaton's signals (:func:`check_signals`)."""
+    check_signals(automaton, monitoring)
     horizon, paths = config.horizon, config.paths
     pi0 = params.pi0
     pi, nxt = automaton.belief, automaton.next_state
@@ -180,7 +182,7 @@ def simulate(
     sp2 = np.concatenate([automaton.effort_prob, np.ones(n)])
     pi2 = np.tile(pi, 2)
     fav2 = pi2 > pi0
-    walks_off = bool(np.any(nxt < 0))
+    walks_off = not automaton.complete
     next2 = np.concatenate([nxt, np.where(nxt >= 0, nxt + n, -1)]).ravel()
     # belief increment per edge (state * S + signal); 0 on a missing edge
     step = np.where(next2 >= 0, pi2.take(next2) - np.repeat(pi2, n_signals), 0.0)
@@ -384,8 +386,10 @@ def analytic_long_run_effort(
     its arrays, see :func:`_try_lumped`) is solved over its regimes;
     otherwise the chain is solved directly over the materialized states,
     with any truncated mass redirected to renewal and reported as a
-    residual.
+    residual; the method is then "truncated" if the residual is positive.
+    The monitoring must have the automaton's signals (:func:`check_signals`).
     """
+    check_signals(automaton, monitoring)
     acting = _acting(automaton, monitoring)
     lump = _try_lumped(automaton, *acting)
     if lump is not None:
@@ -393,7 +397,7 @@ def analytic_long_run_effort(
     p, miss, efforts = _acting_chain(automaton, *acting)
     mu = _sparse_stationary(p)
     residual = float(mu @ miss)
-    method = "direct" if (automaton.complete or residual == 0.0) else "truncated"
+    method = "truncated" if residual > 0.0 else "direct"
     return AnalyticEffort(value=float(mu @ efforts), method=method, residual=residual)
 
 

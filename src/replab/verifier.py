@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import EquilibriumAutomaton
+from .equilibria import EquilibriumAutomaton, check_signals
 from .errors import NonContractive, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 
@@ -84,12 +84,15 @@ class Batch:
 
 
 def join(cases: list[Case]) -> Batch:
-    """The union of (automaton, params, monitoring) cases that all have one
-    signal count; :class:`ValidationError` (``BadBatch``) otherwise."""
+    """The union of (automaton, params, monitoring) cases. All must have one
+    signal count (:class:`ValidationError`, ``BadBatch``, otherwise), and
+    each automaton its monitoring's signals (:func:`check_signals`)."""
     counts = {a.next_state.shape[1] for a, _, _ in cases} | {len(m.signals) for *_, m in cases}
     if len(counts) != 1:
         raise ValidationError([Violation(
             "BadBatch", f"a batch needs one signal count, got {sorted(counts)}")])
+    for automaton, _, monitoring in cases:
+        check_signals(automaton, monitoring)
     automata = [a for a, _, _ in cases]
     sizes = [len(a.belief) for a in automata]
     starts = np.cumsum([0, *sizes])

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -624,6 +625,23 @@ def test_frontier_check_fei_ends_cleanly(model):
         assert_one_json_error(done.returncode, done.stderr, "ResolutionTooCoarse")
 
 
+@pytest.mark.parametrize("argv, holds", [
+    (["phase-sweep", "--delta", "0.2612542990737442:0.8:0.5", "--pi0", "0.3", "--c", "0.05"], 5),
+    (["check-fei", "--sweep", "delta=0.2612542990737442:0.8:0.5"], 1),
+])
+def test_frontier_cell_is_left_undecided(capsys, argv, holds):
+    # the first cell lies within rounding of the frontier; it used to refuse
+    # the whole sweep, and a single check of it still does
+    model = ["--binary-precision", "0.8913017037078852", "--kappa", "0.21043439909162676"]
+    code, out, err = run(capsys, *argv, *model)
+    assert (code, err) == (0, "")
+    _, frontier, holding = [line.split(",") for line in out.splitlines()]
+    assert set(frontier[holds:]) == {""} and holding[holds] == "true"
+    code, out, err = run(capsys, "check-fei", *model, "--delta", "0.2612542990737442")
+    assert out == ""
+    assert_one_json_error(code, err, "ResolutionTooCoarse")
+
+
 def test_huge_horizon_bound_is_a_ceiling():
     # T = 14,411,518,807,585,590 closed minimize_g's bracket at eta = 1.0,
     # which belief_growth_bound refused with a traceback
@@ -637,6 +655,27 @@ def test_huge_horizon_bound_is_a_ceiling():
     assert bound["horizon_T"] == 14_411_518_807_585_590
     assert bound["eta_star"] < 1.0
     assert c < bound["bound_value"] <= 1.0 + c
+
+
+@pytest.mark.parametrize("spec", [
+    "0.60:0.90:0.05", "0.10:0.30:0.05", "0.20:0.90:0.05",  # the benchmark's phase grid
+    "0.5:0.5:0.1",
+])
+def test_range_points_are_clipped_steps(spec):
+    a, b, step = map(float, spec.split(":"))
+    count = round((b - a) / step) + 1
+    assert cli._parse_range(spec) == [min(a + k * step, b) for k in range(count)]
+
+
+def test_axis_cap_is_on_points(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ConfigParse):  # ten million points: refused without building one
+        cli._grid_axes("0:1:1e-7")
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 1000)
+    assert len(cli._grid_axes("0:999:1")[0]) == 1000
+    with pytest.raises(ConfigParse):
+        cli._grid_axes("0:1000:1")
 
 
 def test_grid_cap_is_on_cells():
@@ -657,7 +696,7 @@ def test_reversed_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_json_error(code, err, "ConfigParse")
-    assert cli._parse_range("0.5:0.5:0.1")[0] == 1  # a == b is one point
+    assert cli._parse_range("0.5:0.5:0.1") == [0.5]  # a == b is one point
 
 
 def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch):

@@ -270,7 +270,6 @@ class TestNonEfeConstruction:
             initial=0,
             signals=binary75.signals,
             kind="custom",
-            complete=True,
         )
         vt = compute_values(auto, ref_params, binary75)
         assert vt.values[0] == pytest.approx((1 - 0.5) * (1 - 0.2 * 0.4), abs=1e-12)
@@ -291,10 +290,10 @@ class TestNonEfeConstruction:
         auto, nep = construct_non_efe(ref_params, binary75, a0_override=0.8)
         assert nep.a0 == 0.8
         assert verify(auto, ref_params, binary75).passed
-        with pytest.raises(NoFeasibleA0):
-            construct_non_efe(ref_params, binary75, a0_override=0.1)
-        with pytest.raises(NoFeasibleA0):
-            construct_non_efe(ref_params, binary75, a0_override=1.5)
+        lo = ref_params.c / (1.0 - ref_params.pi0)  # a0 must lie in (lo, 1)
+        for a0 in (0.1, 1.5, float("nan"), lo, 1.0):
+            with pytest.raises(NoFeasibleA0):
+                construct_non_efe(ref_params, binary75, a0_override=a0)
 
     def test_three_signal_instance(self):
         auto, nep = construct_non_efe(THREE_SIGNAL_PARAMS, THREE_SIGNAL)
@@ -511,6 +510,18 @@ class TestSerialization:
         assert (auto2.initial, auto2.kind, auto2.complete, auto2.meta) == (
             non_efe_automaton.initial, "non-efe", True, non_efe_automaton.meta)
         assert verify(auto2, params2, monitoring2).passed
+
+    @pytest.mark.parametrize("params, monitoring, depth", [
+        (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 0),
+        (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 3),
+        (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 200),
+        (TWO_FAIL_PARAMS, TWO_FAIL, 8),
+    ])
+    def test_written_complete_is_the_edges(self, params, monitoring, depth):
+        auto, _ = construct_non_efe(params, monitoring, max_depth=depth)
+        payload = automaton_to_dict(auto, params, monitoring)
+        edges = len(payload["transitions"])
+        assert payload["complete"] is (edges == auto.next_state.size) is (depth == 200)
 
     def test_serialized_keys_present(self, fe_automaton, ref_params, binary75):
         payload = automaton_to_dict(fe_automaton, ref_params, binary75)

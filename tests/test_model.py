@@ -84,16 +84,18 @@ def _automaton(**change) -> EquilibriumAutomaton:
     fields = {
         "replace_prob": [0.0, 1.0], "effort_prob": [1.0, 0.0], "belief": [0.3, 0.0],
         "next_state": [[1, 0], [1, 1]], "regime": [1, 0], "labels": ("Dead", "Pass"),
-        "initial": 0, "signals": ("Fail", "Pass"), "kind": "custom", "complete": True,
+        "initial": 0, "signals": ("Fail", "Pass"), "kind": "custom",
     }
     return EquilibriumAutomaton(**{**fields, **change})
 
 
-def _loaded(state=None, transition=None) -> EquilibriumAutomaton:
+def _loaded(state=None, transition=None, **top) -> EquilibriumAutomaton:
     """:func:`_automaton` read back from its file, with ``state`` replacing
-    fields of state 1 and ``transition`` appended to the transitions."""
+    fields of state 1, ``transition`` appended to the transitions and
+    ``top`` replacing top-level fields."""
     payload = automaton_to_dict(_automaton(), GameParams(0.2, 0.5, 0.3),
                                 MonitoringStructure.binary(0.75))
+    payload.update(top)
     payload["states"][1].update(state or {})
     payload["transitions"] += [transition] if transition else []
     return automaton_from_dict(payload)[0]
@@ -120,7 +122,7 @@ class TestBuiltObjectsCheckThemselves:
         ("BadState", lambda: _loaded(state={"belief": -0.25})),
         ("BadState", lambda: _loaded(state={"regime": 3})),
         ("BadAutomatonFile", lambda: _automaton(kind=None)),
-        ("BadAutomatonFile", lambda: _automaton(complete="false")),
+        ("BadAutomatonFile", lambda: _loaded(complete="false")),
         ("BadStateIds", lambda: _loaded(state={"id": 2})),
         ("BadStateIds", lambda: _loaded(state={"id": True})),
         ("BadTransition", lambda: _automaton(next_state=[[1, 2], [1, 1]])),

@@ -12,10 +12,13 @@ from replab import (
     MonitoringStructure,
     SimulationConfig,
     analytic_long_run_effort,
+    automaton_from_dict,
+    automaton_to_dict,
     bayes_update,
     construct_non_efe,
     martingale_diagnostic,
     simulate,
+    verify,
 )
 from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import DepthInsufficient, ValidationError
@@ -410,7 +413,7 @@ class TestAnalyticOracle:
             replace_prob=[0.0, 1.0], effort_prob=[0.0, 0.0],
             belief=[ref_params.pi0, ref_params.pi0], next_state=[[1, 1], [1, 1]],
             regime=[0, 1], labels=("Initial", REGIME_THIRD), initial=0,
-            signals=binary75.signals, kind="custom", complete=True,
+            signals=binary75.signals, kind="custom",
         )
         result = analytic_long_run_effort(auto, ref_params, binary75)
         assert result.value == pytest.approx(ref_params.pi0, abs=1e-12)
@@ -426,11 +429,24 @@ class TestAnalyticOracle:
         auto, _ = construct_non_efe(params, monitoring, max_depth=8)
         lumped = analytic_long_run_effort(auto, params, monitoring)
         assert lumped.method == "lumped"
-        stripped = dataclasses.replace(auto, kind="custom", complete=False, meta={})
+        stripped = dataclasses.replace(auto, kind="custom", meta={})
         truncated = analytic_long_run_effort(stripped, params, monitoring)
         assert truncated.method == "truncated"
         assert truncated.residual > 0.0
         assert truncated.value == pytest.approx(lumped.value, abs=10 * truncated.residual)
+
+    def test_open_edge_is_truncated_whatever_the_file_says(
+        self, non_efe_automaton, ref_params, binary75
+    ):
+        # a file's complete flag used to label this open chain "direct"
+        payload = automaton_to_dict(non_efe_automaton, ref_params, binary75)
+        payload["transitions"] = [t for t in payload["transitions"]
+                                  if (t["from"], t["signal"]) != (2, "Fail")]
+        payload.update(kind="custom", complete=True)
+        auto = automaton_from_dict(payload)[0]
+        assert not auto.complete
+        result = analytic_long_run_effort(auto, ref_params, binary75)
+        assert result.method == "truncated" and result.residual > 0.0
 
     def test_three_signal_sim_vs_lumped(self):
         monitoring = MonitoringStructure(
@@ -479,3 +495,17 @@ class TestConfig:
     def test_rejects_seeds_outside_philox_keys(self, seed):
         with pytest.raises(ValidationError):
             SimulationConfig(horizon=10, paths=10, master_seed=seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda *case: verify(*case),
+    lambda *case: analytic_long_run_effort(*case),
+    lambda *case: simulate(*case, SimulationConfig(horizon=300, paths=4000, master_seed=7)),
+], ids=["verify", "analytic", "simulate"])
+def test_signals_out_of_the_automaton_order_are_refused(non_efe_automaton, ref_params, call):
+    # the reference model with its signals listed Pass first used to be read
+    # with the columns swapped: verify failed with 183 offenders, and the
+    # oracle and the simulation gave 0.8268 and 0.8365 where 0.9263 is right
+    swapped = MonitoringStructure(("Pass", "Fail"), f0=(0.25, 0.75), f1=(0.75, 0.25))
+    with pytest.raises(ValidationError, match="SignalMismatch"):
+        call(non_efe_automaton, ref_params, swapped)

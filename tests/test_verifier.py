@@ -155,7 +155,7 @@ class TestScope:
             replace_prob=[0.0, 1.0, 0.0], effort_prob=[1.0, 0.0, 0.0], belief=[0.3, 0.3, 0.0],
             next_state=[[0 if s == "Pass" else 1 for s in binary75.signals], [2, 2], [2, 2]],
             regime=[1, 2, 0], labels=("Dead", "Pass", REGIME_THIRD), initial=0,
-            signals=binary75.signals, kind="custom", complete=True,
+            signals=binary75.signals, kind="custom",
         )
         report = verify(auto, ref_params, binary75)
         assert report.informational_states[2]
@@ -170,7 +170,6 @@ class TestExpectedEffort:
             regime=[0], labels=("Pass",), initial=0,
             signals=binary75.signals,
             kind="custom",
-            complete=True,
         )
         assert expected_effort(auto).tolist() == [1.0]
 
