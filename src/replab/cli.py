@@ -26,7 +26,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import __version__, bounds, equilibria, fei, verifier
-from .errors import ConfigParse, ReplabError, ResolutionTooCoarse, ValidationError, Violation
+from .errors import (ConfigParse, IndifferenceOutOfRange, NoFeasibleA0, ReplabError,
+                     ReplacementCostTooLargeForConstruction, ResolutionTooCoarse, ValidationError,
+                     Violation)
 from .model import GameParams, MonitoringStructure, model_from_dict, model_to_dict
 from .simulate import (
     SimulationConfig,
@@ -333,8 +335,10 @@ def _cmd_bound_sweep(args) -> Result:
 
 def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
     """A phase-sweep row, with its two verified columns left None, and the
-    (automaton, params, monitoring) cases that fill them: both constructions
-    on a cell where full-effort incentives hold, none elsewhere."""
+    (automaton, params, monitoring) cases that fill them: the full-effort
+    and the non-efe construction on a cell where full-effort incentives
+    hold, none elsewhere. A construction that refuses the cell gives None,
+    and its column stays empty."""
     monitoring = MonitoringStructure.binary(precision)
     params = GameParams(kappa, delta, pi0, c)
     cert = _sweep_cert(params, monitoring)
@@ -344,9 +348,16 @@ def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
     if not cert.holds:
         row[-1] = bounds.outside_option_bound(params, monitoring, cert).bound_value
         return row, []
-    fe = equilibria.construct_full_effort(params, monitoring, cert)
-    bad, _ = equilibria.construct_non_efe(params, monitoring, max_depth=depth, cert=cert)
-    return row, [(fe, params, monitoring), (bad, params, monitoring)]
+    builds = (lambda: equilibria.construct_full_effort(params, monitoring, cert),
+              lambda: equilibria.construct_non_efe(params, monitoring, max_depth=depth,
+                                                   cert=cert)[0])
+    cases = []
+    for build in builds:
+        try:
+            cases.append((build(), params, monitoring))
+        except (ReplacementCostTooLargeForConstruction, NoFeasibleA0, IndifferenceOutOfRange):
+            cases.append(None)
+    return row, cases
 
 
 def _cmd_phase_sweep(args) -> Result:
@@ -360,11 +371,12 @@ def _cmd_phase_sweep(args) -> Result:
     rows = []
     while block := [_phase_cell(*cell, pi0, c, args.depth)
                     for cell in itertools.islice(cells, PHASE_BLOCK_CELLS)]:
-        cases = [case for _, cell_cases in block for case in cell_cases]
+        cases = [case for _, cell_cases in block for case in cell_cases if case]
         passed = iter([report.passed for report in verifier.verify_many(cases, args.tol)])
         for row, cell_cases in block:
-            if cell_cases:  # the full-effort and the non-efe automaton, in that order
-                row[6], row[7] = next(passed), next(passed)
+            for column, case in zip((6, 7), cell_cases):  # full-effort, then non-efe
+                if case:
+                    row[column] = next(passed)
             rows.append(row)
     header = [
         "binary_precision", "kappa", "delta", "pi0", "c",

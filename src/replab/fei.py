@@ -202,7 +202,7 @@ def _failure_gap_and_horizon(
             "the float decision lies within rounding of the full-effort frontier: "
             f"every cutoff fails but the promise-keeping gap is {gap!r}"
         )
-    horizon = max(2, math.floor(1.0 / gap) + 1)
+    horizon = math.floor(1.0 / gap) + 1  # >= 2, as gap <= (1 - delta) kappa < 1
     while 1.0 / horizon >= gap:  # strictness guard against float edges
         horizon += 1
     return gap, horizon

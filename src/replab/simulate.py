@@ -320,58 +320,25 @@ def _acting(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
     return states, efforts, np.stack(monitoring.mixture(efforts), axis=1)
 
 
-def _acting_chain(automaton: EquilibriumAutomaton, states, efforts, law):
-    """Sparse transition matrix of the state in which the incumbent acts,
-    over the acting states (:func:`_acting`): replacement redirects
-    probability mass to the initial state. Missing transitions are
-    redirected too, with their mass reported separately. Returns (P,
-    missing mass, expected effort)."""
-    from scipy.sparse import csr_matrix
-
-    sv = automaton.replace_prob
-    n = len(states)
-    local = np.full(len(sv), -1)
-    local[states] = np.arange(n)
-    succ = automaton.next_state[states]
-    has = succ >= 0
-    stay = np.where(has, 1.0 - sv[succ], 0.0)  # 0 on truncated branches: renewals
-    moves = stay > 0.0
-    rows = np.broadcast_to(np.arange(n)[:, None], succ.shape)
-    p = csr_matrix(  # duplicate (from, to) pairs are summed
-        (
-            np.concatenate([(law * stay)[moves], (law * (1.0 - stay)).ravel()]),
-            (
-                np.concatenate([rows[moves], rows.ravel()]),
-                np.concatenate([local[succ[moves]], np.full(rows.size, local[automaton.initial])]),
-            ),
-        ),
-        shape=(n, n),
-    )
-    return p, np.where(has, 0.0, law).sum(axis=1), efforts
+def _acting_edges(automaton: EquilibriumAutomaton, states, law, fill):
+    """The acting chain over the acting states (:func:`_acting`) as (from,
+    to, mass) edges, ``from`` a position in ``states`` and ``to`` a state
+    id: each signal's retained mass goes to its successor and its replaced
+    mass to the initial state, a missing successor read as ``fill``. A
+    state's retained edges come before its replaced ones."""
+    nxt = automaton.next_state[states]
+    succ = np.where(nxt >= 0, nxt, fill)
+    sv = automaton.replace_prob[succ]
+    to = np.concatenate([succ, np.full_like(succ, automaton.initial)], axis=1)
+    mass = np.concatenate([law * (1.0 - sv), law * sv], axis=1)
+    return np.repeat(np.arange(len(states)), to.shape[1]), to.ravel(), mass.ravel()
 
 
 def _stationary(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    a = p.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    mu = np.linalg.solve(a, b)
-    mu = np.clip(mu, 0.0, None)
-    return mu / mu.sum()
-
-
-def _sparse_stationary(p) -> np.ndarray:
-    """:func:`_stationary` of a sparse chain, factored sparse."""
-    from scipy.sparse import csr_matrix, identity, vstack
-    from scipy.sparse.linalg import splu
-
-    n = p.shape[0]
-    a = p.T.tocsr() - identity(n, format="csr")
-    a = vstack([a[:-1], csr_matrix(np.ones((1, n)))], format="csc")
-    b = np.zeros(n)
-    b[-1] = 1.0
-    mu = np.clip(splu(a).solve(b), 0.0, None)
+    """Stationary law of a small dense chain ``p``."""
+    a = p.T - np.eye(len(p))
+    a[-1] = 1.0  # the last balance row becomes the normalization
+    mu = np.clip(np.linalg.solve(a, np.eye(len(p))[-1]), 0.0, None)
     return mu / mu.sum()
 
 
@@ -390,13 +357,32 @@ def analytic_long_run_effort(
     The monitoring must have the automaton's signals (:func:`check_signals`).
     """
     check_signals(automaton, monitoring)
-    acting = _acting(automaton, monitoring)
-    lump = _try_lumped(automaton, *acting)
+    states, efforts, law = _acting(automaton, monitoring)
+    lump = _try_lumped(automaton, states, efforts, law)
     if lump is not None:
         return lump
-    p, miss, efforts = _acting_chain(automaton, *acting)
-    mu = _sparse_stationary(p)
-    residual = float(mu @ miss)
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    n = len(states)
+    frm, to, mass = _acting_edges(automaton, states, law, automaton.initial)
+    to = np.searchsorted(states, to)  # every edge with mass enters an acting state
+    # A = P^T - I with its last balance row replaced by ones: duplicates are
+    # summed, and a diagonal that cancels is dropped
+    live = (mass > 0.0) & (to < n - 1)
+    ids = np.arange(n)
+    a = csc_matrix(
+        (np.concatenate([mass[live], np.full(n - 1, -1.0), np.ones(n)]),
+         (np.concatenate([to[live], ids[:-1], np.full(n, n - 1)]),
+          np.concatenate([frm[live], ids[:-1], ids]))),
+        shape=(n, n),
+    )
+    a.eliminate_zeros()
+    b = np.zeros(n)
+    b[-1] = 1.0
+    mu = np.clip(splu(a).solve(b), 0.0, None)
+    mu /= mu.sum()
+    residual = float(mu @ np.where(automaton.next_state[states] < 0, law, 0.0).sum(axis=1))
     method = "truncated" if residual > 0.0 else "direct"
     return AnalyticEffort(value=float(mu @ efforts), method=method, residual=residual)
 
@@ -404,20 +390,17 @@ def analytic_long_run_effort(
 def _try_lumped(automaton: EquilibriumAutomaton, states, effort, law) -> Optional[AnalyticEffort]:
     """The acting chain lumped by regime label, or None if it does not lump.
 
-    An acting state (:func:`_acting`) sends retained mass to its successor's
-    regime, replaced mass to the initial state's, and a missing edge's mass
-    back to itself, as the lazy tree's next state would; the initial state
-    must have every edge. It lumps if each regime's acting states share one
+    The acting chain's edges (:func:`_acting_edges`) are summed by the
+    regime they enter, a missing successor read as the state itself, as the
+    lazy tree's next state would; the initial state must have every edge. It lumps if each regime's acting states share one
     row and one effort, and is solved over reachable regimes.
     """
-    sv, nxt = automaton.replace_prob, automaton.next_state
-    if automaton.kind != "non-efe" or np.any(nxt[automaton.initial] < 0):
+    if automaton.kind != "non-efe" or np.any(automaton.next_state[automaton.initial] < 0):
         return None
     block = automaton.regime  # labels are sorted, so blocks come in label order
-    succ = np.where(nxt[states] >= 0, nxt[states], states[:, None])
+    frm, to, mass = _acting_edges(automaton, states, law, states[:, None])
     rows = np.zeros((len(states), len(automaton.labels)))
-    np.add.at(rows, (np.arange(len(states))[:, None], block[succ]), law * (1.0 - sv[succ]))
-    rows[:, block[automaton.initial]] += (law * sv[succ]).sum(axis=1)
+    np.add.at(rows, (frm, block[to]), mass)
     used, first, of = np.unique(block[states], return_index=True, return_inverse=True)
     if np.any(np.abs(rows - rows[first[of]]) > 1e-12) or np.any(
         np.abs(effort - effort[first[of]]) > 1e-10

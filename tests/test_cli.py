@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import replab
 from replab import cli, equilibria, verifier
 from replab.cli import main
-from replab.errors import ConfigParse
+from replab.errors import ConfigParse, ValidationError, Violation
 
 
 def run(capsys, *argv):
@@ -528,8 +528,7 @@ class TestPhaseSweep:
                  if rows[i - 1][5] != r[5]]
         assert flips == [pytest.approx(0.37, abs=1e-9)]
 
-    def test_rows_ordered_by_grid_index(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPLAB_THREADS", "3")
+    def test_rows_ordered_by_grid_index(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "phase-sweep", "--binary-precision", "0.75",
             "--kappa", "0.1:0.3:0.1", "--delta", "0.4:0.6:0.1",
@@ -539,6 +538,33 @@ class TestPhaseSweep:
         lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
+
+    # at c = 0.7 = 1 - pi0 the non-efe construction needs a smaller c; just
+    # below it, no a0 is feasible. The full-effort automaton still builds.
+    @pytest.mark.parametrize("c, refusal", [
+        ("0.7", "ReplacementCostTooLargeForConstruction"), ("0.6999999999999", "NoFeasibleA0"),
+    ])
+    def test_construction_refusal_leaves_its_column_empty(self, capsys, tmp_path, c, refusal):
+        model = ("--binary-precision", "0.75", "--kappa", "0.2", "--pi0", "0.3", "--c", c)
+        code, _, err = run(capsys, "construct", "--kind", "non-efe", *model, "--delta", "0.6")
+        assert_one_json_error(code, err, refusal)
+        code, _, _ = run(capsys, "phase-sweep", *model, "--delta", "0.3:0.6:0.3",
+                         "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
+        failing, holding = (line.split(",")[5:] for line in lines[1:])
+        assert failing[:3] == ["false", "", ""] and float(failing[3]) > 0
+        assert holding == ["true", "true", "", ""]
+
+    def test_validation_error_in_a_construction_refuses_the_sweep(self, capsys, monkeypatch):
+        def invalid(*args, **kwargs):
+            raise ValidationError([Violation("BadState", "not an automaton")])
+
+        monkeypatch.setattr(equilibria, "construct_non_efe", invalid)
+        code, out, err = run(capsys, "phase-sweep", "--binary-precision", "0.75", "--kappa",
+                             "0.2", "--delta", "0.5", "--pi0", "0.3", "--c", "0.05")
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
 
     # delta = 0.5 keeps incentives, so the cell constructs and verifies;
     # at delta = 0.3 they fail, and the cell never reaches either check

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from replab import (
     MonitoringStructure,
     binary_threshold,
     check_fei,
+    fei,
     fei_oracle,
     uniform_failure_horizon,
 )
@@ -212,6 +215,17 @@ class TestUniformFailureHorizon:
             assert 1.0 / ref.horizon_T < ref.min_gap
             assert 1.0 / (ref.horizon_T - 1) >= ref.min_gap
             found += 1
+
+    def test_strictness_guard_steps_past_a_float_edge(self, monkeypatch, binary75,
+                                                      fail_params):
+        # 1 / (1/93) rounds below 93, so floor(1/gap) + 1 is 93, but 1/93 is not
+        # below the gap: the guard must move the horizon on to 94
+        gap = 1.0 / 93.0
+        assert math.floor(1.0 / gap) + 1 == 93 and 1.0 / 93 >= gap
+        monkeypatch.setattr(fei, "_min_gap_unit_box", lambda *_: gap)
+        ref = uniform_failure_horizon(fail_params, binary75)
+        assert ref.min_gap == gap
+        assert ref.horizon_T == 94 and 1.0 / ref.horizon_T < gap
 
     def test_raises_when_fei_holds(self, binary75, ref_params):
         with pytest.raises(FeiHoldsNoHorizon):

@@ -448,6 +448,29 @@ class TestAnalyticOracle:
         result = analytic_long_run_effort(auto, ref_params, binary75)
         assert result.method == "truncated" and result.residual > 0.0
 
+    def test_outputs_pinned(self, non_efe_automaton, fe_automaton, ref_params, binary75):
+        # exact values: any change to either oracle's arithmetic shows here
+        monitoring = MonitoringStructure(
+            ("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
+        )
+        params = GameParams(0.1, 0.7, 0.3, 0.05)
+        two_fail, _ = construct_non_efe(params, monitoring, max_depth=8)
+
+        def custom(auto):
+            return dataclasses.replace(auto, kind="custom", meta={})
+
+        cases = [
+            (non_efe_automaton, ref_params, binary75, "lumped", 0.9263498920130506, 0.0),
+            (custom(non_efe_automaton), ref_params, binary75, "direct", 0.9263498920130508, 0.0),
+            (fe_automaton, ref_params, binary75, "direct", 1.0, 0.0),
+            (two_fail, params, monitoring, "lumped", 0.9151367081263504, 0.0),
+            (custom(two_fail), params, monitoring,
+             "truncated", 0.9151368661381197, 4.098752692529086e-06),
+        ]
+        for auto, game, signals, method, value, residual in cases:
+            result = analytic_long_run_effort(auto, game, signals)
+            assert (result.method, result.value, result.residual) == (method, value, residual)
+
     def test_three_signal_sim_vs_lumped(self):
         monitoring = MonitoringStructure(
             ("A", "B", "C"), f0=(0.2, 0.2, 0.6), f1=(0.5, 0.3, 0.2)
