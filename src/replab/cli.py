@@ -250,6 +250,12 @@ def _cmd_construct(args) -> Result:
         automaton, _ = equilibria.construct_non_efe(
             params, monitoring, a0_override=args.a0, max_depth=args.depth
         )
+    report = verifier.verify(automaton, params, monitoring)
+    if not report.passed:  # written files must pass their own verification
+        worst = report.offenders[0]
+        return Result(echo=f"FAILED: the construction does not verify, worst {worst.category} "
+                      f"at {worst.location} (residual {worst.residual:.3e}, tol "
+                      f"{worst.tolerance:g}); no automaton written\n", code=EXIT_VERIFY_FAILED)
     name, n = f"automaton-{args.kind}.json", len(automaton.belief)
     return Result(
         cfg, echo=f"wrote {Path(args.out) / name} ({n} states)\n",
@@ -261,7 +267,7 @@ def _load_automaton(path: str):
     """(automaton, params, monitoring) from an automaton JSON file."""
     try:
         payload = json.loads(Path(path).read_bytes())
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+    except (ValueError, RecursionError) as exc:  # undecodable, invalid or too deep JSON
         raise ValidationError([Violation("BadAutomatonFile", f"{path}: {exc}")]) from exc
     return equilibria.automaton_from_dict(payload)
 
@@ -485,7 +491,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         result = args.func(args)
-        if out is not None:
+        if out is not None and result.files:
             for name, text in result.files.items():
                 (out / name).write_text(text, newline="")
             _write_manifest(out, args.command, result)

@@ -69,13 +69,11 @@ A0_BISECTION_TOL = 1e-10  # width at which select_a0 stops bisecting
 MAX_STATES = 100_000  # cap on a non-efe automaton's materialized states
 DEFAULT_DEPTH = 200  # failing signals the FirstRegime tree extends to by default
 _UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
-_NON_EFE_LABELS = (REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD)  # sorted
-_FIRST, _INITIAL, _SECOND, _THIRD = range(len(_NON_EFE_LABELS))  # their regime codes
 
 
-def _violations(units, regime_ok, kind, initial, n, name, middle) -> list[Violation]:
-    """Violations in check order: numbers outside [0, 1], regimes with no string
-    label, a mistyped kind, ``middle``, the initial; ``name(i)`` is i's id."""
+def _violations(units, regime, kind, initial, n, name, middle) -> list[Violation]:
+    """Violations in check order: numbers outside [0, 1], regimes that are not
+    strings, a mistyped kind, ``middle``, the initial; ``name(i)`` is i's id."""
     bad = []
     for field_name, values in zip(_UNIT_FIELDS, units):
         inside = (values >= 0.0) & (values <= 1.0)  # NaN is not
@@ -85,8 +83,8 @@ def _violations(units, regime_ok, kind, initial, n, name, middle) -> list[Violat
                 "BadState", f"{field_name} is not a number in [0, 1] in {len(out)} state(s), "
                 f"first {float(values[out[0]])!r} at state {name(out[0])!r}",
             ))
-    if not regime_ok.all():
-        not_str = np.flatnonzero(~regime_ok)
+    not_str = [i for i, label in enumerate(regime.tolist()) if not isinstance(label, str)]
+    if not_str:
         bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
                              f"state(s), first at state {name(not_str[0])!r}"))
     if not isinstance(kind, str):
@@ -103,18 +101,17 @@ class EquilibriumAutomaton:
     """Strategy automaton over career histories, held as arrays over states
     0 .. n-1: vectors ``replace_prob`` (the voter's, on arrival; ignored at
     the initial state), ``effort_prob`` (the opportunist's, if retained),
-    ``belief`` and ``regime`` (indices into ``labels``, distinct strings in
-    sorted order), and the (n, S) ``next_state`` array, columns in
-    ``signals`` order, with -1 for an unmaterialized branch of a lazy tree
-    (:attr:`complete` is then False).
+    ``belief`` and ``regime`` (each state's regime label, a string), and the
+    (n, S) ``next_state`` array, columns in ``signals`` order, with -1 for
+    an unmaterialized branch of a lazy tree (:attr:`complete` is then False).
 
-    Building one copies the arrays into read-only ones and checks them with
-    array expressions, raising :class:`ValidationError` with every
-    violation: numbers outside [0, 1] (NaN too), regime codes without a
-    label, unsorted or repeated labels, a mistyped ``kind``,
-    one per next state outside [-1, n), and an initial state outside
-    [0, n); arrays of the wrong shape or type first. Immutable, and safe to
-    share across threads.
+    Building one copies the arrays into read-only ones (``regime`` of
+    object dtype) and checks them with array expressions, raising
+    :class:`ValidationError` with every violation: numbers outside [0, 1]
+    (NaN too), regimes that are not strings, a mistyped ``kind``, one per
+    next state outside [-1, n), and an initial state outside [0, n); arrays
+    of the wrong shape or type first. Immutable, and safe to share across
+    threads.
     """
 
     replace_prob: np.ndarray
@@ -122,7 +119,6 @@ class EquilibriumAutomaton:
     belief: np.ndarray
     next_state: np.ndarray
     regime: np.ndarray
-    labels: tuple[str, ...]
     initial: int
     signals: tuple[str, ...]
     kind: str
@@ -131,28 +127,22 @@ class EquilibriumAutomaton:
     def __post_init__(self):
         units = [np.array(v, dtype=float) for v in
                  (self.replace_prob, self.effort_prob, self.belief)]
-        regime, nxt = np.array(self.regime), np.array(self.next_state)
-        n, labels = len(units[2]), tuple(self.labels)
+        regime, nxt = np.array(self.regime, dtype=object), np.array(self.next_state)
+        n = len(units[2])
         if not (all(v.shape == (n,) for v in (*units, regime))
-                and nxt.shape == (n, len(self.signals))
-                and regime.dtype.kind in "iu" and nxt.dtype.kind in "iu"):
-            raise ValidationError([Violation("BadState", "need float vectors and an integer "
-                                             "regime of length n, integer next_state (n, S)")])
-        middle = []
-        if not (all(isinstance(label, str) for label in labels)
-                and list(labels) == sorted(set(labels))):
-            middle.append(Violation("BadState", f"labels {labels!r} are not distinct and sorted"))
-        middle += [
+                and nxt.shape == (n, len(self.signals)) and nxt.dtype.kind in "iu"):
+            raise ValidationError([Violation("BadState", "need float vectors and a regime "
+                                             "of length n, integer next_state (n, S)")])
+        middle = [
             Violation("BadTransition", f"{q} --{self.signals[j]}--> {nxt[q, j]}: "
                       f"state outside [0, {n})")
             for q, j in np.argwhere((nxt < -1) | (nxt >= n)).tolist()
         ]
-        bad = _violations(units, (regime >= 0) & (regime < len(labels)), self.kind,
-                          self.initial, n, int, middle)
+        bad = _violations(units, regime, self.kind, self.initial, n, int, middle)
         if bad:
             raise ValidationError(bad)
         self.replace_prob, self.effort_prob, self.belief = units
-        self.next_state, self.regime, self.labels = nxt, regime, labels
+        self.next_state, self.regime = nxt, regime
         for array in (*units, nxt, regime):
             array.flags.writeable = False
 
@@ -219,7 +209,7 @@ def construct_full_effort(
         replace_prob=[0.0, 1.0, 1.0], effort_prob=[1.0, 0.0, 0.0],
         belief=[params.pi0, params.pi0, 0.0],
         next_state=[[0 if s in w.s_star else 1 for s in monitoring.signals], dead, dead],
-        regime=[1, 0, 0], labels=(REGIME_DEAD, REGIME_PASS), initial=0,
+        regime=[REGIME_PASS, REGIME_DEAD, REGIME_DEAD], initial=0,
         signals=monitoring.signals, kind="full-effort",
         meta={"v_bar": w.v_bar, "s_star": list(w.s_star)},
     )
@@ -339,10 +329,10 @@ def construct_non_efe(
     regime, effort_prob, belief, nxt = _tree(
         pi0, base.a0, e_star, f1, f0, passing, max_depth, MAX_STATES)
     automaton = EquilibriumAutomaton(
-        replace_prob=np.where(regime == _FIRST, base.x, regime == _THIRD),
+        replace_prob=np.where(regime == REGIME_FIRST, base.x, regime == REGIME_THIRD),
         effort_prob=effort_prob, belief=belief, next_state=nxt, regime=regime,
-        labels=_NON_EFE_LABELS, initial=0, signals=monitoring.signals,
-        kind="non-efe", meta={**base.to_dict(), "e_star": e_star},
+        initial=0, signals=monitoring.signals, kind="non-efe",
+        meta={**base.to_dict(), "e_star": e_star},
     )
     return automaton, base
 
@@ -363,17 +353,17 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
     regime, effort_prob, beliefs, nxt = [], [], [], []
     first_ids, second_ids = {}, {}  # state id by belief key
 
-    def add_state(code, sigma_p, belief, row) -> int:
-        regime.append(code)
+    def add_state(label, sigma_p, belief, row) -> int:
+        regime.append(label)
         effort_prob.append(sigma_p)
         beliefs.append(belief)
         nxt.extend(row)
         return len(regime) - 1
 
     open_row = [-1] * n_signals  # filled in when the state is expanded
-    initial = add_state(_INITIAL, a0, pi0, open_row)
+    initial = add_state(REGIME_INITIAL, a0, pi0, open_row)
     dead_row = [initial + 1] * n_signals  # the absorbing state, added next
-    add_state(_THIRD, 0.0, 0.0, dead_row)
+    add_state(REGIME_THIRD, 0.0, 0.0, dead_row)
 
     # Breadth-first materialization of the pre-first-pass tree, a depth at a time.
     level, depth = [initial], 0
@@ -389,19 +379,20 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
                         if len(regime) + 2 > cap:
                             continue  # no room for the pair; the edge stays open
                         new = second_ids[b] = len(regime)
-                        add_state(_SECOND, 1.0, b, [new if p else new + 1 for p in passing])
-                        add_state(_THIRD, 0.0, b, dead_row)
+                        add_state(REGIME_SECOND, 1.0, b, [new if p else new + 1 for p in passing])
+                        add_state(REGIME_THIRD, 0.0, b, dead_row)
                     nxt[sid * n_signals + j] = second_ids[b]
                     continue
                 if b not in first_ids:
                     if depth + 1 > max_depth or len(regime) >= cap:
                         continue  # frontier left unmaterialized
-                    first_ids[b] = add_state(_FIRST, indifference_effort(e_star, b), b, open_row)
+                    first_ids[b] = add_state(
+                        REGIME_FIRST, indifference_effort(e_star, b), b, open_row)
                     deeper.append(first_ids[b])
                 nxt[sid * n_signals + j] = first_ids[b]
         level, depth = deeper, depth + 1
 
-    arrays = (np.array(regime, dtype=np.int64), np.array(effort_prob), np.array(beliefs),
+    arrays = (np.array(regime, dtype=object), np.array(effort_prob), np.array(beliefs),
               np.array(nxt, dtype=np.int64).reshape(-1, n_signals))
     for array in arrays:
         array.flags.writeable = False
@@ -417,14 +408,14 @@ def automaton_to_dict(
 ) -> dict:
     """The automaton file's fields: states in id order, and transitions
     ordered by (from, signal name)."""
-    regimes = [automaton.labels[code] for code in automaton.regime.tolist()]
     by_name = sorted(range(len(automaton.signals)), key=automaton.signals.__getitem__)
     names, nxt = [automaton.signals[j] for j in by_name], automaton.next_state[:, by_name]
     src, col = np.nonzero(nxt >= 0)
     return {
         "states": [
             {"id": q, "regime": r, "replace_prob": v, "effort_prob": p, "belief": b}
-            for q, r, v, p, b in zip(automaton.states, regimes, automaton.replace_prob.tolist(),
+            for q, r, v, p, b in zip(automaton.states, automaton.regime.tolist(),
+                                     automaton.replace_prob.tolist(),
                                      automaton.effort_prob.tolist(), automaton.belief.tolist())
         ],
         "transitions": [
@@ -513,21 +504,19 @@ def automaton_from_dict(
         for i in np.flatnonzero((cols < 0) | (src < 0) | (dst < 0)).tolist()
     ]
     units = [_unit_column(values)[order] for values in units]
-    regime_ok = np.array([isinstance(r, str) for r in regimes], dtype=bool)[order]
-    bad = _violations(units, regime_ok, kind, payload["initial"], n,
+    # fromiter keeps the array 1-D even where every entry is a list
+    regime = np.fromiter((regimes[i] for i in order), dtype=object, count=n)
+    bad = _violations(units, regime, kind, payload["initial"], n,
                       lambda i: ids[order[i]], middle)
     if bad:
         raise ValidationError(bad)
-    labels = sorted(set(regimes))  # all strings by now
-    code = {label: i for i, label in enumerate(labels)}
-    regime = np.array([code[r] for r in regimes], dtype=np.int64)[order]
     nxt = np.full((n, n_signals), -1, dtype=np.int64)
     last = np.full(nxt.size, -1)  # each edge's last entry in the file, which wins
     np.maximum.at(last, src * n_signals + cols, np.arange(len(src)))
     nxt.reshape(-1)[last >= 0] = dst[last[last >= 0]]
     automaton = EquilibriumAutomaton(
         replace_prob=units[0], effort_prob=units[1], belief=units[2], next_state=nxt,
-        regime=regime, labels=tuple(labels), initial=payload["initial"],
-        signals=monitoring.signals, kind=kind, meta=meta,
+        regime=regime, initial=payload["initial"], signals=monitoring.signals, kind=kind,
+        meta=meta,
     )
     return automaton, params, monitoring

@@ -392,14 +392,16 @@ def _try_lumped(automaton: EquilibriumAutomaton, states, effort, law) -> Optiona
 
     The acting chain's edges (:func:`_acting_edges`) are summed by the
     regime they enter, a missing successor read as the state itself, as the
-    lazy tree's next state would; the initial state must have every edge. It lumps if each regime's acting states share one
-    row and one effort, and is solved over reachable regimes.
+    lazy tree's next state would; the initial state must have every edge.
+    It lumps if each regime's acting states share one row and one effort,
+    and is solved over reachable regimes.
     """
     if automaton.kind != "non-efe" or np.any(automaton.next_state[automaton.initial] < 0):
         return None
-    block = automaton.regime  # labels are sorted, so blocks come in label order
+    # a block per distinct label, numbered in sorted label order
+    labels, block = np.unique(automaton.regime, return_inverse=True)
     frm, to, mass = _acting_edges(automaton, states, law, states[:, None])
-    rows = np.zeros((len(states), len(automaton.labels)))
+    rows = np.zeros((len(states), len(labels)))
     np.add.at(rows, (frm, block[to]), mass)
     used, first, of = np.unique(block[states], return_index=True, return_inverse=True)
     if np.any(np.abs(rows - rows[first[of]]) > 1e-12) or np.any(

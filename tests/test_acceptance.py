@@ -139,7 +139,7 @@ def test_criterion_4_verifier_soundness():
             changed[name][sid] = value
         return dataclasses.replace(auto, **changed)
 
-    regime = np.array(bad.labels)[bad.regime]
+    regime = bad.regime
     first = int(np.flatnonzero(regime == REGIME_FIRST)[0])
     second = int(np.flatnonzero(regime == REGIME_SECOND)[0])
     x_perturbed = np.where(regime == REGIME_FIRST, bad.replace_prob * 1.05, bad.replace_prob)

@@ -347,6 +347,44 @@ class TestConstructVerifySimulate:
         assert_one_json_error(code, err, "ValidationError")
         assert not (tmp_path / "automaton-non-efe.json").exists()
 
+    def test_construct_that_fails_verification_writes_nothing(self, capsys, tmp_path):
+        # at c = 0.5 a certain-replacement state's belief exceeds e*, so the
+        # voter would rather keep the incumbent there
+        code, out, err = run(
+            capsys, "construct", "--kind", "non-efe", "--binary-precision", "0.75",
+            "--kappa", "0.2", "--delta", "0.5", "--pi0", "0.3", "--c", "0.5",
+            "--out", str(tmp_path),
+        )
+        assert (code, err) == (3, "")
+        assert out.startswith("FAILED") and "voter_ic at 7" in out and out.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "fe"], ["--kind", "non-efe", "--depth", "0"],
+        ["--kind", "non-efe", "--depth", "1"], ["--kind", "non-efe", "--a0", "0.9"],
+    ])
+    def test_constructions_pass_their_own_verification(self, capsys, tmp_path, flags):
+        code, out, _ = run(capsys, "construct", *flags, "--binary-precision", "0.75",
+                           "--kappa", "0.2", "--delta", "0.5", "--pi0", "0.3", "--c", "0.05",
+                           "--out", str(tmp_path))
+        assert code == 0 and out.startswith("wrote")
+        assert run(capsys, "verify", "--automaton", out.split()[1])[0] == 0
+
+    @pytest.mark.parametrize("flag, error", [
+        ("verify --automaton", "ValidationError"),
+        ("simulate --automaton", "ValidationError"),
+        ("check-fei --config", "ConfigParse"),
+    ])
+    @pytest.mark.parametrize("wrap", ["{}", '{{"states": {}}}'])
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path, flag, error, wrap):
+        # nesting past the JSON parser's recursion limit is a bad file, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text(wrap.format("[" * 100_000 + "]" * 100_000))
+        code, out, err = run(capsys, *flag.split(), str(deep))
+        assert out == ""
+        assert_one_json_error(code, err, error)
+        assert error == "ConfigParse" or "BadAutomatonFile" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"params_echo": 1, '
                                       '"states": [], "transitions": [], "initial": 0}'])

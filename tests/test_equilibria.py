@@ -82,11 +82,6 @@ def successor(auto, state, signal):
     return None if target < 0 else target
 
 
-def regimes(auto) -> np.ndarray:
-    """Each state's regime label."""
-    return np.array(auto.labels)[auto.regime]
-
-
 _REWIRABLE = {
     "reference": (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 200),
     "two-fail-depth-6": (TWO_FAIL_PARAMS, TWO_FAIL, 6),
@@ -161,7 +156,7 @@ class TestClosedForms:
 
 class TestFullEffortConstruction:
     def test_shape(self, fe_automaton, ref_params):
-        assert regimes(fe_automaton).tolist() == [REGIME_PASS, REGIME_DEAD, REGIME_DEAD]
+        assert fe_automaton.regime.tolist() == [REGIME_PASS, REGIME_DEAD, REGIME_DEAD]
         sv, sp, pi = fe_automaton.replace_prob, fe_automaton.effort_prob, fe_automaton.belief
         assert sp[0] == 1.0 and sv[0] == 0.0
         assert pi[0] == ref_params.pi0
@@ -199,7 +194,7 @@ class TestFullEffortConstruction:
 class TestNonEfeConstruction:
     def test_initial_state(self, non_efe_automaton, ref_params):
         init = non_efe_automaton.initial
-        assert regimes(non_efe_automaton)[init] == REGIME_INITIAL
+        assert non_efe_automaton.regime[init] == REGIME_INITIAL
         assert non_efe_automaton.belief[init] == ref_params.pi0
         assert non_efe_automaton.effort_prob[init] == pytest.approx(9.0 / 14.0, abs=1e-9)
 
@@ -208,7 +203,7 @@ class TestNonEfeConstruction:
         auto = non_efe_automaton
         chain = []
         sid = successor(auto, auto.initial, "Fail")
-        while sid is not None and regimes(auto)[sid] == REGIME_FIRST:
+        while sid is not None and auto.regime[sid] == REGIME_FIRST:
             if chain and chain[-1] == sid:
                 break  # closed tail loop
             chain.append(sid)
@@ -233,11 +228,11 @@ class TestNonEfeConstruction:
     def test_regime_transitions(self, non_efe_automaton):
         auto = non_efe_automaton
         second = successor(auto, auto.initial, "Pass")
-        assert regimes(auto)[second] == REGIME_SECOND
+        assert auto.regime[second] == REGIME_SECOND
         assert auto.belief[second] == pytest.approx(0.36, abs=1e-9)
         assert successor(auto, second, "Pass") == second
         third = successor(auto, second, "Fail")
-        assert regimes(auto)[third] == REGIME_THIRD
+        assert auto.regime[third] == REGIME_THIRD
         assert auto.replace_prob[third] == 1.0 and auto.effort_prob[third] == 0.0
         # entry keeps the frozen belief; only deeper states drop to 0
         assert auto.belief[third] == pytest.approx(0.36, abs=1e-9)
@@ -249,7 +244,7 @@ class TestNonEfeConstruction:
     ):
         vt = compute_values(non_efe_automaton, ref_params, binary75)
         assert vt.values[non_efe_automaton.initial] == pytest.approx(0.67, abs=1e-9)
-        regime = regimes(non_efe_automaton)
+        regime = non_efe_automaton.regime
         first = np.isin(regime, (REGIME_INITIAL, REGIME_FIRST))
         second, third = regime == REGIME_SECOND, regime == REGIME_THIRD
         assert (first | second | third).all() and third.sum() > 1
@@ -266,7 +261,7 @@ class TestNonEfeConstruction:
         auto = EquilibriumAutomaton(
             replace_prob=[1.0], effort_prob=[0.4], belief=[0.3],
             next_state=[[0] * len(binary75.signals)],
-            regime=[0], labels=(REGIME_THIRD,),
+            regime=[REGIME_THIRD],
             initial=0,
             signals=binary75.signals,
             kind="custom",
@@ -327,7 +322,7 @@ class TestTreeReuse:
         assert nep_a.x != nep_b.x
         for x, y in zip(self._tree_arrays(a), self._tree_arrays(b)):
             np.testing.assert_array_equal(x, y)
-        first = regimes(a) == REGIME_FIRST
+        first = a.regime == REGIME_FIRST
         assert first.any()
         assert (a.replace_prob[first] == nep_a.x).all()
         assert (b.replace_prob[first] == nep_b.x).all()
@@ -447,7 +442,7 @@ class TestArrayForm:
         auto = non_efe_automaton
         sv, nxt = auto.replace_prob, auto.next_state
         assert nxt.shape == (len(auto.states), len(auto.signals))
-        assert nxt.dtype == np.int64 and auto.regime.dtype.kind == "i"
+        assert nxt.dtype == np.int64 and auto.regime.dtype == object
         edges = automaton_to_dict(auto, ref_params, binary75)["transitions"]
         assert len(edges) == (nxt >= 0).sum() == nxt.size  # complete: every edge present
         for edge in edges:
@@ -506,10 +501,22 @@ class TestSerialization:
         assert monitoring2 == binary75
         for loaded, built in zip(_arrays(auto2), _arrays(non_efe_automaton)):
             np.testing.assert_array_equal(loaded, built)
-        assert regimes(auto2).tolist() == regimes(non_efe_automaton).tolist()
+        assert auto2.regime.tolist() == non_efe_automaton.regime.tolist()
         assert (auto2.initial, auto2.kind, auto2.complete, auto2.meta) == (
             non_efe_automaton.initial, "non-efe", True, non_efe_automaton.meta)
         assert verify(auto2, params2, monitoring2).passed
+
+    def test_custom_labels_round_trip(self, fe_automaton, ref_params, binary75):
+        # labels a construction never writes, listed out of sorted order
+        payload = automaton_to_dict(fe_automaton, ref_params, binary75)
+        payload["kind"] = "custom"
+        for state, label in zip(payload["states"], ["Zeta", "Alpha", "Zeta"]):
+            state["regime"] = label
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        auto, params, monitoring = automaton_from_dict(json.loads(text))
+        assert auto.regime.tolist() == ["Zeta", "Alpha", "Zeta"]
+        back = automaton_to_dict(auto, params, monitoring)
+        assert json.dumps(back, indent=2, sort_keys=True) == text
 
     @pytest.mark.parametrize("params, monitoring, depth", [
         (GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75), 0),

@@ -83,7 +83,7 @@ def _automaton(**change) -> EquilibriumAutomaton:
     arrays with ``change`` applied to its fields."""
     fields = {
         "replace_prob": [0.0, 1.0], "effort_prob": [1.0, 0.0], "belief": [0.3, 0.0],
-        "next_state": [[1, 0], [1, 1]], "regime": [1, 0], "labels": ("Dead", "Pass"),
+        "next_state": [[1, 0], [1, 1]], "regime": ["Pass", "Dead"],
         "initial": 0, "signals": ("Fail", "Pass"), "kind": "custom",
     }
     return EquilibriumAutomaton(**{**fields, **change})
@@ -113,8 +113,7 @@ class TestBuiltObjectsCheckThemselves:
         ("BadState", lambda: _automaton(replace_prob=[0.0, float("nan")])),
         ("BadState", lambda: _automaton(belief=[0.3, -0.25])),
         ("BadState", lambda: _automaton(regime=[1, 3])),
-        ("BadState", lambda: _automaton(labels=("Pass", "Dead"))),
-        ("BadState", lambda: _automaton(labels=("Dead", 3))),
+        ("BadState", lambda: _automaton(regime=["Pass", 3])),
         ("BadState", lambda: _automaton(next_state=[[1, 0]])),
         ("BadState", lambda: _automaton(next_state=[[1.0, 0.0], [1.0, 1.0]])),
         ("BadState", lambda: _automaton(belief=[0.3])),

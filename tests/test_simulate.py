@@ -20,16 +20,11 @@ from replab import (
     simulate,
     verify,
 )
-from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
+from replab.equilibria import REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD
 from replab.errors import DepthInsufficient, ValidationError
 import importlib
 
 sim_module = importlib.import_module("replab.simulate")
-
-
-def _regimes(auto) -> np.ndarray:
-    """Each state's regime label."""
-    return np.array(auto.labels)[auto.regime]
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +289,7 @@ class TestNonEfeDynamics:
 
     def test_corrupted_beliefs_blow_up_the_z_score(self, non_efe_automaton, ref_params,
                                                    binary75):
-        first = _regimes(non_efe_automaton) == REGIME_FIRST
+        first = non_efe_automaton.regime == REGIME_FIRST
         belief = non_efe_automaton.belief.copy()
         belief[first] = np.minimum(belief[first] + 0.05, 1.0)
         corrupted = dataclasses.replace(non_efe_automaton, belief=belief)
@@ -328,6 +323,17 @@ class TestAnalyticOracle:
         # frozen during the pre-build oracle pass: 4289/4630 at a0 = 9/14
         assert lumped.value == pytest.approx(4289.0 / 4630.0, abs=1e-9)
 
+    def test_renamed_regimes_lump_alike(self, non_efe_automaton, ref_params, binary75):
+        # the four labels renamed consistently, in reverse sorted order: the
+        # blocks are numbered otherwise, the lumped chain is the same
+        rename = {REGIME_FIRST: "d", REGIME_INITIAL: "c", REGIME_SECOND: "b", REGIME_THIRD: "a"}
+        auto = non_efe_automaton
+        renamed = dataclasses.replace(auto, regime=[rename[r] for r in auto.regime])
+        lumped = analytic_long_run_effort(renamed, ref_params, binary75)
+        assert lumped.method == "lumped"
+        assert lumped.value == pytest.approx(
+            analytic_long_run_effort(auto, ref_params, binary75).value, abs=1e-12)
+
     def test_rewired_second_regime_is_read_from_the_arrays(
         self, non_efe_automaton, ref_params, binary75
     ):
@@ -337,7 +343,7 @@ class TestAnalyticOracle:
         sv, nxt = auto.replace_prob, auto.next_state
         dead = np.flatnonzero((sv == 1.0) & (nxt == np.arange(len(sv))[:, None]).all(axis=1))[0]
         nxt = nxt.copy()
-        nxt[_regimes(auto) == REGIME_SECOND, auto.signals.index("Pass")] = dead
+        nxt[auto.regime == REGIME_SECOND, auto.signals.index("Pass")] = dead
         rewired = dataclasses.replace(auto, next_state=nxt)
         lumped = analytic_long_run_effort(rewired, ref_params, binary75)
         direct = analytic_long_run_effort(
@@ -354,16 +360,13 @@ class TestAnalyticOracle:
         # an absorbing state no career reaches must not enter the lumped chain
         auto = non_efe_automaton
         orphan = len(auto.states)
-        labels = tuple(sorted((*auto.labels, "Orphan")))
         padded = dataclasses.replace(
             auto,
             replace_prob=[*auto.replace_prob, 0.0],
             effort_prob=[*auto.effort_prob, 0.0],
             belief=[*auto.belief, 0.5],
             next_state=[*auto.next_state, [orphan] * len(auto.signals)],
-            regime=[*(labels.index(label) for label in _regimes(auto)),
-                    labels.index("Orphan")],
-            labels=labels,
+            regime=[*auto.regime, "Orphan"],
         )
         lumped = analytic_long_run_effort(padded, ref_params, binary75)
         assert lumped.method == "lumped"
@@ -376,15 +379,14 @@ class TestAnalyticOracle:
         # signal ends the career) differs from its peers': no incumbent ever acts
         # there, so the regime still lumps
         auto = non_efe_automaton
-        second = auto.labels.index(REGIME_SECOND)
-        dead = np.flatnonzero(_regimes(auto) == REGIME_THIRD)[0]
+        dead = np.flatnonzero(auto.regime == REGIME_THIRD)[0]
         padded = dataclasses.replace(
             auto,
             replace_prob=[*auto.replace_prob, 0.0],
             effort_prob=[*auto.effort_prob, 1.0],
             belief=[*auto.belief, 0.5],
             next_state=[*auto.next_state, [dead] * len(auto.signals)],
-            regime=[*auto.regime, second],
+            regime=[*auto.regime, REGIME_SECOND],
         )
         lumped = analytic_long_run_effort(padded, ref_params, binary75)
         direct = analytic_long_run_effort(
@@ -412,7 +414,7 @@ class TestAnalyticOracle:
         auto = EquilibriumAutomaton(
             replace_prob=[0.0, 1.0], effort_prob=[0.0, 0.0],
             belief=[ref_params.pi0, ref_params.pi0], next_state=[[1, 1], [1, 1]],
-            regime=[0, 1], labels=("Initial", REGIME_THIRD), initial=0,
+            regime=["Initial", REGIME_THIRD], initial=0,
             signals=binary75.signals, kind="custom",
         )
         result = analytic_long_run_effort(auto, ref_params, binary75)

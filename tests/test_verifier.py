@@ -26,7 +26,7 @@ def patch_state(auto, sid, **fields):
 
 
 def in_regime(auto, label):
-    return np.flatnonzero(np.array(auto.labels)[auto.regime] == label).tolist()
+    return np.flatnonzero(auto.regime == label).tolist()
 
 
 def first_ids(auto):
@@ -154,7 +154,7 @@ class TestScope:
         auto = EquilibriumAutomaton(
             replace_prob=[0.0, 1.0, 0.0], effort_prob=[1.0, 0.0, 0.0], belief=[0.3, 0.3, 0.0],
             next_state=[[0 if s == "Pass" else 1 for s in binary75.signals], [2, 2], [2, 2]],
-            regime=[1, 2, 0], labels=("Dead", "Pass", REGIME_THIRD), initial=0,
+            regime=["Pass", REGIME_THIRD, "Dead"], initial=0,
             signals=binary75.signals, kind="custom",
         )
         report = verify(auto, ref_params, binary75)
@@ -167,7 +167,7 @@ class TestExpectedEffort:
     def test_degenerate_good_state(self, binary75):
         auto = EquilibriumAutomaton(
             replace_prob=[0.0], effort_prob=[0.0], belief=[1.0], next_state=[[0, 0]],
-            regime=[0], labels=("Pass",), initial=0,
+            regime=["Pass"], initial=0,
             signals=binary75.signals,
             kind="custom",
         )
