@@ -17,7 +17,6 @@ so callers can substitute a sharper horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
@@ -62,22 +61,17 @@ def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
 
 
 def outside_option_bound(
-    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
+    params: GameParams, monitoring: MonitoringStructure
 ) -> OutsideOptionBound:
     """Upper bound c + min_eta g(eta) on the outside option; requires the
-    full-effort-incentive check to fail. ``cert``, :func:`fei.check_fei`'s
-    certificate, is decided if not given."""
-    cert = cert if cert is not None else fei.check_fei(params, monitoring)
+    full-effort-incentive check to fail."""
+    cert = fei.check_fei(params, monitoring)
     if cert.holds:
         raise FeiHoldsNoBound("full-effort incentives hold; the ceiling does not apply")
     horizon_T = cert.refutation.horizon_T
     eta_star, g_min = minimize_g(params.pi0, horizon_T)
-    return OutsideOptionBound(
-        horizon_T=horizon_T,
-        eta_star=eta_star,
-        bound_value=params.c + g_min,
-        g_value=g_min,
-    )
+    return OutsideOptionBound(horizon_T=horizon_T, eta_star=eta_star,
+                              bound_value=params.c + g_min, g_value=g_min)
 
 
 def bound_sweep(
@@ -96,10 +90,8 @@ def bound_sweep(
     for pi0 in pi0_grid:
         for c in c_grid:
             GameParams(params.kappa, params.delta, pi0, c)  # refuses an invalid cell
-    cert = fei.check_fei(params, monitoring)
-    # the ceiling at c = 0 is g's minimum; pi0 leaves the FEI decision unchanged
     by_pi0 = {
-        pi0: outside_option_bound(replace(params, pi0=pi0, c=0.0), monitoring, cert)
+        pi0: outside_option_bound(replace(params, pi0=pi0, c=0.0), monitoring)
         for pi0 in pi0_grid
     }
     ordered = sorted(pi0_grid, reverse=True)

@@ -113,7 +113,7 @@ def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
     path = out_dir / "manifest.json"
     try:
         runs = json.loads(path.read_bytes())["outputs"]
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, RecursionError):
         runs = {}
     if not isinstance(runs, dict):  # another layout
         runs = {}
@@ -166,8 +166,9 @@ def _floats(tokens: list[str], spec: str) -> list[float]:
 
 
 def _parse_range(spec: str) -> list[float]:
-    """'a:b:step' (inclusive endpoints) or a single scalar, as its points
-    min(a + k step, b), k = 0, 1, ..., while a + k step <= b + 1e-9 step.
+    """'a:b:step' (inclusive endpoints) or a single scalar, as the distinct
+    points min(a + k step, b), k = 0, 1, ..., while a + k step <= b + 1e-9 step,
+    in increasing order.
     An axis of more than MAX_GRID_CELLS points is refused: at once when
     its span says so, else as soon as it passes the cap."""
     if ":" not in spec:
@@ -189,7 +190,7 @@ def _parse_range(spec: str) -> list[float]:
                           "use a coarser step")
     if not points:
         raise ConfigParse(f"bad range {spec!r}; a > b leaves no point")
-    return points
+    return sorted(set(points))  # a step below the float spacing at a repeats points
 
 
 def _grid_axes(*specs: str) -> list[list[float]]:
@@ -352,11 +353,10 @@ def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
     if cert is None:  # undecided: every derived column stays empty
         return row, []
     if not cert.holds:
-        row[-1] = bounds.outside_option_bound(params, monitoring, cert).bound_value
+        row[-1] = bounds.outside_option_bound(params, monitoring).bound_value
         return row, []
-    builds = (lambda: equilibria.construct_full_effort(params, monitoring, cert),
-              lambda: equilibria.construct_non_efe(params, monitoring, max_depth=depth,
-                                                   cert=cert)[0])
+    builds = (lambda: equilibria.construct_full_effort(params, monitoring),
+              lambda: equilibria.construct_non_efe(params, monitoring, max_depth=depth)[0])
     cases = []
     for build in builds:
         try:

@@ -185,7 +185,7 @@ class NonEfeParameters:
 
 
 def construct_full_effort(
-    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
+    params: GameParams, monitoring: MonitoringStructure
 ) -> EquilibriumAutomaton:
     """Full-effort equilibrium automaton.
 
@@ -193,10 +193,8 @@ def construct_full_effort(
     the initial/passing state (work, retain), the state reached by the
     first failing signal (certain replacement, prior belief preserved by
     the pooling update), and an absorbing dead state with belief 0, which
-    is unconstrained because its predecessor replaces with probability 1.
-    ``cert``, :func:`fei.check_fei`'s certificate, is decided if not given.
-    """
-    cert = cert if cert is not None else fei.check_fei(params, monitoring)
+    is unconstrained because its predecessor replaces with probability 1."""
+    cert = fei.check_fei(params, monitoring)
     if not cert.holds:
         raise FeiFails("full-effort incentives fail; no full-effort equilibrium exists")
     if params.c > 1.0 - params.pi0:
@@ -215,13 +213,10 @@ def construct_full_effort(
     )
 
 
-def non_efe_parameters(
-    params: GameParams, monitoring: MonitoringStructure, cert: Optional[fei.FeiCertificate] = None
-) -> NonEfeParameters:
+def non_efe_parameters(params: GameParams, monitoring: MonitoringStructure) -> NonEfeParameters:
     """Closed forms (v_bar, v_tilde, v_hat, x) from the cutoff witness,
-    plus the default initial effort probability a0 (see :func:`select_a0`).
-    ``cert``, :func:`fei.check_fei`'s certificate, is decided if not given."""
-    cert = cert if cert is not None else fei.check_fei(params, monitoring)
+    plus the default initial effort probability a0 (see :func:`select_a0`)."""
+    cert = fei.check_fei(params, monitoring)
     if not cert.holds:
         raise FeiFails("full-effort incentives fail; construction unavailable")
     w = cert.witness
@@ -301,23 +296,21 @@ def construct_non_efe(
     monitoring: MonitoringStructure,
     a0_override: Optional[float] = None,
     max_depth: int = DEFAULT_DEPTH,
-    cert: Optional[fei.FeiCertificate] = None,
 ) -> tuple[EquilibriumAutomaton, NonEfeParameters]:
     """No-eventual-full-effort equilibrium automaton.
 
     Requires the incentive check to hold and c < 1 - pi0. The FirstRegime
     tree extends lazily up to ``max_depth`` failing signals (``MAX_STATES``
     caps the total); belief-key memoization closes binary chains into a
-    finite automaton well before the default depth. ``cert`` is passed to
-    :func:`non_efe_parameters`. The tree is :func:`_tree`'s, kept from the
-    last call with the same inputs; x is set here on its FirstRegime states.
+    finite automaton well before the default depth. The tree is :func:`_tree`'s,
+    kept from the last call with the same inputs; x is set on its FirstRegime states.
     """
     check_depth(max_depth)
     if params.c >= 1.0 - params.pi0:
         raise ReplacementCostTooLargeForConstruction(
             f"need c < 1 - pi0, got c={params.c}, pi0={params.pi0}"
         )
-    base = non_efe_parameters(params, monitoring, cert)
+    base = non_efe_parameters(params, monitoring)
     pi0, f0, f1 = params.pi0, tuple(monitoring.f0), tuple(monitoring.f1)
     if a0_override is not None:
         if _a0_slack(pi0, params.c, f0, f1, a0_override) < 0.0:

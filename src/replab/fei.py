@@ -21,6 +21,7 @@ vectors with max >= 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,9 +104,10 @@ def _cutoff_candidates(monitoring: MonitoringStructure):
         yield lam, idx
 
 
+@functools.lru_cache(maxsize=1)
 def check_fei(params: GameParams, monitoring: MonitoringStructure) -> FeiCertificate:
     """Decide FEI by cutoff enumeration, an exact reduction whose slacks
-    and gap are computed in floating point.
+    and gap are computed in floating point. The last answer is kept.
 
     Returns the witness maximizing the incentive slack
     (1-kappa)(1 - delta f0*) - (1 - delta f1*), ties broken by the smallest

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replab
-from replab import cli, equilibria, verifier
+from replab import cli, equilibria, fei, verifier
 from replab.cli import main
 from replab.errors import ConfigParse, ValidationError, Violation
 
@@ -724,11 +724,12 @@ def test_huge_horizon_bound_is_a_ceiling():
 @pytest.mark.parametrize("spec", [
     "0.60:0.90:0.05", "0.10:0.30:0.05", "0.20:0.90:0.05",  # the benchmark's phase grid
     "0.5:0.5:0.1",
+    "0.5:0.5:1e-17",  # a step below the float spacing at 0.5 repeats the point
 ])
 def test_range_points_are_clipped_steps(spec):
     a, b, step = map(float, spec.split(":"))
     count = round((b - a) / step) + 1
-    assert cli._parse_range(spec) == [min(a + k * step, b) for k in range(count)]
+    assert cli._parse_range(spec) == sorted({min(a + k * step, b) for k in range(count)})
 
 
 def test_axis_cap_is_on_points(monkeypatch):
@@ -875,6 +876,18 @@ class TestOutputPath:
             "automaton-fe.json"
         ]
 
+    @pytest.mark.parametrize("argv, name", [
+        (["check-fei", *_HOLDING], "fei_certificate.json"),
+        (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.5"],
+         "phase_sweep.csv"),
+    ])
+    def test_too_deep_manifest_is_replaced(self, capsys, tmp_path, argv, name):
+        # nesting past the JSON parser's recursion limit is unreadable, not a crash
+        (tmp_path / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert list(json.loads((tmp_path / "manifest.json").read_text())["outputs"]) == [name]
+
 
 @pytest.fixture(scope="module")
 def reference_payload(tmp_path_factory):
@@ -997,6 +1010,7 @@ class TestPinnedFiles:
     def test_phase_sweep_across_verification_blocks(self, capsys, tmp_path):
         # 24 cells, 16 holding and 8 failing, certified in several blocks
         assert cli.PHASE_BLOCK_CELLS < 24
+        fei.check_fei.cache_clear()
         code, _, _ = run(capsys, "phase-sweep", "--binary-precision", "0.6:0.9:0.15",
                          "--kappa", "0.1:0.3:0.2", "--delta", "0.3:0.9:0.2", "--pi0", "0.3",
                          "--c", "0.05", "--out", str(tmp_path))
@@ -1004,6 +1018,8 @@ class TestPinnedFiles:
         table = (tmp_path / "phase_sweep.csv").read_text()
         assert (table.count("true,true,true"), table.count("false,,,")) == (16, 8)
         assert _sha256(tmp_path / "phase_sweep.csv") == _PINNED["phase-sweep-24"]
+        # each cell decides full-effort incentives once, however often it asks
+        assert fei.check_fei.cache_info().misses == 24
 
     def test_simulation_stats_and_per_period(self, capsys, reference_payload, tmp_path):
         automaton = tmp_path / "automaton-non-efe.json"

@@ -8,11 +8,17 @@ from replab import (
     MonitoringStructure,
     binary_threshold,
     check_fei,
+    construct_full_effort,
+    construct_non_efe,
     fei,
     fei_oracle,
+    non_efe_parameters,
+    outside_option_bound,
     uniform_failure_horizon,
 )
-from replab.errors import FeiHoldsNoHorizon, ResolutionTooCoarse, ValidationError
+from replab.errors import (
+    FeiFails, FeiHoldsNoBound, FeiHoldsNoHorizon, ResolutionTooCoarse, ValidationError,
+)
 
 
 def random_instance(rng, n):
@@ -223,6 +229,7 @@ class TestUniformFailureHorizon:
         gap = 1.0 / 93.0
         assert math.floor(1.0 / gap) + 1 == 93 and 1.0 / 93 >= gap
         monkeypatch.setattr(fei, "_min_gap_unit_box", lambda *_: gap)
+        fei.check_fei.cache_clear()  # a kept answer for this cell predates the patch
         ref = uniform_failure_horizon(fail_params, binary75)
         assert ref.min_gap == gap
         assert ref.horizon_T == 94 and 1.0 / ref.horizon_T < gap
@@ -230,3 +237,36 @@ class TestUniformFailureHorizon:
     def test_raises_when_fei_holds(self, binary75, ref_params):
         with pytest.raises(FeiHoldsNoHorizon):
             uniform_failure_horizon(ref_params, binary75)
+
+
+class TestDecidedWhereUsed:
+    """The constructions and the ceiling decide FEI from their own
+    (params, monitoring); check_fei keeps only its last answer."""
+
+    def test_undecided_cell_is_not_kept(self):
+        # one ulp from the full-effort frontier: raised each time, never kept
+        params = GameParams(0.21043439909162676, 0.2612542990737442, 0.3, 0.0)
+        monitoring = MonitoringStructure.binary(0.8913017037078852)
+        check_fei.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ResolutionTooCoarse):
+                check_fei(params, monitoring)
+        assert check_fei.cache_info().misses == 2
+
+    def test_no_stale_decision_is_used(self, ref_params, fail_params, binary75):
+        check_fei(ref_params, binary75)
+        with pytest.raises(FeiFails):
+            construct_full_effort(fail_params, binary75)
+        check_fei(ref_params, binary75)
+        with pytest.raises(FeiFails):
+            construct_non_efe(fail_params, binary75)
+        check_fei(fail_params, binary75)
+        with pytest.raises(FeiHoldsNoBound):
+            outside_option_bound(ref_params, binary75)
+
+    @pytest.mark.parametrize("func", [
+        construct_full_effort, non_efe_parameters, construct_non_efe, outside_option_bound,
+    ])
+    def test_no_certificate_parameter(self, func, ref_params, binary75):
+        with pytest.raises(TypeError):
+            func(ref_params, binary75, cert=check_fei(ref_params, binary75))
