@@ -32,9 +32,6 @@ class OutsideOptionBound:
     bound_value: float  # c + g(eta_star)
     g_value: float      # g(eta_star)
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
     """(eta_star, g(eta_star)). g'(eta) = 0 reduces to the root of

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -40,7 +40,7 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY_FAILED = 3
-MAX_GRID_CELLS = 1_000_000  # cells a sweep may have: check-fei's axis, phase-sweep's product
+MAX_GRID_CELLS = 1_000_000  # cells a sweep may have: check-fei's axis, the other sweeps' product
 PHASE_BLOCK_CELLS = 8  # phase-sweep cells whose automata are certified in one verify_many
 
 
@@ -61,8 +61,18 @@ def _csv(header: list[str], rows: Iterable) -> str:
     return buf.getvalue()
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _record(obj) -> dict:
+    """A result record as JSON: a dataclass's fields but those that are
+    None, a :class:`fei.FeiWitness` by :func:`fei.cutoff_to_dict`."""
+    if isinstance(obj, fei.FeiWitness):
+        return fei.cutoff_to_dict(obj)
+    if not is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not a result record")
+    return {k: v for k, v in vars(obj).items() if v is not None}
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_record) + "\n"
 
 
 @dataclass
@@ -193,10 +203,10 @@ def _parse_range(spec: str) -> list[float]:
     return sorted(set(points))  # a step below the float spacing at a repeats points
 
 
-def _grid_axes(*specs: str) -> list[list[float]]:
-    """The points of each axis of a grid, refused when the grid has more
-    than MAX_GRID_CELLS cells."""
-    axes = [_parse_range(spec) for spec in specs]
+def _grid_axes(*specs: str, parse=_parse_range) -> list[list[float]]:
+    """The points ``parse`` reads from each axis of a grid, refused when the
+    grid has more than MAX_GRID_CELLS cells."""
+    axes = [parse(spec) for spec in specs]
     if math.prod(map(len, axes)) > MAX_GRID_CELLS:
         raise ConfigParse(f"grid has more than {MAX_GRID_CELLS} cells; use a coarser step")
     return axes
@@ -233,14 +243,13 @@ def _cmd_check_fei(args) -> Result:
             w = cert and cert.witness
             rows.append([d, cert and cert.holds, w and w.slack, w and w.v_bar])
         return _table(cfg, "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
-    text = _json(fei.check_fei(params, monitoring).to_dict())
+    text = _json(fei.check_fei(params, monitoring))
     return Result(cfg, echo=text, files={"fei_certificate.json": text})
 
 
 def _cmd_horizon(args) -> Result:
     params, monitoring, _ = _resolve_model(args)
-    refutation = fei.uniform_failure_horizon(params, monitoring)
-    return Result(echo=_json(refutation.to_dict()))
+    return Result(echo=_json(fei.uniform_failure_horizon(params, monitoring)))
 
 
 def _cmd_construct(args) -> Result:
@@ -294,13 +303,13 @@ def _cmd_simulate(args) -> Result:
         raise ConfigParse("--per-period-csv writes per_period.csv and needs --out")
     automaton, params, monitoring = _load_automaton(args.automaton)
     config = SimulationConfig(horizon=args.horizon, paths=args.paths, master_seed=args.seed)
+    analytic = analytic_long_run_effort(automaton, params, monitoring)  # a refusal runs no paths
     stats = run_simulation(automaton, params, monitoring, config)
-    analytic = analytic_long_run_effort(automaton, params, monitoring)
     z = martingale_diagnostic(stats)
     summary = {
         "long_run_effort": stats.long_run_effort,
         "long_run_se": stats.long_run_se,
-        "analytic_long_run_effort": analytic.to_dict(),
+        "analytic_long_run_effort": analytic,
         "martingale_z": z if math.isfinite(z) else None,  # JSON has no infinity
         "favorable_replacements": stats.favorable_total,
         "seed": args.seed,
@@ -326,16 +335,15 @@ def _cmd_bound(args) -> Result:
     result = bounds.outside_option_bound(params, monitoring)
     row = [params.pi0, params.c, result.horizon_T, result.eta_star, result.bound_value]
     return Result(
-        cfg, echo=_json(result.to_dict()),
+        cfg, echo=_json(result),
         files={"bound.csv": _csv(["pi0", "c", "T", "eta_star", "bound"], [row])},
     )
 
 
 def _cmd_bound_sweep(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
-    rows = bounds.bound_sweep(
-        params, monitoring, _grid_list(args.pi0_grid), _grid_list(args.c_grid)
-    )
+    pi0s, cs = _grid_axes(args.pi0_grid, args.c_grid, parse=_grid_list)
+    rows = bounds.bound_sweep(params, monitoring, pi0s, cs)
     header = ["pi0", "c", "T", "eta_star", "bound"]
     return _table(cfg, "bound_sweep.csv", header, [[r[key] for key in header] for r in rows])
 

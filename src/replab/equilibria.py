@@ -180,9 +180,6 @@ class NonEfeParameters:
     x: float
     a0: float
 
-    def to_dict(self) -> dict:
-        return fei.cutoff_to_dict(self)
-
 
 def construct_full_effort(
     params: GameParams, monitoring: MonitoringStructure
@@ -325,7 +322,7 @@ def construct_non_efe(
         replace_prob=np.where(regime == REGIME_FIRST, base.x, regime == REGIME_THIRD),
         effort_prob=effort_prob, belief=belief, next_state=nxt, regime=regime,
         initial=0, signals=monitoring.signals, kind="non-efe",
-        meta={**base.to_dict(), "e_star": e_star},
+        meta={**fei.cutoff_to_dict(base), "e_star": e_star},
     )
     return automaton, base
 

@@ -53,10 +53,6 @@ class ResolutionTooCoarse(ReplabError):
     code = "ResolutionTooCoarse"
 
 
-class ThresholdUndefined(ReplabError):
-    code = "ThresholdUndefined"
-
-
 # --- equilibrium construction --------------------------------------------
 
 class FeiFails(ReplabError):

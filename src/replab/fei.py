@@ -28,11 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    FeiHoldsNoHorizon,
-    ResolutionTooCoarse,
-    ThresholdUndefined,
-)
+from .errors import FeiHoldsNoHorizon, ResolutionTooCoarse
 from .model import GameParams, MonitoringStructure
 
 
@@ -57,9 +53,6 @@ class FeiWitness:
     v_bar: float
     slack: float
 
-    def to_dict(self) -> dict:
-        return cutoff_to_dict(self)
-
 
 @dataclass(frozen=True)
 class FeiRefutation:
@@ -69,23 +62,12 @@ class FeiRefutation:
     min_gap: float
     horizon_T: int
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass(frozen=True)
 class FeiCertificate:
     holds: bool
     witness: Optional[FeiWitness] = None
     refutation: Optional[FeiRefutation] = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"holds": self.holds}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        if self.refutation is not None:
-            out["refutation"] = self.refutation.to_dict()
-        return out
 
 
 def _cutoff_candidates(monitoring: MonitoringStructure):
@@ -230,16 +212,13 @@ def binary_threshold(p: float, kappa: float) -> float:
     FEI holds iff delta >= kappa / (p - (1-p)(1-kappa)).
 
     The value may exceed 1, meaning FEI fails for every delta in (0, 1).
-    Raises :class:`ThresholdUndefined` when the denominator is <= 0.
+    The denominator is positive: (1-p)(1-kappa) <= 1-p < p in floats too.
     """
     if not 0.5 < p < 1.0:
         raise ValueError(f"precision must be in (1/2, 1), got {p!r}")
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa must be in (0, 1), got {kappa!r}")
-    den = p - (1.0 - p) * (1.0 - kappa)
-    if den <= 0.0:
-        raise ThresholdUndefined(f"denominator p - (1-p)(1-kappa) = {den!r} <= 0")
-    return kappa / den
+    return kappa / (p - (1.0 - p) * (1.0 - kappa))
 
 
 def fei_oracle(

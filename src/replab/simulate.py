@@ -304,9 +304,6 @@ class AnalyticEffort:
     method: str  # "lumped" | "direct" | "truncated"
     residual: float = 0.0
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def _acting(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
     """The states in which an incumbent acts, in id order: the initial state
@@ -334,11 +331,21 @@ def _acting_edges(automaton: EquilibriumAutomaton, states, law, fill):
     return np.repeat(np.arange(len(states)), to.shape[1]), to.ravel(), mass.ravel()
 
 
+def _no_unique_law(exc: Exception) -> ValidationError:
+    """The refusal of an acting chain whose stationary solve is singular: it
+    has more than one closed class, so no single long-run effort."""
+    return ValidationError([Violation(
+        "NoUniqueStationaryLaw", f"the acting chain has no unique stationary law ({exc})")])
+
+
 def _stationary(p: np.ndarray) -> np.ndarray:
     """Stationary law of a small dense chain ``p``."""
     a = p.T - np.eye(len(p))
     a[-1] = 1.0  # the last balance row becomes the normalization
-    mu = np.clip(np.linalg.solve(a, np.eye(len(p))[-1]), 0.0, None)
+    try:
+        mu = np.clip(np.linalg.solve(a, np.eye(len(p))[-1]), 0.0, None)
+    except np.linalg.LinAlgError as exc:
+        raise _no_unique_law(exc) from exc
     return mu / mu.sum()
 
 
@@ -355,6 +362,8 @@ def analytic_long_run_effort(
     with any truncated mass redirected to renewal and reported as a
     residual; the method is then "truncated" if the residual is positive.
     The monitoring must have the automaton's signals (:func:`check_signals`).
+    A chain with no unique stationary law (a singular solve) is refused
+    (``NoUniqueStationaryLaw``).
     """
     check_signals(automaton, monitoring)
     states, efforts, law = _acting(automaton, monitoring)
@@ -380,7 +389,11 @@ def analytic_long_run_effort(
     a.eliminate_zeros()
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = np.clip(splu(a).solve(b), 0.0, None)
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:
+        raise _no_unique_law(exc) from exc
+    mu = np.clip(lu.solve(b), 0.0, None)
     mu /= mu.sum()
     residual = float(mu @ np.where(automaton.next_state[states] < 0, law, 0.0).sum(axis=1))
     method = "truncated" if residual > 0.0 else "direct"

@@ -222,9 +222,6 @@ class Offender:
     residual: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def _max(values: np.ndarray) -> float:
     """Largest entry other than NaN, 0.0 if there is none. Of equal entries
@@ -257,7 +254,7 @@ class VerificationReport:
             "max_politician_residual": _max(self.politician_ic),
             "max_voter_residual": _max(self.voter_ic[~self.informational_states]),
             "max_bayes_residual": _max(self.bayes),
-            "offenders": [o.to_dict() for o in self.offenders[:10]],
+            "offenders": self.offenders[:10],
         }
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from replab import (
+    EquilibriumAutomaton,
     GameParams,
     MonitoringStructure,
     construct_full_effort,
@@ -44,3 +45,14 @@ def non_efe_automaton(non_efe):
 @pytest.fixture(scope="session")
 def non_efe_params_out(non_efe):
     return non_efe[1]
+
+
+@pytest.fixture(scope="session")
+def two_closed_classes(binary75):
+    """A never-replacing automaton whose initial state moves on to one of two
+    absorbing states, so its acting chain has two closed classes."""
+    return EquilibriumAutomaton(
+        replace_prob=[0.0, 0.0, 0.0], effort_prob=[0.5, 1.0, 0.0], belief=[0.3] * 3,
+        next_state=[[1, 2], [1, 1], [2, 2]], regime=["A", "B", "C"], initial=0,
+        signals=binary75.signals, kind="custom",
+    )

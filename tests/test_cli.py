@@ -414,6 +414,31 @@ class TestConstructVerifySimulate:
         code, _, err = run(capsys, command[0], "--automaton", str(bad), *command[1:])
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_meta_that_is_not_an_object_exits_2(self, capsys, automaton_file, tmp_path, command):
+        payload = json.loads(automaton_file.read_text())
+        payload["meta"] = [1]
+        bad = tmp_path / "meta.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, "--automaton", str(bad))
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert "meta is not a JSON object" in json.loads(err)["message"]
+
+    def test_simulate_without_unique_stationary_law_exits_2(
+        self, capsys, tmp_path, two_closed_classes, ref_params, binary75
+    ):
+        automaton = tmp_path / "two-classes.json"
+        automaton.write_text(json.dumps(
+            equilibria.automaton_to_dict(two_closed_classes, ref_params, binary75)))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--automaton", str(automaton),
+                             "--out", str(out_dir))
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert "NoUniqueStationaryLaw" in json.loads(err)["message"]
+        assert list(out_dir.iterdir()) == []
+
     def test_simulate_manifest_counts(self, capsys, automaton_file, tmp_path):
         code, _, _ = run(
             capsys, "simulate", "--automaton", str(automaton_file),
@@ -751,17 +776,37 @@ def test_grid_cap_is_on_cells():
         cli._grid_axes("0:1:0.001", "1:1.999:0.001")
 
 
-@pytest.mark.parametrize("argv", [
-    ["phase-sweep", "--binary-precision", "0.9:0.6:0.05", "--kappa", "0.2", "--delta", "0.5"],
-    ["check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
-     "--sweep", "delta=0.9:0.1:0.1"],
+@pytest.mark.parametrize("argv, message", [
+    (["phase-sweep", "--binary-precision", "0.9:0.6:0.05", "--kappa", "0.2", "--delta", "0.5"],
+     "a > b leaves no point"),
+    (["check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
+      "--sweep", "delta=0.9:0.1:0.1"], "a > b leaves no point"),
+    (["check-fei", "--binary-precision", "0.75", "--kappa", "0.2", "--sweep", "delta=1:2"],
+     "bad range '1:2'; expected a:b:step"),
+    (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0:1:0", "--delta", "0.5"],
+     "range step must be positive"),
+    (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0:1:-0.1"],
+     "range step must be positive"),
 ])
-def test_reversed_range_exits_2(capsys, argv):
-    # a > b has no point: refused, not printed as a header-only table
+def test_reversed_range_exits_2(capsys, argv, message):
+    # a > b has no point: refused, not printed as a header-only table; so is
+    # a range that is not a:b:step or has no positive step
     code, out, err = run(capsys, *argv)
     assert out == ""
     assert_one_json_error(code, err, "ConfigParse")
+    assert message in json.loads(err)["message"]
     assert cli._parse_range("0.5:0.5:0.1") == [0.5]  # a == b is one point
+
+
+def test_bound_sweep_grid_cap_is_on_cells(capsys):
+    # 1,001 x 1,000 (pi0, c) cells: refused before any cell is computed
+    pi0s = ",".join(str(0.1 + k * 1e-4) for k in range(1001))
+    cs = ",".join(str(k * 1e-5) for k in range(1000))
+    code, out, err = run(capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+                         "--delta", "0.3", "--pi0-grid", pi0s, "--c-grid", cs)
+    assert out == ""
+    assert_one_json_error(code, err, "ConfigParse")
+    assert "grid has more than 1000000 cells" in json.loads(err)["message"]
 
 
 def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch):

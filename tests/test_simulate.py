@@ -423,6 +423,16 @@ class TestAnalyticOracle:
                          SimulationConfig(horizon=200, paths=4000, master_seed=23))
         assert stats.long_run_effort == pytest.approx(ref_params.pi0, abs=0.02)
 
+    @pytest.mark.parametrize("kind", ["custom", "non-efe"])
+    def test_two_closed_classes_are_refused(self, two_closed_classes, ref_params, binary75,
+                                            kind):
+        # the long-run effort depends on which class a career enters: no
+        # single value, whichever oracle solves the chain
+        auto = dataclasses.replace(two_closed_classes, kind=kind)
+        with pytest.raises(ValidationError) as exc:
+            analytic_long_run_effort(auto, ref_params, binary75)
+        assert [v.code for v in exc.value.violations] == ["NoUniqueStationaryLaw"]
+
     def test_truncated_tree_reports_residual(self):
         monitoring = MonitoringStructure(
             ("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
