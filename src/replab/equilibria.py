@@ -231,8 +231,9 @@ def non_efe_parameters(params: GameParams, monitoring: MonitoringStructure) -> N
 
 def indifference_effort(e_star: float, belief: float) -> float:
     """Work probability that holds the voter's expected effort at ``e_star``
-    given reputation ``belief``; must land strictly inside (0, 1)."""
-    a = (e_star - belief) / (1.0 - belief)
+    given reputation ``belief``; must land strictly inside (0, 1), which
+    no effort does at belief 1."""
+    a = (e_star - belief) / (1.0 - belief) if belief < 1.0 else math.nan
     if not 0.0 < a < 1.0:
         raise IndifferenceOutOfRange(
             f"voter-indifferent effort {a!r} at belief {belief!r} not in (0, 1)"

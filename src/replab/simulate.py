@@ -19,13 +19,12 @@ integer state occupancy, and per-path aggregates are reduced once at the
 end. The stats, ``mean_belief`` included, are therefore bit-identical under
 any batching or scheduling.
 
-The per-period kernel indexes a (state, type) pair as one row, k + n*g
-with g = 1 for a good type, so that one lookup per table gives a row's
-replacement and effort probabilities (1 on good rows), whether a
-replacement there is favorable, and per edge (row * S + signal) the next
-row and the belief increment. The type rides along every transition and
-is redrawn only on replacement; occupancy is counted over the 2n rows and
-folded to states once at the end.
+The per-period kernel reads the automaton's own per-state arrays: one
+lookup per table gives a state's replacement and effort probabilities and
+whether a replacement there is favorable, and per edge (state * S +
+signal) the next state and the belief increment. Each path carries its
+incumbent's type as a flag, drawn at t = 0 and redrawn only on
+replacement; a good type works whatever the state's effort probability.
 
 The belief-martingale residual averages one-step increments of the acting
 incumbent's reputation, pi(successor) - pi(state), over every acting
@@ -176,40 +175,35 @@ def simulate(
     pi, nxt = automaton.belief, automaton.next_state
     n, n_signals = nxt.shape
     thresholds = _signal_thresholds(monitoring)
-    # row k + n*g is state k held by an incumbent of type g (1 = good); good
-    # types always work, and the type rides along every transition
-    sv2 = np.tile(automaton.replace_prob, 2)
-    sp2 = np.concatenate([automaton.effort_prob, np.ones(n)])
-    pi2 = np.tile(pi, 2)
-    fav2 = pi2 > pi0
     walks_off = not automaton.complete
-    next2 = np.concatenate([nxt, np.where(nxt >= 0, nxt + n, -1)]).ravel()
     # belief increment per edge (state * S + signal); 0 on a missing edge
-    step = np.where(next2 >= 0, pi2.take(next2) - np.repeat(pi2, n_signals), 0.0)
-    fresh_bad, fresh_good = automaton.initial, automaton.initial + n
+    step = np.where(nxt >= 0, pi.take(nxt) - pi[:, None], 0.0)
 
-    effort_sum = np.zeros(horizon)
-    occupancy = np.zeros((horizon, 2 * n), dtype=np.int64)  # acting paths per row
-    replace_count = np.zeros(horizon)
-    favorable_count = np.zeros(horizon)
-    tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
-    first_rep_hist = np.zeros(horizon + 1, dtype=np.int64)  # [horizon] = censored
     exceed_counts = {thr: 0 for thr in TENURE_THRESHOLDS}
-
     burn_in = horizon // 5
     cutoffs = sorted({0, horizon // 10, burn_in, (2 * horizon) // 5})
-    # per-path aggregates, reduced once at the end in a batching-independent order
-    lr_means = {cut: np.zeros(paths) for cut in cutoffs}
-    mart_means = np.zeros(paths)
 
-    batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
+    try:
+        effort_sum = np.zeros(horizon)
+        occupancy = np.zeros((horizon, n), dtype=np.int64)  # acting paths per state
+        replace_count = np.zeros(horizon)
+        favorable_count = np.zeros(horizon)
+        tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
+        first_rep_hist = np.zeros(horizon + 1, dtype=np.int64)  # [horizon] = censored
+        # per-path aggregates, reduced once at the end in a batching-independent order
+        lr_means = {cut: np.zeros(paths) for cut in cutoffs}
+        mart_means = np.zeros(paths)
+        batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
+    except ValueError as exc:  # numpy's refusal of a size past its index range
+        raise MemoryError(str(exc)) from exc
     for start in range(0, paths, _BATCH):
         stop = min(start + _BATCH, paths)
         nb = stop - start
         u = batch[:, :, :nb]
         _fill_uniforms(config.master_seed, start, u)
 
-        state = np.where(u[0, 1] < pi0, fresh_good, fresh_bad)
+        state = np.full(nb, automaton.initial)
+        good = u[0, 1] < pi0  # the incumbent's type
         since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
         path_effort = np.zeros(nb)
         prefix = {cut: np.zeros(nb) for cut in cutoffs}
@@ -218,25 +212,26 @@ def simulate(
         for t in range(horizon):
             vote, draw_type, draw_act, draw_sig = u[t]
             if t > 0:
-                out = np.flatnonzero(vote < sv2.take(state))  # paths voted out
+                out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # paths voted out
                 if len(out):
-                    favorable_count[t] += np.count_nonzero(fav2.take(state.take(out)))
+                    favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
                     began = since.take(out)
                     tenure_hist += np.bincount(t - began, minlength=horizon + 1)
                     first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
-                    state[out] = np.where(draw_type.take(out) < pi0, fresh_good, fresh_bad)
+                    state[out] = automaton.initial
+                    good[out] = draw_type.take(out) < pi0
                     since[out] = t
                 replace_count[t] += len(out)
             if t in prefix:
                 prefix[t][:] = path_effort
 
-            occupancy[t] += np.bincount(state, minlength=2 * n)
-            act = draw_act < sp2.take(state)  # uniforms are < 1: good types work
+            occupancy[t] += np.bincount(state, minlength=n)
+            act = (draw_act < automaton.effort_prob.take(state)) | good
             effort_sum[t] += np.count_nonzero(act)
             path_effort += act
 
             edge = state * n_signals + _signals(thresholds, act, draw_sig)
-            state_next = next2.take(edge)
+            state_next = nxt.take(edge)
             if walks_off and np.any(state_next < 0):
                 raise DepthInsufficient(
                     f"path walked off the materialized automaton at period {t}"
@@ -270,7 +265,7 @@ def simulate(
         master_seed=config.master_seed,
         mean_effort=effort_sum / paths,
         replace_rate=replace_count / paths,
-        mean_belief=((occupancy[:, :n] + occupancy[:, n:]) @ pi) / paths,
+        mean_belief=(occupancy @ pi) / paths,
         favorable_replacements=favorable_count,
         favorable_total=int(favorable_count.sum()),
         burn_in=burn_in,

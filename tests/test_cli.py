@@ -603,12 +603,18 @@ class TestPhaseSweep:
         assert keys == sorted(keys)
 
     # at c = 0.7 = 1 - pi0 the non-efe construction needs a smaller c; just
-    # below it, no a0 is feasible. The full-effort automaton still builds.
-    @pytest.mark.parametrize("c, refusal", [
-        ("0.7", "ReplacementCostTooLargeForConstruction"), ("0.6999999999999", "NoFeasibleA0"),
+    # below it, no a0 is feasible; at pi0 one ulp below 1 the tree's belief
+    # key rounds to 1, where no effort is voter-indifferent. The full-effort
+    # automaton still builds.
+    @pytest.mark.parametrize("pi0, c, refusal", [
+        ("0.3", "0.7", "ReplacementCostTooLargeForConstruction"),
+        ("0.3", "0.6999999999999", "NoFeasibleA0"),
+        ("0.9999999999999999", "0", "IndifferenceOutOfRange"),
     ])
-    def test_construction_refusal_leaves_its_column_empty(self, capsys, tmp_path, c, refusal):
-        model = ("--binary-precision", "0.75", "--kappa", "0.2", "--pi0", "0.3", "--c", c)
+    def test_construction_refusal_leaves_its_column_empty(
+        self, capsys, tmp_path, pi0, c, refusal
+    ):
+        model = ("--binary-precision", "0.75", "--kappa", "0.2", "--pi0", pi0, "--c", c)
         code, _, err = run(capsys, "construct", "--kind", "non-efe", *model, "--delta", "0.6")
         assert_one_json_error(code, err, refusal)
         code, _, _ = run(capsys, "phase-sweep", *model, "--delta", "0.3:0.6:0.3",
@@ -825,6 +831,8 @@ def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch)
 @pytest.mark.parametrize("size", [
     ["--paths", "100000000000", "--horizon", "2"],
     ["--paths", "1", "--horizon", "100000000"],
+    ["--paths", "10000000000000000000"],  # past numpy's index range
+    ["--paths", "1", "--horizon", "4611686018427387904"],
 ])
 def test_oversized_simulation_exits_2(reference_payload, tmp_path, size):
     # under _run_capped's address-space limit the run's arrays cannot be had
@@ -914,8 +922,10 @@ class TestOutputPath:
         assert rewritten["automaton-fe.json"]["config"]["delta"] == 0.6
         assert rewritten["automaton-non-efe.json"] == outputs["automaton-non-efe.json"]
 
-    def test_unreadable_manifest_is_replaced(self, capsys, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
+    # not JSON, not an object, or an object whose outputs are not one
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"outputs": []}', '{"outputs": "x"}'])
+    def test_unreadable_manifest_is_replaced(self, capsys, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
         assert run(capsys, "construct", "--kind", "fe", *_HOLDING, "--out", str(tmp_path))[0] == 0
         assert list(json.loads((tmp_path / "manifest.json").read_text())["outputs"]) == [
             "automaton-fe.json"
@@ -1280,3 +1290,27 @@ class TestArgparseContract:
         code, _, err = run(capsys, "check-fei", "--kappa", "0.2", "--delta", "0.4")
         assert code == 2
         assert json.loads(err)["error"] == "ConfigParse"
+
+
+def _readme_commands():
+    """Each ``replab ...`` command in README's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        joined = block.split("```")[0].replace("\\\n", " ")
+        commands += [line.split()[1:] for line in joined.splitlines()
+                     if line.startswith("replab ")]
+    return commands
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # in order, since later examples read what earlier ones wrote; only
+    # simulate's --paths is lowered, to keep the run short
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        if argv[0] == "simulate":
+            argv[argv.index("--paths") + 1] = "1000"
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv

@@ -152,6 +152,8 @@ class TestClosedForms:
             indifference_effort(0.7, 0.75)
         with pytest.raises(IndifferenceOutOfRange):
             indifference_effort(1.2, 0.1)
+        with pytest.raises(IndifferenceOutOfRange):  # no effort moves a sure belief
+            indifference_effort(0.9, 1.0)
 
 
 class TestFullEffortConstruction:
