@@ -314,23 +314,25 @@ def _acting(automaton: EquilibriumAutomaton, monitoring: MonitoringStructure):
 
 def _acting_edges(automaton: EquilibriumAutomaton, states, law, fill):
     """The acting chain over the acting states (:func:`_acting`) as (from,
-    to, mass) edges, ``from`` a position in ``states`` and ``to`` a state
-    id: each signal's retained mass goes to its successor and its replaced
-    mass to the initial state, a missing successor read as ``fill``. A
-    state's retained edges come before its replaced ones."""
+    to, mass) edges with mass, ``from`` and ``to`` positions in ``states``:
+    each signal's retained mass goes to its successor and its replaced mass
+    to the initial state, a missing successor read as ``fill``. A state's
+    retained edges come before its replaced ones."""
     nxt = automaton.next_state[states]
     succ = np.where(nxt >= 0, nxt, fill)
     sv = automaton.replace_prob[succ]
-    to = np.concatenate([succ, np.full_like(succ, automaton.initial)], axis=1)
-    mass = np.concatenate([law * (1.0 - sv), law * sv], axis=1)
-    return np.repeat(np.arange(len(states)), to.shape[1]), to.ravel(), mass.ravel()
+    to = np.concatenate([succ, np.full_like(succ, automaton.initial)], axis=1).ravel()
+    mass = np.concatenate([law * (1.0 - sv), law * sv], axis=1).ravel()
+    live = mass > 0.0  # every edge with mass enters an acting state
+    frm = np.repeat(np.arange(len(states)), 2 * law.shape[1])
+    return frm[live], np.searchsorted(states, to[live]), mass[live]
 
 
-def _no_unique_law(exc: Exception) -> ValidationError:
-    """The refusal of an acting chain whose stationary solve is singular: it
-    has more than one closed class, so no single long-run effort."""
+def _no_unique_law(reason: str) -> ValidationError:
+    """The refusal of an acting chain with more than one closed class: it
+    has no single long-run effort."""
     return ValidationError([Violation(
-        "NoUniqueStationaryLaw", f"the acting chain has no unique stationary law ({exc})")])
+        "NoUniqueStationaryLaw", f"the acting chain has no unique stationary law ({reason})")])
 
 
 def _stationary(p: np.ndarray) -> np.ndarray:
@@ -340,7 +342,7 @@ def _stationary(p: np.ndarray) -> np.ndarray:
     try:
         mu = np.clip(np.linalg.solve(a, np.eye(len(p))[-1]), 0.0, None)
     except np.linalg.LinAlgError as exc:
-        raise _no_unique_law(exc) from exc
+        raise _no_unique_law(str(exc)) from exc
     return mu / mu.sum()
 
 
@@ -357,8 +359,8 @@ def analytic_long_run_effort(
     with any truncated mass redirected to renewal and reported as a
     residual; the method is then "truncated" if the residual is positive.
     The monitoring must have the automaton's signals (:func:`check_signals`).
-    A chain with no unique stationary law (a singular solve) is refused
-    (``NoUniqueStationaryLaw``).
+    A chain with more than one closed class, and so no unique stationary
+    law, is refused (``NoUniqueStationaryLaw``).
     """
     check_signals(automaton, monitoring)
     states, efforts, law = _acting(automaton, monitoring)
@@ -366,29 +368,26 @@ def analytic_long_run_effort(
     if lump is not None:
         return lump
     from scipy.sparse import csc_matrix
+    from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
     n = len(states)
     frm, to, mass = _acting_edges(automaton, states, law, automaton.initial)
-    to = np.searchsorted(states, to)  # every edge with mass enters an acting state
-    # A = P^T - I with its last balance row replaced by ones: duplicates are
-    # summed, and a diagonal that cancels is dropped
-    live = (mass > 0.0) & (to < n - 1)
-    ids = np.arange(n)
-    a = csc_matrix(
-        (np.concatenate([mass[live], np.full(n - 1, -1.0), np.ones(n)]),
-         (np.concatenate([to[live], ids[:-1], np.full(n, n - 1)]),
-          np.concatenate([frm[live], ids[:-1], ids]))),
-        shape=(n, n),
-    )
-    a.eliminate_zeros()
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise _no_unique_law(exc) from exc
-    mu = np.clip(lu.solve(b), 0.0, None)
+    # the closed classes are the strong components with no edge out
+    graph = csc_matrix((mass, (frm, to)), shape=(n, n))
+    count, part = connected_components(graph, connection="strong")
+    closed = np.setdiff1d(np.arange(count), part[frm[part[frm] != part[to]]])
+    if len(closed) > 1:
+        raise _no_unique_law(f"{len(closed)} closed classes")
+    # anchor r, the initial state if the closed class holds it: A = P^T - I
+    # with r's balance row replaced by mu(r) = 1, duplicates summed
+    start = np.searchsorted(states, automaton.initial)
+    r = start if part[start] == closed[0] else np.argmax(part == closed[0])
+    ids, keep = np.arange(n), to != r
+    a = csc_matrix((np.concatenate([mass[keep], np.where(ids == r, 1.0, -1.0)]),
+                    (np.concatenate([to[keep], ids]), np.concatenate([frm[keep], ids]))),
+                   shape=(n, n))
+    mu = np.clip(splu(a).solve((ids == r).astype(float)), 0.0, None)
     mu /= mu.sum()
     residual = float(mu @ np.where(automaton.next_state[states] < 0, law, 0.0).sum(axis=1))
     method = "truncated" if residual > 0.0 else "direct"
@@ -398,28 +397,23 @@ def analytic_long_run_effort(
 def _try_lumped(automaton: EquilibriumAutomaton, states, effort, law) -> Optional[AnalyticEffort]:
     """The acting chain lumped by regime label, or None if it does not lump.
 
-    The acting chain's edges (:func:`_acting_edges`) are summed by the
-    regime they enter, a missing successor read as the state itself, as the
-    lazy tree's next state would; the initial state must have every edge.
-    It lumps if each regime's acting states share one row and one effort,
-    and is solved over reachable regimes.
+    The blocks are the acting states' labels in sorted order, at most 2S of
+    them, so the (acting states, blocks) rows never outgrow the edge list.
+    The edges (:func:`_acting_edges`) are summed by the block they enter, a
+    missing successor read as the state itself, as the lazy tree's next
+    state would; the initial state must have every edge. It lumps if each
+    block's acting states share one row and one effort.
     """
     if automaton.kind != "non-efe" or np.any(automaton.next_state[automaton.initial] < 0):
         return None
-    # a block per distinct label, numbered in sorted label order
-    labels, block = np.unique(automaton.regime, return_inverse=True)
-    frm, to, mass = _acting_edges(automaton, states, law, states[:, None])
-    rows = np.zeros((len(states), len(labels)))
-    np.add.at(rows, (frm, block[to]), mass)
-    used, first, of = np.unique(block[states], return_index=True, return_inverse=True)
-    if np.any(np.abs(rows - rows[first[of]]) > 1e-12) or np.any(
-        np.abs(effort - effort[first[of]]) > 1e-10
-    ):
+    _, first, block = np.unique(automaton.regime[states], return_index=True, return_inverse=True)
+    if len(first) > 2 * law.shape[1]:
         return None
-    p = rows[first][:, used]  # regimes without acting states receive no mass
-    reach = used == block[automaton.initial]
-    for _ in range(len(used)):
-        reach = reach | (reach @ (p > 0.0))
-    mu = _stationary(p[np.ix_(reach, reach)])
-    value = float(mu @ effort[first][reach])
-    return AnalyticEffort(value=value, method="lumped", residual=0.0)
+    frm, to, mass = _acting_edges(automaton, states, law, states[:, None])
+    rows = np.zeros((len(states), len(first)))
+    np.add.at(rows, (frm, block[to]), mass)
+    same = first[block]  # the first acting state of each state's block
+    if np.abs(rows - rows[same]).max() > 1e-12 or np.abs(effort - effort[same]).max() > 1e-10:
+        return None
+    mu = _stationary(rows[first])
+    return AnalyticEffort(value=float(mu @ effort[first]), method="lumped", residual=0.0)

@@ -602,6 +602,13 @@ class TestPhaseSweep:
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
 
+    def test_pi0_and_c_default_to_0_3_and_0(self, capsys):
+        # phase-sweep reads no config, and its defaults are not the model's
+        code, out, _ = run(capsys, "phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
+                           "--delta", "0.3")
+        assert code == 0
+        assert [float(x) for x in out.splitlines()[1].split(",")[3:5]] == [0.3, 0.0]
+
     # at c = 0.7 = 1 - pi0 the non-efe construction needs a smaller c; just
     # below it, no a0 is feasible; at pi0 one ulp below 1 the tree's belief
     # key rounds to 1, where no effort is voter-indifferent. The full-effort
@@ -841,6 +848,23 @@ def test_oversized_simulation_exits_2(reference_payload, tmp_path, size):
     done = _run_capped("simulate", "--automaton", str(automaton), *size)
     assert done.stdout == ""
     assert_one_json_error(done.returncode, done.stderr, "OutOfMemory")
+
+
+def test_long_chain_simulates_within_the_memory_cap(tmp_path, ref_params, binary75):
+    # Fail moves on and Pass stays, with replacement at rate 0.5 from every
+    # state: the direct oracle's dense renewal row and ones row made SuperLU's
+    # fill superlinear, and this chain ran out of _run_capped's 1 GiB
+    n = 16_000
+    chain = replab.EquilibriumAutomaton(
+        replace_prob=[0.5] * n, effort_prob=[0.5] * n, belief=[0.3] * n,
+        next_state=[[min(i + 1, n - 1), i] for i in range(n)], regime=["Chain"] * n,
+        initial=0, signals=binary75.signals, kind="custom",
+    )
+    automaton = tmp_path / "chain.json"
+    automaton.write_text(json.dumps(equilibria.automaton_to_dict(chain, ref_params, binary75)))
+    done = _run_capped("simulate", "--automaton", str(automaton), "--paths", "10",
+                       "--horizon", "5")
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_flag_defaults_are_the_library_defaults():

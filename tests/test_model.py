@@ -16,6 +16,7 @@ from replab import (
     belief_growth_bound,
     construct_full_effort,
     construct_non_efe,
+    fei_oracle,
     iterated_max_update,
     max_update,
     model_from_dict,
@@ -304,3 +305,23 @@ class TestGrowthBound:
             eta = rng.uniform(1e-3, 1 - 1e-3)
             t = int(rng.integers(0, 50))
             assert belief_growth_bound(pi, eta, t + 1) > belief_growth_bound(pi, eta, t) - 1e-15
+
+
+_BINARY = MonitoringStructure.binary(0.75)
+_HOLDING = GameParams(0.2, 0.5, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (bayes_update, (_BINARY, 0.3, 1.5, "Pass"), "effort probability must be in"),
+    (max_update, (_BINARY, 0.0, 0.5), "max_update requires pi"),
+    (max_update, (_BINARY, 0.3, -0.1), "eta must be in"),
+    (iterated_max_update, (_BINARY, 0.3, 0.5, -1), "t must be a nonnegative integer"),
+    (belief_growth_bound, (1.0, 0.5, 1), "belief_growth_bound requires pi"),
+    (belief_growth_bound, (0.3, 1.0, 1), "eta must be in"),
+    (belief_growth_bound, (0.3, 0.5, -1), "t must be a nonnegative integer"),
+    (fei_oracle, (_HOLDING, _BINARY, 1e-3, "simplex"), "unknown method"),
+    (fei_oracle, (_HOLDING, _BINARY, 1e-4, "grid"), "grid too large"),  # 10,001^2 points
+], ids=lambda value: getattr(value, "__name__", None))
+def test_argument_refusals(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)

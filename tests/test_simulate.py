@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,44 @@ class TestAnalyticOracle:
             analytic_long_run_effort(auto, ref_params, binary75)
         assert [v.code for v in exc.value.violations] == ["NoUniqueStationaryLaw"]
 
+    @pytest.mark.parametrize("kind, method", [("custom", "direct"), ("non-efe", "lumped")])
+    def test_closed_class_that_avoids_the_initial_state(self, ref_params, binary75, kind,
+                                                        method):
+        # states 0 and 1 are transient and every career ends in {2, 3}: the
+        # chain keeps a good incumbent (2) or one in doubt (3), with long-run
+        # effort 22/23, and never renews
+        auto = EquilibriumAutomaton(
+            replace_prob=[0.0, 0.3, 0.0, 0.0], effort_prob=[0.5, 0.5, 1.0, 0.2],
+            belief=[0.3, 0.2, 0.9, 0.8], next_state=[[1, 2], [1, 2], [3, 2], [3, 2]],
+            regime=["A", "B", "C", "D"], initial=0, signals=binary75.signals, kind=kind,
+        )
+        result = analytic_long_run_effort(auto, ref_params, binary75)
+        assert result.method == method
+        assert result.value == pytest.approx(22 / 23, abs=1e-12)
+
+    def test_label_per_state_ring_is_solved_in_edge_memory(self, ref_params, binary75):
+        # 1,500 labels are more blocks than a state has edges (2S = 4), so the
+        # direct oracle answers, with no (acting states x labels) array
+        for module in ("scipy.sparse.csgraph", "scipy.sparse.linalg"):
+            importlib.import_module(module)  # loaded before the trace
+        n = 1500
+        ring = EquilibriumAutomaton(
+            replace_prob=[0.1] * n, effort_prob=[0.5] * n, belief=[0.3] * n,
+            next_state=[[(i + 1) % n, i] for i in range(n)], regime=[str(i) for i in range(n)],
+            initial=0, signals=binary75.signals, kind="non-efe",
+        )
+        tracemalloc.start()
+        try:
+            result = analytic_long_run_effort(ring, ref_params, binary75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.method == "direct" and peak < 20e6
+        one_label = analytic_long_run_effort(
+            dataclasses.replace(ring, regime=["ring"] * n), ref_params, binary75)
+        assert one_label.method == "lumped"
+        assert result.value == pytest.approx(one_label.value, abs=1e-12)
+
     def test_truncated_tree_reports_residual(self):
         monitoring = MonitoringStructure(
             ("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
@@ -473,11 +512,11 @@ class TestAnalyticOracle:
 
         cases = [
             (non_efe_automaton, ref_params, binary75, "lumped", 0.9263498920130506, 0.0),
-            (custom(non_efe_automaton), ref_params, binary75, "direct", 0.9263498920130508, 0.0),
+            (custom(non_efe_automaton), ref_params, binary75, "direct", 0.9263498920130507, 0.0),
             (fe_automaton, ref_params, binary75, "direct", 1.0, 0.0),
             (two_fail, params, monitoring, "lumped", 0.9151367081263504, 0.0),
             (custom(two_fail), params, monitoring,
-             "truncated", 0.9151368661381197, 4.098752692529086e-06),
+             "truncated", 0.9151368661381197, 4.098752692511605e-06),
         ]
         for auto, game, signals, method, value, residual in cases:
             result = analytic_long_run_effort(auto, game, signals)

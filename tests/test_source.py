@@ -12,3 +12,27 @@ def test_runtime_checks_are_raised_errors(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == [], f"{path.name} asserts at lines {asserts}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_lines_fit_in_99_columns(path):
+    long = [number for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 99]
+    assert long == [], f"{path.name} is over 99 columns at lines {long}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports to re-export; __future__ imports switch features on
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"{path.name} never uses these imports (name: line): {unused}"
