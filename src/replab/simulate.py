@@ -13,11 +13,15 @@ Determinism contract: path p consumes a fixed layout of uniforms,
 Philox stream keyed by (master_seed, p). Paths run in batches of
 ``_BATCH``; one Philox per batch is rekeyed to (master_seed, p) for each
 path, and the batch is held period-major, (horizon, 4, paths), so that each
-period reads contiguous slots. Every reduction is exact or per path:
-per-period counts are integers, ``mean_belief`` is formed once from the
-integer state occupancy, and per-path aggregates are reduced once at the
-end. The stats, ``mean_belief`` included, are therefore bit-identical under
-any batching or scheduling.
+period reads contiguous slots. W contiguous ranges of paths run at once,
+W the smaller of the batch count and the CPUs in the affinity mask (1 off
+Linux): the first here, the others in forked children, each worker adding
+its integer counts into its own row of shared memory. Every reduction is
+exact or per path: per-period counts are integers, summed over the rows
+once every child is reaped, ``mean_belief`` is formed once from the integer
+state occupancy, and per-path aggregates are reduced once at the end. The
+stats, ``mean_belief`` included, are therefore bit-identical under any
+batching, worker count or scheduling.
 
 The per-period kernel reads the automaton's own per-state arrays: one
 lookup per table gives a state's replacement and effort probabilities and
@@ -35,6 +39,9 @@ Bayes-consistent beliefs the increments have mean zero exactly.
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -161,6 +168,66 @@ def _signals(thresholds: np.ndarray, act: np.ndarray, u: np.ndarray) -> np.ndarr
     return sig
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks else 1
+
+
+def _shared(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, written in place by forked
+    workers; a size the map refuses raises MemoryError."""
+    size = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    try:
+        return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {size} bytes of shared memory: {exc}") from exc
+
+
+def _fork_join(run, workers: int) -> None:
+    """Exhaust the generator ``run(0)`` here and each ``run(k)``, k = 1 ..
+    ``workers - 1``, in a forked child, which stops between two steps once
+    its parent is gone. Every child is reaped before this returns or raises,
+    and killed first if anything fails. The lowest failing child's ``run``
+    is then exhausted here, so that it raises what a serial run raises.
+    """
+    parent, children, failed = os.getpid(), [], 0
+    try:
+        for k in range(1, workers):
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork with live threads (OpenBLAS's idle
+                # pool); the child runs numpy kernels only: no BLAS, no import, no lock
+                warnings.filterwarnings(
+                    "ignore", "This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: exit status 0 only if its range ran through
+                try:
+                    for _ in run(k):
+                        if os.getppid() != parent:
+                            os._exit(1)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        for _ in run(0):
+            pass
+        for k in range(1, workers):
+            status = os.waitpid(children[0], 0)[1]
+            children.pop(0)
+            if status:
+                failed = k
+                break
+    finally:
+        for pid in children:
+            os.kill(pid, 9)  # SIGKILL; the signal module costs 0.7 ms to import
+            os.waitpid(pid, 0)
+    if failed:
+        for _ in run(failed):
+            pass
+        raise ChildProcessError(f"simulation worker {failed} of {workers} ended with exit "
+                                f"code {os.waitstatus_to_exitcode(status)}")
+
+
 def simulate(
     automaton: EquilibriumAutomaton,
     params: GameParams,
@@ -179,74 +246,89 @@ def simulate(
     # belief increment per edge (state * S + signal); 0 on a missing edge
     step = np.where(nxt >= 0, pi.take(nxt) - pi[:, None], 0.0)
 
-    exceed_counts = {thr: 0 for thr in TENURE_THRESHOLDS}
     burn_in = horizon // 5
     cutoffs = sorted({0, horizon // 10, burn_in, (2 * horizon) // 5})
+    workers = min(_cpus(), -(-paths // _BATCH))
+    starts = [range(paths * k // workers, paths * (k + 1) // workers, _BATCH)
+              for k in range(workers)]  # each worker's batches
 
     try:
-        effort_sum = np.zeros(horizon)
-        occupancy = np.zeros((horizon, n), dtype=np.int64)  # acting paths per state
-        replace_count = np.zeros(horizon)
-        favorable_count = np.zeros(horizon)
-        tenure_hist = np.zeros(horizon + 1, dtype=np.int64)
-        first_rep_hist = np.zeros(horizon + 1, dtype=np.int64)  # [horizon] = censored
+        # one row per worker: effort, replacement and favorable-replacement
+        # counts per period, completed-tenure and first-replacement histograms
+        # ([horizon] = censored), final-tenure exceed counts, state occupancy
+        tally = _shared((workers, horizon * (n + 5) + 6), np.int64)
         # per-path aggregates, reduced once at the end in a batching-independent order
-        lr_means = {cut: np.zeros(paths) for cut in cutoffs}
-        mart_means = np.zeros(paths)
+        per_path = _shared((len(cutoffs) + 1, paths), np.float64)
         batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
     except ValueError as exc:  # numpy's refusal of a size past its index range
         raise MemoryError(str(exc)) from exc
-    for start in range(0, paths, _BATCH):
-        stop = min(start + _BATCH, paths)
-        nb = stop - start
-        u = batch[:, :, :nb]
-        _fill_uniforms(config.master_seed, start, u)
+    sizes = np.cumsum([horizon] * 3 + [horizon + 1] * 2 + [len(TENURE_THRESHOLDS)])
+    *parts, occupancy = np.split(tally, sizes, axis=1)
+    parts.append(occupancy.reshape(workers, horizon, n))  # acting paths per state
+    lr_means = dict(zip(cutoffs, per_path))
+    mart_means = per_path[-1]
 
-        state = np.full(nb, automaton.initial)
-        good = u[0, 1] < pi0  # the incumbent's type
-        since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
-        path_effort = np.zeros(nb)
-        prefix = {cut: np.zeros(nb) for cut in cutoffs}
-        path_mart = np.zeros(nb)
+    def run(k):
+        """Worker k's batches, tallied into row k; yields after each batch."""
+        (effort_sum, replace_count, favorable_count, tenure_hist, first_rep_hist,
+         exceed_counts, occupancy) = (part[k] for part in parts)
+        for start in starts[k]:
+            stop = min(start + _BATCH, starts[k].stop)
+            nb = stop - start
+            u = batch[:, :, :nb]
+            _fill_uniforms(config.master_seed, start, u)
 
-        for t in range(horizon):
-            vote, draw_type, draw_act, draw_sig = u[t]
-            if t > 0:
-                out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # paths voted out
-                if len(out):
-                    favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
-                    began = since.take(out)
-                    tenure_hist += np.bincount(t - began, minlength=horizon + 1)
-                    first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
-                    state[out] = automaton.initial
-                    good[out] = draw_type.take(out) < pi0
-                    since[out] = t
-                replace_count[t] += len(out)
-            if t in prefix:
-                prefix[t][:] = path_effort
+            state = np.full(nb, automaton.initial)
+            good = u[0, 1] < pi0  # the incumbent's type
+            since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
+            path_effort = np.zeros(nb)
+            prefix = {cut: np.zeros(nb) for cut in cutoffs}
+            path_mart = np.zeros(nb)
 
-            occupancy[t] += np.bincount(state, minlength=n)
-            act = (draw_act < automaton.effort_prob.take(state)) | good
-            effort_sum[t] += np.count_nonzero(act)
-            path_effort += act
+            for t in range(horizon):
+                vote, draw_type, draw_act, draw_sig = u[t]
+                if t > 0:
+                    out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # voted out
+                    if len(out):
+                        favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
+                        began = since.take(out)
+                        tenure_hist += np.bincount(t - began, minlength=horizon + 1)
+                        first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
+                        state[out] = automaton.initial
+                        good[out] = draw_type.take(out) < pi0
+                        since[out] = t
+                    replace_count[t] += len(out)
+                if t in prefix:
+                    prefix[t][:] = path_effort
 
-            edge = state * n_signals + _signals(thresholds, act, draw_sig)
-            state_next = nxt.take(edge)
-            if walks_off and np.any(state_next < 0):
-                raise DepthInsufficient(
-                    f"path walked off the materialized automaton at period {t}"
-                )
-            path_mart += step.take(edge)
-            state = state_next
+                occupancy[t] += np.bincount(state, minlength=n)
+                act = (draw_act < automaton.effort_prob.take(state)) | good
+                effort_sum[t] += np.count_nonzero(act)
+                path_effort += act
 
-        tenure_final = horizon - since
-        for thr in TENURE_THRESHOLDS:
-            exceed_counts[thr] += int(np.count_nonzero(tenure_final > thr))
-        first_rep_hist[horizon] += np.count_nonzero(since == 0)  # never replaced
+                edge = state * n_signals + _signals(thresholds, act, draw_sig)
+                state_next = nxt.take(edge)
+                if walks_off and np.any(state_next < 0):
+                    raise DepthInsufficient(
+                        f"path walked off the materialized automaton at period {t}"
+                    )
+                path_mart += step.take(edge)
+                state = state_next
 
-        for cut in cutoffs:
-            lr_means[cut][start:stop] = (path_effort - prefix[cut]) / (horizon - cut)
-        mart_means[start:stop] = path_mart / horizon
+            tenure_final = horizon - since
+            for i, thr in enumerate(TENURE_THRESHOLDS):
+                exceed_counts[i] += np.count_nonzero(tenure_final > thr)
+            first_rep_hist[horizon] += np.count_nonzero(since == 0)  # never replaced
+
+            for cut in cutoffs:
+                lr_means[cut][start:stop] = (path_effort - prefix[cut]) / (horizon - cut)
+            mart_means[start:stop] = path_mart / horizon
+            yield
+
+    _fork_join(run, workers)
+    # integer sums over the workers' rows are exact in any order
+    (effort_sum, replace_count, favorable_count, tenure_hist, first_rep_hist,
+     exceed_counts, occupancy) = (part.sum(axis=0) for part in parts)
 
     long_run = float(lr_means[burn_in].mean())
     long_run_se = float(lr_means[burn_in].std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
@@ -266,7 +348,7 @@ def simulate(
         mean_effort=effort_sum / paths,
         replace_rate=replace_count / paths,
         mean_belief=(occupancy @ pi) / paths,
-        favorable_replacements=favorable_count,
+        favorable_replacements=favorable_count.astype(np.float64),  # floats in the JSON
         favorable_total=int(favorable_count.sum()),
         burn_in=burn_in,
         long_run_effort=long_run,
@@ -277,11 +359,11 @@ def simulate(
         tenure_histogram=tenure_hist,
         censored_tenures=paths,
         final_tenure_exceeds={
-            thr: exceed_counts[thr] / paths for thr in TENURE_THRESHOLDS
+            thr: int(count) / paths for thr, count in zip(TENURE_THRESHOLDS, exceed_counts)
         },
         first_replacement_histogram=first_rep_hist,
         first_politician_survival=survival,
-        counts={"batches": -(-paths // _BATCH)},
+        counts={"batches": sum(map(len, starts)), "workers": workers},
     )
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -446,7 +447,7 @@ class TestConstructVerifySimulate:
         )
         assert code == 0
         counts = manifest_record(tmp_path, "simulation_stats.json")["counts"]
-        assert counts == {"batches": 1}
+        assert counts == {"batches": 1, "workers": 1}
         stats = json.loads((tmp_path / "simulation_stats.json").read_text())
         assert "counts" not in stats and "batches" not in stats
 
@@ -1108,6 +1109,18 @@ class TestPinnedFiles:
                    "--out", str(tmp_path))[0] == 0
         assert _sha256(tmp_path / "simulation_stats.json") == _PINNED["simulation-stats"]
         assert _sha256(tmp_path / "per_period.csv") == _PINNED["per-period"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_simulation_pins_hold_for_any_worker_count(self, capsys, reference_payload,
+                                                       tmp_path, monkeypatch, workers):
+        # 3000 paths in batches of 700: up to three ranges of two or three batches
+        sim_module = importlib.import_module("replab.simulate")
+        monkeypatch.setattr(sim_module, "_cpus", lambda: workers)
+        monkeypatch.setattr(sim_module, "_BATCH", 700)
+        monkeypatch.setattr(sim_module, "_BLOCK", 50)
+        self.test_simulation_stats_and_per_period(capsys, reference_payload, tmp_path)
+        counts = manifest_record(tmp_path, "simulation_stats.json")["counts"]
+        assert counts["workers"] == workers
 
     @pytest.mark.parametrize("model, name", [(_HOLDING, "fei-holds"), (_FAILING, "fei-fails")])
     def test_fei_certificate(self, capsys, tmp_path, model, name):

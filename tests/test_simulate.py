@@ -1,6 +1,12 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +60,7 @@ class TestDeterminism:
         # cannot change any draw; per-period counts are integers and
         # per-path aggregates reduce once, so every field is exact
         config = SimulationConfig(horizon=60, paths=900, master_seed=5)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 2)
         full = simulate(non_efe_automaton, ref_params, binary75, config)
         monkeypatch.setattr(sim_module, "_BATCH", 128)
         monkeypatch.setattr(sim_module, "_BLOCK", 50)
@@ -69,8 +76,8 @@ class TestDeterminism:
         assert full.martingale_mean == rebatched.martingale_mean
         assert np.array_equal(full.mean_belief, rebatched.mean_belief)
         assert full.to_json() == rebatched.to_json()
-        assert full.counts == {"batches": 1}
-        assert rebatched.counts == {"batches": 8}
+        assert full.counts == {"batches": 1, "workers": 1}
+        assert rebatched.counts == {"batches": 8, "workers": 2}  # 450 paths each
 
     def test_json_holds_every_field_but_counts(self, fe_automaton, ref_params, binary75):
         stats = simulate(fe_automaton, ref_params, binary75,
@@ -79,13 +86,158 @@ class TestDeterminism:
         assert set(json.loads(stats.to_json())) == names
 
 
+def _walk_off_automaton(signals):
+    """State 0 keeps the incumbent on the first signal and moves to state 1
+    on any other; state 1 has no edges, so a path walks off one period after
+    its first other signal. Nobody is ever replaced."""
+    return EquilibriumAutomaton(
+        replace_prob=[0.0, 0.0], effort_prob=[0.5, 0.5], belief=[0.3, 0.3],
+        next_state=[[0] + [1] * (len(signals) - 1), [-1] * len(signals)],
+        regime=["A", "B"], initial=0, signals=signals, kind="custom",
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """W contiguous path ranges run at once: the first in the calling
+    process, the others in forked children writing to shared memory."""
+
+    @pytest.mark.parametrize("three_signals", [False, True], ids=["reference", "three-signal"])
+    def test_worker_count_invariance(self, non_efe_automaton, ref_params, binary75,
+                                     monkeypatch, three_signals):
+        # 1001 paths are a multiple of neither 97, 194 nor 291
+        if three_signals:
+            monitoring = MonitoringStructure(
+                ("A", "B", "C"), f0=(0.2, 0.2, 0.6), f1=(0.5, 0.3, 0.2)
+            )
+            params = GameParams(0.1, 0.6, 0.3, 0.05)
+            automaton, _ = construct_non_efe(params, monitoring)
+        else:
+            automaton, params, monitoring = non_efe_automaton, ref_params, binary75
+        config = SimulationConfig(horizon=40, paths=1001, master_seed=9)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
+        serial = simulate(automaton, params, monitoring, config)
+        monkeypatch.setattr(sim_module, "_BATCH", 97)
+        monkeypatch.setattr(sim_module, "_BLOCK", 13)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sim_module, "_cpus", lambda w=workers: w)
+            stats = simulate(automaton, params, monitoring, config)
+            assert stats.counts["workers"] == workers
+            assert stats.to_json() == serial.to_json()
+            _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_range_gives_the_serial_message(self, ref_params, binary75,
+                                                           monkeypatch, workers):
+        # paths 400 .. 665 walk off at period 7 and paths 666 .. 999 at period
+        # 3; with three workers (ranges from 0, 333 and 666) the child with
+        # the lower range fails later but wins, as the serial run's first
+        # failing batch (paths 388 .. 484) does
+        fill = sim_module._fill_uniforms
+
+        def steered(master_seed, start, u):
+            fill(master_seed, start, u)
+            u[:, 3] = 0.0  # the first signal
+            for i in range(u.shape[2]):
+                if start + i >= 400:
+                    u[6 if start + i < 666 else 2, 3, i] = 0.999
+
+        monkeypatch.setattr(sim_module, "_fill_uniforms", steered)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: workers)
+        monkeypatch.setattr(sim_module, "_BATCH", 97)
+        with pytest.raises(DepthInsufficient) as exc:
+            simulate(_walk_off_automaton(binary75.signals), ref_params, binary75,
+                     SimulationConfig(horizon=10, paths=1000, master_seed=1))
+        assert str(exc.value) == "path walked off the materialized automaton at period 7"
+        _assert_no_child_left()
+
+    def test_failure_here_kills_and_reaps_every_child(self, non_efe_automaton, ref_params,
+                                                      binary75, monkeypatch):
+        here, fill = os.getpid(), sim_module._fill_uniforms
+
+        def failing(master_seed, start, u):
+            if os.getpid() == here:
+                raise RuntimeError("no uniforms")
+            time.sleep(30)  # a child that is not killed holds the call up
+            fill(master_seed, start, u)
+
+        monkeypatch.setattr(sim_module, "_fill_uniforms", failing)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
+        monkeypatch.setattr(sim_module, "_BATCH", 100)
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="no uniforms"):
+            simulate(non_efe_automaton, ref_params, binary75,
+                     SimulationConfig(horizon=10, paths=300, master_seed=1))
+        assert time.perf_counter() - began < 10
+        _assert_no_child_left()
+
+    def test_killed_child_is_reported_and_every_child_reaped(
+        self, non_efe_automaton, ref_params, binary75, monkeypatch
+    ):
+        here, fill = os.getpid(), sim_module._fill_uniforms
+
+        def killing(master_seed, start, u):
+            if os.getpid() != here and start >= 200:
+                os.kill(os.getpid(), signal.SIGKILL)
+            fill(master_seed, start, u)
+
+        monkeypatch.setattr(sim_module, "_fill_uniforms", killing)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
+        monkeypatch.setattr(sim_module, "_BATCH", 100)
+        with pytest.raises(ChildProcessError, match="worker 2 of 3 ended with exit code -9"):
+            simulate(non_efe_automaton, ref_params, binary75,
+                     SimulationConfig(horizon=10, paths=300, master_seed=1))
+        _assert_no_child_left()
+
+    def test_orphaned_child_stops_between_batches(self, tmp_path):
+        # the parent dies once its child has begun 200 batches of 10 paths;
+        # the child must see that between two batches and stop
+        log = tmp_path / "child_batches"
+        probe = f"""
+import importlib, os, time
+from replab import GameParams, MonitoringStructure, SimulationConfig, construct_non_efe
+
+params, monitoring = GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75)
+automaton, _ = construct_non_efe(params, monitoring)
+sim = importlib.import_module("replab.simulate")
+parent, fill = os.getpid(), sim._fill_uniforms
+
+def logged(master_seed, start, u):
+    if os.getpid() == parent:
+        while not os.path.exists({str(log)!r}):
+            time.sleep(0.01)
+        os._exit(0)
+    with open({str(log)!r}, "a") as f:
+        f.write(f"{{start}} ")
+    fill(master_seed, start, u)
+
+sim._cpus, sim._BATCH, sim._fill_uniforms = (lambda: 2), 10, logged
+sim.simulate(automaton, params, monitoring,
+             SimulationConfig(horizon=500, paths=4000, master_seed=1))
+"""
+        src = str(Path(sim_module.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # the run ends when its output pipes close, so when the child has exited too
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert 1 <= len(log.read_text().split()) < 50
+
+
 class TestFastPathOracles:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_batch_columns_are_fresh_philox_streams(
         self, non_efe_automaton, ref_params, binary75, monkeypatch, seed
     ):
         # 100 paths in batches of 40 (the last one partial), staged in blocks
-        # of 16: each path's uniforms must equal its own freshly keyed stream
+        # of 16: each path's uniforms must equal its own freshly keyed stream;
+        # one worker, so that every fill is recorded in this process
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         monkeypatch.setattr(sim_module, "_BATCH", 40)
         monkeypatch.setattr(sim_module, "_BLOCK", 16)
         fill = sim_module._fill_uniforms
