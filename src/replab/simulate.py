@@ -10,18 +10,22 @@ t = 0 there is no vote.
 
 Determinism contract: path p consumes a fixed layout of uniforms,
 (horizon x 4) slots [vote, type, action, signal], from a counter-based
-Philox stream keyed by (master_seed, p). Paths run in batches of
-``_BATCH``; one Philox per batch is rekeyed to (master_seed, p) for each
-path, and the batch is held period-major, (horizon, 4, paths), so that each
-period reads contiguous slots. W contiguous ranges of paths run at once,
-W the smaller of the batch count and the CPUs in the affinity mask (1 off
-Linux): the first here, the others in forked children, each worker adding
-its integer counts into its own row of shared memory. Every reduction is
-exact or per path: per-period counts are integers, summed over the rows
-once every child is reaped, ``mean_belief`` is formed once from the integer
-state occupancy, and per-path aggregates are reduced once at the end. The
-stats, ``mean_belief`` included, are therefore bit-identical under any
-batching, worker count or scheduling.
+Philox stream keyed by (master_seed, p); period t's four slots are the
+block at counter t + 1. Paths run in batches of ``_BATCH``, and a batch's
+uniforms are held one window of ``_WINDOW`` periods at a time,
+period-major, (periods, 4, paths), so that each period reads contiguous
+slots. One Philox per window is rekeyed to (master_seed, p) for each path
+with its counter positioned at the window's first period, so a window
+holds exactly the slots of the whole stream's rows it covers. W
+contiguous ranges of paths run at once, W the smaller of the batch count
+and the CPUs in the affinity mask (1 off Linux): the first here, the
+others in forked children, each worker adding its integer counts into its
+own row of shared memory. Every reduction is exact or per path:
+per-period counts are integers, summed over the rows once every child is
+reaped, ``mean_belief`` is formed once from the integer state occupancy,
+and per-path aggregates are reduced once at the end. The stats,
+``mean_belief`` included, are therefore bit-identical under any batching,
+window size, worker count or scheduling.
 
 The per-period kernel reads the automaton's own per-state arrays: one
 lookup per table gives a state's replacement and effort probabilities and
@@ -52,10 +56,12 @@ from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states, expected_effort
 
-# paths per batch and per staging block: at horizon 500 the (horizon, 4,
-# _BATCH) batch is 61 MB and the (_BLOCK, horizon, 4) block 2 MB
+# paths per batch and per staging block, and periods per window: the
+# (_WINDOW, 4, _BATCH) window is 31 MB and the (_BLOCK, _WINDOW, 4) block 1 MB
+# at any horizon; a window rekeys every path, about 1.5 us each
 _BATCH = 3840
 _BLOCK = 128
+_WINDOW = 256
 _UNIFORM_SLOTS = 4  # vote, type, action, signal
 TENURE_THRESHOLDS = (10, 50, 100, 200)
 
@@ -117,29 +123,32 @@ class SimulationStats:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _fill_uniforms(master_seed: int, start: int, u: np.ndarray) -> None:
-    """Fill the period-major batch ``u``, shape (horizon, 4, nb), with the
-    streams of paths ``start`` .. ``start + nb - 1``.
+def _fill_uniforms(master_seed: int, start: int, t0: int, u: np.ndarray) -> None:
+    """Fill the period-major window ``u``, shape (periods, 4, nb), with
+    periods ``t0`` .. ``t0 + periods - 1`` of the streams of paths
+    ``start`` .. ``start + nb - 1``.
 
-    ``u[:, :, i]`` equals
+    ``u[:, :, i]`` equals rows ``t0`` .. ``t0 + periods - 1`` of
     ``Generator(Philox(key=[master_seed, start + i])).random((horizon, 4))``.
     One Philox is rekeyed per path by assigning it a state with the path's
-    key, a zero counter and an empty buffer; a fresh ``Philox(key=...)``
-    would read OS entropy through ``SeedSequence`` for every path. Paths are
-    drawn path-major in blocks of ``_BLOCK`` and each block is transposed
-    into ``u`` while it is still in cache.
+    key, counter ``t0`` and an empty buffer; a period's four doubles are one
+    Philox block, drawn after the counter steps, so period t reads counter
+    t + 1 in every window. A fresh ``Philox(key=...)`` would read OS entropy
+    through ``SeedSequence`` for every path. Paths are drawn path-major in
+    blocks of ``_BLOCK`` and each block is transposed into ``u`` while it is
+    still in cache.
     """
-    horizon, _, nb = u.shape
+    periods, _, nb = u.shape
     bitgen = np.random.Philox(key=np.array([master_seed, start], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     # the state setter reads plain ints about 3x faster than arrays
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [master_seed, 0]},
+        "state": {"counter": [t0, 0, 0, 0], "key": [master_seed, 0]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     key = state["state"]["key"]
-    block = np.empty((min(_BLOCK, nb), horizon, _UNIFORM_SLOTS))
+    block = np.empty((min(_BLOCK, nb), periods, _UNIFORM_SLOTS))
     for lo in range(0, nb, len(block)):
         rows = block[: min(len(block), nb - lo)]
         for i, row in enumerate(rows):
@@ -259,7 +268,7 @@ def simulate(
         tally = _shared((workers, horizon * (n + 5) + 6), np.int64)
         # per-path aggregates, reduced once at the end in a batching-independent order
         per_path = _shared((len(cutoffs) + 1, paths), np.float64)
-        batch = np.empty((horizon, _UNIFORM_SLOTS, min(_BATCH, paths)))
+        window = np.empty((min(_WINDOW, horizon), _UNIFORM_SLOTS, min(_BATCH, paths)))
     except ValueError as exc:  # numpy's refusal of a size past its index range
         raise MemoryError(str(exc)) from exc
     sizes = np.cumsum([horizon] * 3 + [horizon + 1] * 2 + [len(TENURE_THRESHOLDS)])
@@ -275,24 +284,25 @@ def simulate(
         for start in starts[k]:
             stop = min(start + _BATCH, starts[k].stop)
             nb = stop - start
-            u = batch[:, :, :nb]
-            _fill_uniforms(config.master_seed, start, u)
-
             state = np.full(nb, automaton.initial)
-            good = u[0, 1] < pi0  # the incumbent's type
             since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
             path_effort = np.zeros(nb)
             prefix = {cut: np.zeros(nb) for cut in cutoffs}
             path_mart = np.zeros(nb)
 
             for t in range(horizon):
-                vote, draw_type, draw_act, draw_sig = u[t]
-                if t > 0:
+                if t % len(window) == 0:  # a new window, refilled from period t
+                    u = window[: horizon - t, :, :nb]
+                    _fill_uniforms(config.master_seed, start, t, u)
+                vote, draw_type, draw_act, draw_sig = u[t % len(window)]
+                if t == 0:
+                    good = draw_type < pi0  # the incumbent's type
+                else:
                     out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # voted out
                     if len(out):
                         favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
                         began = since.take(out)
-                        tenure_hist += np.bincount(t - began, minlength=horizon + 1)
+                        np.add.at(tenure_hist, t - began, 1)
                         first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
                         state[out] = automaton.initial
                         good[out] = draw_type.take(out) < pi0

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import replab
 from replab import (
     EquilibriumAutomaton,
     GameParams,
@@ -7,6 +11,16 @@ from replab import (
     construct_full_effort,
     construct_non_efe,
 )
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python process that imports replab: this
+    process's, updated with ``extra``, and the directory replab was imported
+    from put first on ``PYTHONPATH``; pyproject's ``pythonpath`` reaches
+    pytest's own process only."""
+    src = str(Path(replab.__file__).parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ import hashlib
 import importlib
 import io
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -19,6 +18,8 @@ import replab
 from replab import cli, equilibria, fei, verifier
 from replab.cli import main
 from replab.errors import ConfigParse, ValidationError, Violation
+
+from conftest import child_env
 
 
 def run(capsys, *argv):
@@ -667,20 +668,20 @@ _TABLES = [
 ]
 
 
-def _run_capped(*argv, timeout=10):
-    """The CLI in a child process with a timeout (10 s by default) and a
-    1 GiB address space, so that a command that never ends fails the test
-    instead of hanging it or exhausting the host's memory."""
+def _run_capped(*argv, timeout=10, address_space=2**30):
+    """The CLI in a child process with a timeout (10 s by default) and an
+    address space of ``address_space`` bytes (1 GiB by default), so that a
+    command that never ends fails the test instead of hanging it or
+    exhausting the host's memory."""
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    src = str(Path(replab.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "replab.cli", *argv], capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=cap, env=env)
+                          text=True, timeout=timeout, preexec_fn=cap,
+                          env=child_env(OPENBLAS_NUM_THREADS="1"))
 
 
+@pytest.mark.probe
 @pytest.mark.parametrize("argv", [
     ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:nan"],
     ["check-fei", "--kappa", "0.2", "--sweep", "delta=nan:0.45:0.01"],
@@ -695,6 +696,7 @@ def test_non_finite_range_exits_2(argv):
     assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
 
 
+@pytest.mark.probe
 @pytest.mark.parametrize("argv", [
     ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:1e-12"],
     ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:0.45:1e-12"],
@@ -709,6 +711,7 @@ def test_oversized_grid_exits_2(argv):
     assert_one_json_error(done.returncode, done.stderr, "ConfigParse")
 
 
+@pytest.mark.probe
 @pytest.mark.parametrize("model", [
     # one ulp from the full-effort frontier, where every float cutoff slack is
     # negative but the float failure gap is negative (this looped forever) or
@@ -745,6 +748,7 @@ def test_frontier_cell_is_left_undecided(capsys, argv, holds):
     assert_one_json_error(code, err, "ResolutionTooCoarse")
 
 
+@pytest.mark.probe
 def test_huge_horizon_bound_is_a_ceiling():
     # T = 14,411,518,807,585,590 closed minimize_g's bracket at eta = 1.0,
     # which belief_growth_bound refused with a traceback
@@ -836,6 +840,7 @@ def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch)
     assert "728. GiB" in json.loads(err)["message"]
 
 
+@pytest.mark.probe
 @pytest.mark.parametrize("size", [
     ["--paths", "100000000000", "--horizon", "2"],
     ["--paths", "1", "--horizon", "100000000"],
@@ -851,6 +856,7 @@ def test_oversized_simulation_exits_2(reference_payload, tmp_path, size):
     assert_one_json_error(done.returncode, done.stderr, "OutOfMemory")
 
 
+@pytest.mark.probe
 def test_long_chain_simulates_within_the_memory_cap(tmp_path, ref_params, binary75):
     # Fail moves on and Pass stays, with replacement at rate 0.5 from every
     # state: the direct oracle's dense renewal row and ones row made SuperLU's
@@ -866,6 +872,18 @@ def test_long_chain_simulates_within_the_memory_cap(tmp_path, ref_params, binary
     done = _run_capped("simulate", "--automaton", str(automaton), "--paths", "10",
                        "--horizon", "5")
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.probe
+def test_long_horizon_simulates_within_the_memory_cap(reference_payload, tmp_path):
+    # one batch held the whole horizon's uniforms, 293 MiB at horizon 2,500,
+    # and ran out of 384 MiB; a window of periods takes the same at any horizon
+    automaton = tmp_path / "automaton.json"
+    automaton.write_text(json.dumps(reference_payload))
+    done = _run_capped("simulate", "--automaton", str(automaton), "--paths", "3840",
+                       "--horizon", "2500", timeout=60, address_space=384 * 2**20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["horizon"] == 2500
 
 
 def test_flag_defaults_are_the_library_defaults():
@@ -1231,6 +1249,7 @@ def test_mutated_config_file_exits_cleanly(tmp_path_factory, data):
     _assert_exits_cleanly([*command, "--config", str(work / "model.json")])
 
 
+@pytest.mark.probe
 def test_import_leaves_scipy_solvers_unloaded():
     # the CLI, a phase sweep with holding and failing cells and a simulation
     # on a lumpable automaton need neither solver
@@ -1257,11 +1276,13 @@ assert analytic_long_run_effort(auto, params, monitoring).method == "lumped"
 print(loaded())
 """
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=child_env(),
     ).stdout
     assert out.split() == ["[]", "[]", "[]"]
 
 
+@pytest.mark.probe
 @pytest.mark.parametrize("cyclic", [False, True], ids=["constructed", "cyclic"])
 def test_scipy_sparse_loads_only_for_a_cyclic_value_block(reference_payload, tmp_path, cyclic):
     # constructed automata are solved sinks first; only a cycle needs a sparse LU
@@ -1285,7 +1306,8 @@ for argv in json.loads(sys.argv[1]):
 print("scipy.sparse" in sys.modules)
 """
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
-                          capture_output=True, text=True, check=True, timeout=60)
+                          capture_output=True, text=True, check=True, timeout=60,
+                          env=child_env())
     lines = done.stdout.split("\n")
     if cyclic:
         assert lines[:2] == ["verify 3 0", "True"]

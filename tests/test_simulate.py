@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from replab import (
 from replab.equilibria import REGIME_FIRST, REGIME_INITIAL, REGIME_SECOND, REGIME_THIRD
 from replab.errors import DepthInsufficient, ValidationError
 import importlib
+
+from conftest import child_env
 
 sim_module = importlib.import_module("replab.simulate")
 
@@ -118,17 +119,20 @@ class TestWorkers:
             automaton, _ = construct_non_efe(params, monitoring)
         else:
             automaton, params, monitoring = non_efe_automaton, ref_params, binary75
+        # windows of 1 and 3 periods and one window of the whole horizon
         config = SimulationConfig(horizon=40, paths=1001, master_seed=9)
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         serial = simulate(automaton, params, monitoring, config)
         monkeypatch.setattr(sim_module, "_BATCH", 97)
         monkeypatch.setattr(sim_module, "_BLOCK", 13)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sim_module, "_cpus", lambda w=workers: w)
-            stats = simulate(automaton, params, monitoring, config)
-            assert stats.counts["workers"] == workers
-            assert stats.to_json() == serial.to_json()
-            _assert_no_child_left()
+        for window in (1, 3, 40):
+            monkeypatch.setattr(sim_module, "_WINDOW", window)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(sim_module, "_cpus", lambda w=workers: w)
+                stats = simulate(automaton, params, monitoring, config)
+                assert stats.counts["workers"] == workers
+                assert stats.to_json() == serial.to_json(), (window, workers)
+                _assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_lowest_failing_range_gives_the_serial_message(self, ref_params, binary75,
@@ -136,19 +140,23 @@ class TestWorkers:
         # paths 400 .. 665 walk off at period 7 and paths 666 .. 999 at period
         # 3; with three workers (ranges from 0, 333 and 666) the child with
         # the lower range fails later but wins, as the serial run's first
-        # failing batch (paths 388 .. 484) does
+        # failing batch (paths 388 .. 484) does; the steered periods 2 and 6
+        # lie in the first and third windows of 3
         fill = sim_module._fill_uniforms
 
-        def steered(master_seed, start, u):
-            fill(master_seed, start, u)
+        def steered(master_seed, start, t0, u):
+            fill(master_seed, start, t0, u)
             u[:, 3] = 0.0  # the first signal
             for i in range(u.shape[2]):
                 if start + i >= 400:
-                    u[6 if start + i < 666 else 2, 3, i] = 0.999
+                    t = 6 if start + i < 666 else 2
+                    if t0 <= t < t0 + len(u):
+                        u[t - t0, 3, i] = 0.999
 
         monkeypatch.setattr(sim_module, "_fill_uniforms", steered)
         monkeypatch.setattr(sim_module, "_cpus", lambda: workers)
         monkeypatch.setattr(sim_module, "_BATCH", 97)
+        monkeypatch.setattr(sim_module, "_WINDOW", 3)
         with pytest.raises(DepthInsufficient) as exc:
             simulate(_walk_off_automaton(binary75.signals), ref_params, binary75,
                      SimulationConfig(horizon=10, paths=1000, master_seed=1))
@@ -159,11 +167,11 @@ class TestWorkers:
                                                       binary75, monkeypatch):
         here, fill = os.getpid(), sim_module._fill_uniforms
 
-        def failing(master_seed, start, u):
+        def failing(master_seed, start, t0, u):
             if os.getpid() == here:
                 raise RuntimeError("no uniforms")
             time.sleep(30)  # a child that is not killed holds the call up
-            fill(master_seed, start, u)
+            fill(master_seed, start, t0, u)
 
         monkeypatch.setattr(sim_module, "_fill_uniforms", failing)
         monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
@@ -180,10 +188,10 @@ class TestWorkers:
     ):
         here, fill = os.getpid(), sim_module._fill_uniforms
 
-        def killing(master_seed, start, u):
+        def killing(master_seed, start, t0, u):
             if os.getpid() != here and start >= 200:
                 os.kill(os.getpid(), signal.SIGKILL)
-            fill(master_seed, start, u)
+            fill(master_seed, start, t0, u)
 
         monkeypatch.setattr(sim_module, "_fill_uniforms", killing)
         monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
@@ -193,6 +201,7 @@ class TestWorkers:
                      SimulationConfig(horizon=10, paths=300, master_seed=1))
         _assert_no_child_left()
 
+    @pytest.mark.probe
     def test_orphaned_child_stops_between_batches(self, tmp_path):
         # the parent dies once its child has begun 200 batches of 10 paths;
         # the child must see that between two batches and stop
@@ -206,25 +215,23 @@ automaton, _ = construct_non_efe(params, monitoring)
 sim = importlib.import_module("replab.simulate")
 parent, fill = os.getpid(), sim._fill_uniforms
 
-def logged(master_seed, start, u):
+def logged(master_seed, start, t0, u):
     if os.getpid() == parent:
         while not os.path.exists({str(log)!r}):
             time.sleep(0.01)
         os._exit(0)
-    with open({str(log)!r}, "a") as f:
-        f.write(f"{{start}} ")
-    fill(master_seed, start, u)
+    if t0 == 0:  # a batch begins
+        with open({str(log)!r}, "a") as f:
+            f.write(f"{{start}} ")
+    fill(master_seed, start, t0, u)
 
 sim._cpus, sim._BATCH, sim._fill_uniforms = (lambda: 2), 10, logged
 sim.simulate(automaton, params, monitoring,
              SimulationConfig(horizon=500, paths=4000, master_seed=1))
 """
-        src = str(Path(sim_module.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         # the run ends when its output pipes close, so when the child has exited too
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              timeout=60, env=env)
+                              timeout=60, env=child_env())
         assert (done.returncode, done.stderr) == (0, "")
         assert 1 <= len(log.read_text().split()) < 50
 
@@ -235,31 +242,56 @@ class TestFastPathOracles:
         self, non_efe_automaton, ref_params, binary75, monkeypatch, seed
     ):
         # 100 paths in batches of 40 (the last one partial), staged in blocks
-        # of 16: each path's uniforms must equal its own freshly keyed stream;
-        # one worker, so that every fill is recorded in this process
+        # of 16, over 7 periods in windows of 3 (from periods 0, 3 and 6) and
+        # in one window: each fill must equal its periods' rows of each path's
+        # own freshly keyed stream; one worker, so that every fill is
+        # recorded in this process
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         monkeypatch.setattr(sim_module, "_BATCH", 40)
         monkeypatch.setattr(sim_module, "_BLOCK", 16)
         fill = sim_module._fill_uniforms
         filled = {}
 
-        def recording_fill(master_seed, start, u):
-            fill(master_seed, start, u)
-            filled[start] = u.copy()
+        def recording_fill(master_seed, start, t0, u):
+            fill(master_seed, start, t0, u)
+            filled[start, t0] = u.copy()
 
         monkeypatch.setattr(sim_module, "_fill_uniforms", recording_fill)
         horizon = 7
+        for window in (3, 256):
+            monkeypatch.setattr(sim_module, "_WINDOW", window)
+            filled.clear()
+            simulate(non_efe_automaton, ref_params, binary75,
+                     SimulationConfig(horizon=horizon, paths=100, master_seed=seed))
+            t0s = list(range(0, horizon, window))
+            assert sorted(filled) == [(start, t0) for start in (0, 40, 80) for t0 in t0s]
+            assert filled[80, t0s[-1]].shape == (horizon - t0s[-1], 4, 20)
+            for (start, t0), u in filled.items():
+                for i in range(u.shape[2]):
+                    key = np.array([seed, start + i], dtype=np.uint64)
+                    expected = np.random.Generator(np.random.Philox(key=key)).random(
+                        (horizon, 4)
+                    )
+                    assert np.array_equal(u[:, :, i], expected[t0 : t0 + len(u)]), start + i
+
+    def test_uniforms_are_held_one_window_at_a_time(
+        self, non_efe_automaton, ref_params, binary75, monkeypatch
+    ):
+        # a batch's uniforms no longer grow with the horizon
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
+        fill = sim_module._fill_uniforms
+        shapes = {}
+
+        def recording_fill(master_seed, start, t0, u):
+            assert u.shape[0] <= sim_module._WINDOW
+            shapes[t0] = u.shape
+            fill(master_seed, start, t0, u)
+
+        monkeypatch.setattr(sim_module, "_fill_uniforms", recording_fill)
         simulate(non_efe_automaton, ref_params, binary75,
-                 SimulationConfig(horizon=horizon, paths=100, master_seed=seed))
-        assert sorted(filled) == [0, 40, 80]
-        assert filled[80].shape == (horizon, 4, 20)
-        for start, u in filled.items():
-            for i in range(u.shape[2]):
-                key = np.array([seed, start + i], dtype=np.uint64)
-                expected = np.random.Generator(np.random.Philox(key=key)).random(
-                    (horizon, 4)
-                )
-                assert np.array_equal(u[:, :, i], expected), start + i
+                 SimulationConfig(horizon=1000, paths=50, master_seed=1))
+        assert shapes == {0: (256, 4, 50), 256: (256, 4, 50), 512: (256, 4, 50),
+                          768: (232, 4, 50)}
 
     @pytest.mark.parametrize("f0, f1", [
         ((0.25, 0.75), (0.75, 0.25)),
