@@ -138,10 +138,14 @@ def model_from_dict(mapping) -> tuple[GameParams, MonitoringStructure]:
     present, wins over ``signals`` (see :meth:`MonitoringStructure.binary`).
     Numbers must be JSON or TOML numbers, not strings or booleans, and come
     back as floats.
-    Raises :class:`ValidationError` for a missing or mistyped key, or for
-    the first of the monitoring and the params that fails its own checks.
+    Raises :class:`ValidationError` for a missing, mistyped or unknown key, or
+    for the first of the monitoring and the params that fails its own checks.
     """
     try:
+        unknown = [key for key in mapping
+                   if key not in ("kappa", "delta", "pi0", "c", "binary_precision", "signals")]
+        if unknown:
+            raise ValidationError([Violation("BadModel", f"unknown model fields: {unknown!r}")])
         if "binary_precision" in mapping:
             monitoring = MonitoringStructure.binary(_number(mapping, "binary_precision"))
         else:

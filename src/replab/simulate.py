@@ -20,19 +20,20 @@ holds exactly the slots of the whole stream's rows it covers. W
 contiguous ranges of paths run at once, W the smaller of the batch count
 and the CPUs in the affinity mask (1 off Linux): the first here, the
 others in forked children, each worker adding its integer counts into its
-own row of shared memory. Every reduction is exact or per path:
-per-period counts are integers, summed over the rows once every child is
-reaped, ``mean_belief`` is formed once from the integer state occupancy,
-and per-path aggregates are reduced once at the end. The stats,
-``mean_belief`` included, are therefore bit-identical under any batching,
-window size, worker count or scheduling.
+own row of shared memory. Every per-period statistic is an integer sum,
+added over the rows once every child is reaped, and per-path aggregates
+are reduced once at the end. The belief sum is one too: each belief is the
+integer pi * 2^k, k = 53 - the least frexp exponent of a positive belief,
+split into 31-bit limbs, and each period's mean is one correctly rounded
+integer division. The stats are therefore bit-identical under any
+batching, window size, worker count, BLAS thread count or scheduling.
 
 The per-period kernel reads the automaton's own per-state arrays: one
 lookup per table gives a state's replacement and effort probabilities and
-whether a replacement there is favorable, and per edge (state * S +
-signal) the next state and the belief increment. Each path carries its
-incumbent's type as a flag, drawn at t = 0 and redrawn only on
-replacement; a good type works whatever the state's effort probability.
+its belief, which a replacement there compares with pi0, and per edge
+(state * S + signal) the next state and the belief increment. Each path
+carries its incumbent's type as a flag, drawn at t = 0 and redrawn only
+on replacement; a good type works whatever the state's effort probability.
 
 The belief-martingale residual averages one-step increments of the acting
 incumbent's reputation, pi(successor) - pi(state), over every acting
@@ -76,6 +77,8 @@ class SimulationConfig:
         bad = []
         if self.horizon < 1 or self.paths < 1:
             bad.append(Violation("BadSimulationConfig", "horizon and paths must both be >= 1"))
+        if self.paths >= 2**32:  # a period's belief limb sum fits int64 below
+            bad.append(Violation("BadSimulationConfig", "paths must be below 2^32"))
         if not 0 <= self.master_seed < 2**64:
             bad.append(Violation("BadSimulationConfig", "master_seed must lie in [0, 2^64)"))
         if bad:
@@ -254,6 +257,12 @@ def simulate(
     walks_off = not automaton.complete
     # belief increment per edge (state * S + signal); 0 on a missing edge
     step = np.where(nxt >= 0, pi.take(nxt) - pi[:, None], 0.0)
+    # limb i of the integer pi * 2^k as doubles, a shift outside [0, 84] giving 0
+    # anyway, so none overflows; a batch's limb sums stay below 2^43, exact in any order
+    mant, exp = np.frexp(pi)
+    k = 53 - int(exp.min(where=pi > 0, initial=1))
+    shifts = exp + k - 31 * np.arange(k // 31 + 1)[:, None]
+    limbs = np.floor(np.ldexp(mant, np.clip(shifts, 0, 84))) % 2.0**31
 
     burn_in = horizon // 5
     cutoffs = sorted({0, horizon // 10, burn_in, (2 * horizon) // 5})
@@ -264,25 +273,25 @@ def simulate(
     try:
         # one row per worker: effort, replacement and favorable-replacement
         # counts per period, completed-tenure and first-replacement histograms
-        # ([horizon] = censored), final-tenure exceed counts, state occupancy
-        tally = _shared((workers, horizon * (n + 5) + 6), np.int64)
+        # ([horizon] = censored), final-tenure exceed counts, belief limb sums
+        tally = _shared((workers, horizon * (len(limbs) + 5) + 6), np.int64)
         # per-path aggregates, reduced once at the end in a batching-independent order
         per_path = _shared((len(cutoffs) + 1, paths), np.float64)
         window = np.empty((min(_WINDOW, horizon), _UNIFORM_SLOTS, min(_BATCH, paths)))
     except ValueError as exc:  # numpy's refusal of a size past its index range
         raise MemoryError(str(exc)) from exc
     sizes = np.cumsum([horizon] * 3 + [horizon + 1] * 2 + [len(TENURE_THRESHOLDS)])
-    *parts, occupancy = np.split(tally, sizes, axis=1)
-    parts.append(occupancy.reshape(workers, horizon, n))  # acting paths per state
+    *parts, belief_sum = np.split(tally, sizes, axis=1)
+    parts.append(belief_sum.reshape(workers, horizon, len(limbs)))
     lr_means = dict(zip(cutoffs, per_path))
     mart_means = per_path[-1]
 
-    def run(k):
-        """Worker k's batches, tallied into row k; yields after each batch."""
+    def run(w):
+        """Worker w's batches, tallied into row w; yields after each batch."""
         (effort_sum, replace_count, favorable_count, tenure_hist, first_rep_hist,
-         exceed_counts, occupancy) = (part[k] for part in parts)
-        for start in starts[k]:
-            stop = min(start + _BATCH, starts[k].stop)
+         exceed_counts, belief_sum) = (part[w] for part in parts)
+        for start in starts[w]:
+            stop = min(start + _BATCH, starts[w].stop)
             nb = stop - start
             state = np.full(nb, automaton.initial)
             since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
@@ -311,7 +320,7 @@ def simulate(
                 if t in prefix:
                     prefix[t][:] = path_effort
 
-                occupancy[t] += np.bincount(state, minlength=n)
+                belief_sum[t] += (limbs @ np.bincount(state, minlength=n)).astype(np.int64)
                 act = (draw_act < automaton.effort_prob.take(state)) | good
                 effort_sum[t] += np.count_nonzero(act)
                 path_effort += act
@@ -338,7 +347,7 @@ def simulate(
     _fork_join(run, workers)
     # integer sums over the workers' rows are exact in any order
     (effort_sum, replace_count, favorable_count, tenure_hist, first_rep_hist,
-     exceed_counts, occupancy) = (part.sum(axis=0) for part in parts)
+     exceed_counts, belief_sum) = (part.sum(axis=0) for part in parts)
 
     long_run = float(lr_means[burn_in].mean())
     long_run_se = float(lr_means[burn_in].std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
@@ -357,7 +366,8 @@ def simulate(
         master_seed=config.master_seed,
         mean_effort=effort_sum / paths,
         replace_rate=replace_count / paths,
-        mean_belief=(occupancy @ pi) / paths,
+        mean_belief=np.array([sum(c << 31 * i for i, c in enumerate(row)) / (paths << k)
+                              for row in belief_sum.tolist()]),  # correctly rounded
         favorable_replacements=favorable_count.astype(np.float64),  # floats in the JSON
         favorable_total=int(favorable_count.sum()),
         burn_in=burn_in,

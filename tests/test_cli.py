@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -120,6 +121,7 @@ class TestCheckFei:
          "ValidationError"),
         ("[1, 2]", "ConfigParse"),
         ('{"binary_precision": "abc"}', "ValidationError"),
+        ('{"kapa": 0.9, "delta": 0.4, "binary_precision": 0.75}', "ValidationError"),
     ])
     def test_mistyped_config_exits_2(self, capsys, tmp_path, text, error):
         cfg = tmp_path / "model.json"
@@ -127,6 +129,15 @@ class TestCheckFei:
         code, out, err = run(capsys, "check-fei", "--config", str(cfg))
         assert out == ""
         assert_one_json_error(code, err, error)
+
+    def test_unknown_toml_table_exits_2(self, capsys, tmp_path):
+        # a field the model does not know is refused, not silently left out
+        cfg = tmp_path / "model.toml"
+        cfg.write_text("binary_precision = 0.75\ndelta = 0.4\n[extra]\nkappa = 0.9\n")
+        code, out, err = run(capsys, "check-fei", "--config", str(cfg))
+        assert out == ""
+        assert_one_json_error(code, err, "ValidationError")
+        assert json.loads(err)["message"] == "BadModel: unknown model fields: ['extra']"
 
     def test_integer_toml_config_hashes_as_floats(self, capsys, tmp_path):
         cfg = tmp_path / "model.toml"
@@ -288,6 +299,7 @@ class TestConstructVerifySimulate:
         ("params_echo", "pi0", float("nan")),
         ("params_echo", "kappa", "0.2"),
         ("params_echo", "delta", 10**400),
+        ("params_echo", "kapa", 0.2),
         ("state", "replace_prob", float("nan")),
         ("state", "replace_prob", -0.25),
         ("state", "effort_prob", float("inf")),
@@ -841,19 +853,27 @@ def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch)
 
 
 @pytest.mark.probe
-@pytest.mark.parametrize("size", [
-    ["--paths", "100000000000", "--horizon", "2"],
-    ["--paths", "1", "--horizon", "100000000"],
-    ["--paths", "10000000000000000000"],  # past numpy's index range
-    ["--paths", "1", "--horizon", "4611686018427387904"],
+@pytest.mark.parametrize("size, error", [
+    pytest.param(["--paths", "100000000000", "--horizon", "2"], "BadSimulationConfig",
+                 id="size0"),
+    pytest.param(["--paths", "1", "--horizon", "100000000"], "OutOfMemory", id="size1"),
+    pytest.param(["--paths", "10000000000000000000"], "BadSimulationConfig", id="size2"),
+    pytest.param(["--paths", "1", "--horizon", "4611686018427387904"], "OutOfMemory",
+                 id="size3"),  # past numpy's index range
+    pytest.param(["--paths", "4000000000", "--horizon", "2"], "OutOfMemory", id="size4"),
 ])
-def test_oversized_simulation_exits_2(reference_payload, tmp_path, size):
-    # under _run_capped's address-space limit the run's arrays cannot be had
+def test_oversized_simulation_exits_2(reference_payload, tmp_path, size, error):
+    # under _run_capped's address-space limit the run's arrays cannot be had;
+    # 2^32 paths or more are refused before anything is allocated
     automaton = tmp_path / "automaton.json"
     automaton.write_text(json.dumps(reference_payload))
     done = _run_capped("simulate", "--automaton", str(automaton), *size)
     assert done.stdout == ""
-    assert_one_json_error(done.returncode, done.stderr, "OutOfMemory")
+    if error == "OutOfMemory":
+        assert_one_json_error(done.returncode, done.stderr, "OutOfMemory")
+    else:
+        assert_one_json_error(done.returncode, done.stderr, "ValidationError")
+        assert error in json.loads(done.stderr)["message"]
 
 
 @pytest.mark.probe
@@ -884,6 +904,48 @@ def test_long_horizon_simulates_within_the_memory_cap(reference_payload, tmp_pat
                        "--horizon", "2500", timeout=60, address_space=384 * 2**20)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["horizon"] == 2500
+
+
+def _two_fail_tree(capsys, tmp_path, depth: int, states: int) -> Path:
+    """The TWO_FAIL non-EFE tree at ``depth``, written under ``tmp_path``."""
+    config = tmp_path / "two-fail.json"
+    config.write_text(json.dumps(_TWO_FAIL))
+    code, out, _ = run(capsys, "construct", "--kind", "non-efe", "--config", str(config),
+                       "--depth", str(depth), "--out", str(tmp_path))
+    assert code == 0 and out.endswith(f"({states} states)\n")
+    return tmp_path / "automaton-non-efe.json"
+
+
+@pytest.mark.probe
+def test_large_tree_simulates_within_the_memory_cap(capsys, tmp_path):
+    # the tally held a horizon x states occupancy row per worker, 108 MiB
+    # here, and ran out of 512 MiB; the belief limb sums take the same at
+    # any state count
+    automaton = _two_fail_tree(capsys, tmp_path, 60, 28_380)
+    done = _run_capped("simulate", "--automaton", str(automaton), "--paths", "3840",
+                       "--horizon", "500", "--seed", "1", timeout=60,
+                       address_space=512 * 2**20)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.probe
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                    else (os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_stats_are_identical_for_any_blas_thread_count(capsys, tmp_path):
+    # mean_belief was a BLAS product over the states, whose last bit
+    # followed OpenBLAS's thread split at horizon 500 on this tree
+    automaton = _two_fail_tree(capsys, tmp_path, 25, 6206)
+    stats = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "replab.cli", "simulate", "--automaton", str(automaton),
+             "--paths", "3840", "--horizon", "500", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=child_env(OPENBLAS_NUM_THREADS=threads))
+        assert (done.returncode, done.stderr) == (0, "")
+        stats.append((out / "simulation_stats.json").read_bytes())
+    assert stats[0] == stats[1]
 
 
 def test_flag_defaults_are_the_library_defaults():
@@ -1064,8 +1126,8 @@ _PINNED = {
         "898396456de85de95cfb049c98686d545cb80e507a2066e491ee6367c11967b3",
     "zam": "380b3fc9a19147a99cd4e82bd9d5250c0271920a7932296b4700565760f67228",
     "phase-sweep-24": "898d7c77070d5ffaad5242c8a51e3952d8e873e17b7c7c99b1b97651f04949af",
-    "simulation-stats": "45e41ff9a409e8a932bd569dd826c4abb88af84d15f99e3f96af723945821a4b",
-    "per-period": "efba3a769d4bce6e142fe6b164cd62c0589bc03f79e429f01aef6379cad08df8",
+    "simulation-stats": "3dbabd868c16341f4f751159e1aa827058061821aa3e927be83e55e3c860f109",
+    "per-period": "da09f15ef5bc1e37a91d7a915dd7a953ae523c975d1c1dd84b52bdab946ea9b5",
     "fei-holds": "cb824b7e0bf3e336e8ca27aec9f89cb6c0c88dccd794be9073d62d59f3a08efc",
     "fei-fails": "0d31164a4900ef008584fd97117dbedfb50c2580a601f80fef1202380161d25b",
     "bound": "d02e28893de9eba643dd731f47c703b96d3676096918933dc14830e954de829d",

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -319,6 +321,63 @@ class TestFastPathOracles:
         )
         thresholds = sim_module._signal_thresholds(monitoring)
         assert np.array_equal(sim_module._signals(thresholds, act, u), expected)
+
+
+def _replayed_means(automaton, params, monitoring, config):
+    """Each period's exact mean belief and mean effort of the acting
+    incumbents, replayed over all paths at once from their uniforms in plain
+    numpy: the vote, a fresh type on replacement, the action, and the signal
+    by ``searchsorted`` on the action law's cdf."""
+    u = np.empty((config.horizon, 4, config.paths))
+    sim_module._fill_uniforms(config.master_seed, 0, 0, u)
+    cdfs = np.cumsum(monitoring.f0)[:-1], np.cumsum(monitoring.f1)[:-1]
+    state = np.full(config.paths, automaton.initial)
+    good = np.zeros(config.paths, bool)
+    beliefs, efforts = [], []
+    for t, (vote, draw_type, draw_act, draw_sig) in enumerate(u):
+        out = vote < automaton.replace_prob[state] if t else np.ones(config.paths, bool)
+        state = np.where(out, automaton.initial, state)
+        good = np.where(out, draw_type < params.pi0, good)
+        beliefs.append(sum(map(Fraction, automaton.belief[state].tolist())) / config.paths)
+        act = (draw_act < automaton.effort_prob[state]) | good
+        efforts.append(np.count_nonzero(act) / config.paths)
+        sig = np.where(act, np.searchsorted(cdfs[1], draw_sig, side="right"),
+                       np.searchsorted(cdfs[0], draw_sig, side="right"))
+        state = automaton.next_state[state, sig]
+    return beliefs, efforts
+
+
+class TestExactBeliefMeans:
+    """``mean_belief`` is each period's correctly rounded mean of the acting
+    incumbents' beliefs, formed from integer limb sums."""
+
+    def test_reference_run_is_correctly_rounded(self, non_efe_automaton, ref_params,
+                                                binary75, monkeypatch):
+        # two workers of two batches each; a floating-point sum of the
+        # beliefs misses the rounded mean in some periods
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(sim_module, "_BATCH", 50)
+        config = SimulationConfig(horizon=100, paths=200, master_seed=7)
+        beliefs, efforts = _replayed_means(non_efe_automaton, ref_params, binary75, config)
+        stats = simulate(non_efe_automaton, ref_params, binary75, config)
+        assert stats.counts == {"batches": 4, "workers": 2}
+        assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
+        assert stats.mean_effort.tolist() == efforts
+
+    def test_extreme_beliefs_need_no_overflow(self, ref_params, binary75):
+        # 1.0, the least subnormal and 0.0 give a 1,126-bit fixed point
+        automaton = EquilibriumAutomaton(
+            replace_prob=[0.1, 0.2, 0.3, 0.4], effort_prob=[0.5, 0.4, 0.3, 0.2],
+            belief=[1.0, 0.3, 5e-324, 0.0], next_state=[[1, 2], [2, 3], [3, 0], [0, 1]],
+            regime=["A", "B", "C", "D"], initial=0, signals=binary75.signals, kind="custom",
+        )
+        config = SimulationConfig(horizon=50, paths=300, master_seed=3)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            stats = simulate(automaton, ref_params, binary75, config)
+        beliefs, _ = _replayed_means(automaton, ref_params, binary75, config)
+        assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
+        assert 0.0 < stats.mean_belief.min() and stats.mean_belief.max() == 1.0
 
 
 def _transient_curves(automaton, params, monitoring, horizon):
@@ -748,6 +807,12 @@ class TestConfig:
             SimulationConfig(horizon=0, paths=10, master_seed=1)
         with pytest.raises(ValidationError):
             SimulationConfig(horizon=10, paths=0, master_seed=1)
+
+    def test_rejects_paths_past_the_limb_sums(self):
+        # every per-period belief limb sum fits in int64 below 2^32 paths
+        SimulationConfig(horizon=10, paths=2**32 - 1, master_seed=1)
+        with pytest.raises(ValidationError, match="BadSimulationConfig"):
+            SimulationConfig(horizon=10, paths=2**32, master_seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seeds_outside_philox_keys(self, seed):
