@@ -12,11 +12,14 @@ Determinism contract: path p consumes a fixed layout of uniforms,
 (horizon x 4) slots [vote, type, action, signal], from a counter-based
 Philox stream keyed by (master_seed, p); period t's four slots are the
 block at counter t + 1. Paths run in batches of ``_BATCH``, and a batch's
-uniforms are held one window of ``_WINDOW`` periods at a time,
-period-major, (periods, 4, paths), so that each period reads contiguous
-slots. One Philox per window is rekeyed to (master_seed, p) for each path
-with its counter positioned at the window's first period, so a window
-holds exactly the slots of the whole stream's rows it covers. W
+draws are held one window of ``_WINDOW`` periods at a time, period-major,
+so that each period reads contiguous rows: the vote and action doubles,
+(periods, 2, paths), and the decisions the type and signal slots encode
+against fixed cut points, (periods, 3, paths), in the smallest unsigned
+dtype that holds S - 1: good type (u < pi0) and the signal index under
+shirking and under working. One Philox per window is rekeyed to
+(master_seed, p) for each path with its counter at the window's first
+period, so a window holds what the whole stream's rows it covers give. W
 contiguous ranges of paths run at once, W the smaller of the batch count
 and the CPUs in the affinity mask (1 off Linux): the first here, the
 others in forked children, each worker adding its integer counts into its
@@ -57,9 +60,10 @@ from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states, expected_effort
 
-# paths per batch and per staging block, and periods per window: the
-# (_WINDOW, 4, _BATCH) window is 31 MB and the (_BLOCK, _WINDOW, 4) block 1 MB
-# at any horizon; a window rekeys every path, about 1.5 us each
+# paths per batch and per staging block, and periods per window: the window's
+# (_WINDOW, 2, _BATCH) doubles and (_WINDOW, 3, _BATCH) codes are 18.7 MB up to
+# 256 signals and the (_BLOCK, _WINDOW, 4) block 1 MB at any horizon; a window
+# rekeys every path, about 1.5 us each
 _BATCH = 3840
 _BLOCK = 128
 _WINDOW = 256
@@ -126,22 +130,22 @@ class SimulationStats:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _fill_uniforms(master_seed: int, start: int, t0: int, u: np.ndarray) -> None:
-    """Fill the period-major window ``u``, shape (periods, 4, nb), with
-    periods ``t0`` .. ``t0 + periods - 1`` of the streams of paths
-    ``start`` .. ``start + nb - 1``.
+def _fill_window(master_seed: int, start: int, t0: int, pi0: float, thresholds: np.ndarray,
+                 draws: np.ndarray, codes: np.ndarray) -> None:
+    """Fill the period-major window ``draws``, (periods, 2, nb), and
+    ``codes``, (periods, 3, nb), as :func:`_encode` lays them out, from rows
+    ``t0`` .. ``t0 + periods - 1`` of ``Generator(Philox(key=[master_seed,
+    start + i])).random((horizon, 4))`` for each path ``start + i``.
 
-    ``u[:, :, i]`` equals rows ``t0`` .. ``t0 + periods - 1`` of
-    ``Generator(Philox(key=[master_seed, start + i])).random((horizon, 4))``.
     One Philox is rekeyed per path by assigning it a state with the path's
     key, counter ``t0`` and an empty buffer; a period's four doubles are one
     Philox block, drawn after the counter steps, so period t reads counter
     t + 1 in every window. A fresh ``Philox(key=...)`` would read OS entropy
     through ``SeedSequence`` for every path. Paths are drawn path-major in
-    blocks of ``_BLOCK`` and each block is transposed into ``u`` while it is
-    still in cache.
+    blocks of ``_BLOCK``, and each block is written into the window while it
+    is still in cache.
     """
-    periods, _, nb = u.shape
+    periods, _, nb = draws.shape
     bitgen = np.random.Philox(key=np.array([master_seed, start], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     # the state setter reads plain ints about 3x faster than arrays
@@ -152,32 +156,34 @@ def _fill_uniforms(master_seed: int, start: int, t0: int, u: np.ndarray) -> None
     }
     key = state["state"]["key"]
     block = np.empty((min(_BLOCK, nb), periods, _UNIFORM_SLOTS))
+    signal = np.empty((periods, len(block)))
     for lo in range(0, nb, len(block)):
         rows = block[: min(len(block), nb - lo)]
         for i, row in enumerate(rows):
             key[1] = start + lo + i
             bitgen.state = state
             gen.random(out=row)
-        u[:, :, lo : lo + len(rows)] = rows.transpose(1, 2, 0)
+        hi = lo + len(rows)
+        _encode(rows.transpose(1, 2, 0), pi0, thresholds, draws[:, :, lo:hi],
+                codes[:, :, lo:hi], signal[:, : len(rows)])
 
 
-def _signal_thresholds(monitoring: MonitoringStructure) -> np.ndarray:
-    """(S - 1, 2) table: row k holds the k-th interior cdf point of the shirk
-    law (column 0) and of the work law (column 1)."""
-    return np.stack(
-        [np.cumsum(monitoring.f0)[:-1], np.cumsum(monitoring.f1)[:-1]], axis=1
-    )
-
-
-def _signals(thresholds: np.ndarray, act: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Signal index per path: the number of interior cdf points of the path's
-    action law at or below its uniform, which equals
-    ``searchsorted(cdf, u, side="right")``."""
-    law = act.view(np.uint8)
-    sig = np.zeros(len(u), dtype=np.int64)
-    for point in thresholds:
-        sig += u >= point.take(law)
-    return sig
+def _encode(u, pi0: float, thresholds: np.ndarray, draws, codes, sig) -> None:
+    """Write uniforms ``u``, (periods, 4, paths) slots [vote, type, action,
+    signal], into ``draws`` as the vote and action doubles and into ``codes``
+    as the decisions the type and signal slots encode: the type is good
+    (``u < pi0``), and the signal index under shirking and under working,
+    the number of the law's interior cdf points (rows 0 and 1 of
+    ``thresholds``) at or below ``u``, which equals ``searchsorted(cdf, u,
+    side="right")``. The signal slot is gathered once into ``sig``,
+    (periods, paths), and compared there."""
+    draws[:] = u[:, ::2]
+    np.less(u[:, 1], pi0, out=codes[:, 0])
+    np.copyto(sig, u[:, 3])
+    for j, cuts in enumerate(thresholds, 1):  # the shirk law, then the work law
+        np.greater_equal(sig, cuts[0], out=codes[:, j])
+        for point in cuts[1:]:
+            codes[:, j] += sig >= point
 
 
 def _cpus() -> int:
@@ -253,7 +259,8 @@ def simulate(
     pi0 = params.pi0
     pi, nxt = automaton.belief, automaton.next_state
     n, n_signals = nxt.shape
-    thresholds = _signal_thresholds(monitoring)
+    # the interior cdf points of the shirk law (row 0) and of the work law (row 1)
+    thresholds = np.cumsum([monitoring.f0, monitoring.f1], axis=1)[:, :-1]
     walks_off = not automaton.complete
     # belief increment per edge (state * S + signal); 0 on a missing edge
     step = np.where(nxt >= 0, pi.take(nxt) - pi[:, None], 0.0)
@@ -277,7 +284,8 @@ def simulate(
         tally = _shared((workers, horizon * (len(limbs) + 5) + 6), np.int64)
         # per-path aggregates, reduced once at the end in a batching-independent order
         per_path = _shared((len(cutoffs) + 1, paths), np.float64)
-        window = np.empty((min(_WINDOW, horizon), _UNIFORM_SLOTS, min(_BATCH, paths)))
+        draws = np.empty((min(_WINDOW, horizon), 2, min(_BATCH, paths)))  # vote, action
+        codes = np.empty((len(draws), 3, draws.shape[2]), np.min_scalar_type(n_signals - 1))
     except ValueError as exc:  # numpy's refusal of a size past its index range
         raise MemoryError(str(exc)) from exc
     sizes = np.cumsum([horizon] * 3 + [horizon + 1] * 2 + [len(TENURE_THRESHOLDS)])
@@ -300,12 +308,13 @@ def simulate(
             path_mart = np.zeros(nb)
 
             for t in range(horizon):
-                if t % len(window) == 0:  # a new window, refilled from period t
-                    u = window[: horizon - t, :, :nb]
-                    _fill_uniforms(config.master_seed, start, t, u)
-                vote, draw_type, draw_act, draw_sig = u[t % len(window)]
+                if t % len(draws) == 0:  # a new window, refilled from period t
+                    u, c = draws[: horizon - t, :, :nb], codes[: horizon - t, :, :nb]
+                    _fill_window(config.master_seed, start, t, pi0, thresholds, u, c)
+                vote, draw_act = u[t % len(draws)]
+                is_good, sig_shirk, sig_work = c[t % len(draws)]
                 if t == 0:
-                    good = draw_type < pi0  # the incumbent's type
+                    good = is_good.astype(bool)  # the incumbent's type
                 else:
                     out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # voted out
                     if len(out):
@@ -314,7 +323,7 @@ def simulate(
                         np.add.at(tenure_hist, t - began, 1)
                         first_rep_hist[t] += np.count_nonzero(began == 0)  # first careers
                         state[out] = automaton.initial
-                        good[out] = draw_type.take(out) < pi0
+                        good[out] = is_good.take(out)
                         since[out] = t
                     replace_count[t] += len(out)
                 if t in prefix:
@@ -325,7 +334,7 @@ def simulate(
                 effort_sum[t] += np.count_nonzero(act)
                 path_effort += act
 
-                edge = state * n_signals + _signals(thresholds, act, draw_sig)
+                edge = state * n_signals + np.where(act, sig_work, sig_shirk)
                 state_next = nxt.take(edge)
                 if walks_off and np.any(state_next < 0):
                     raise DepthInsufficient(

@@ -144,18 +144,18 @@ class TestWorkers:
         # the lower range fails later but wins, as the serial run's first
         # failing batch (paths 388 .. 484) does; the steered periods 2 and 6
         # lie in the first and third windows of 3
-        fill = sim_module._fill_uniforms
+        fill = sim_module._fill_window
 
-        def steered(master_seed, start, t0, u):
-            fill(master_seed, start, t0, u)
-            u[:, 3] = 0.0  # the first signal
-            for i in range(u.shape[2]):
+        def steered(master_seed, start, t0, pi0, thresholds, draws, codes):
+            fill(master_seed, start, t0, pi0, thresholds, draws, codes)
+            codes[:, 1:] = 0  # the first signal under either action
+            for i in range(codes.shape[2]):
                 if start + i >= 400:
                     t = 6 if start + i < 666 else 2
-                    if t0 <= t < t0 + len(u):
-                        u[t - t0, 3, i] = 0.999
+                    if t0 <= t < t0 + len(codes):
+                        codes[t - t0, 1:, i] = 1
 
-        monkeypatch.setattr(sim_module, "_fill_uniforms", steered)
+        monkeypatch.setattr(sim_module, "_fill_window", steered)
         monkeypatch.setattr(sim_module, "_cpus", lambda: workers)
         monkeypatch.setattr(sim_module, "_BATCH", 97)
         monkeypatch.setattr(sim_module, "_WINDOW", 3)
@@ -167,15 +167,15 @@ class TestWorkers:
 
     def test_failure_here_kills_and_reaps_every_child(self, non_efe_automaton, ref_params,
                                                       binary75, monkeypatch):
-        here, fill = os.getpid(), sim_module._fill_uniforms
+        here, fill = os.getpid(), sim_module._fill_window
 
-        def failing(master_seed, start, t0, u):
+        def failing(master_seed, start, t0, *window):
             if os.getpid() == here:
                 raise RuntimeError("no uniforms")
             time.sleep(30)  # a child that is not killed holds the call up
-            fill(master_seed, start, t0, u)
+            fill(master_seed, start, t0, *window)
 
-        monkeypatch.setattr(sim_module, "_fill_uniforms", failing)
+        monkeypatch.setattr(sim_module, "_fill_window", failing)
         monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
         monkeypatch.setattr(sim_module, "_BATCH", 100)
         began = time.perf_counter()
@@ -188,14 +188,14 @@ class TestWorkers:
     def test_killed_child_is_reported_and_every_child_reaped(
         self, non_efe_automaton, ref_params, binary75, monkeypatch
     ):
-        here, fill = os.getpid(), sim_module._fill_uniforms
+        here, fill = os.getpid(), sim_module._fill_window
 
-        def killing(master_seed, start, t0, u):
+        def killing(master_seed, start, t0, *window):
             if os.getpid() != here and start >= 200:
                 os.kill(os.getpid(), signal.SIGKILL)
-            fill(master_seed, start, t0, u)
+            fill(master_seed, start, t0, *window)
 
-        monkeypatch.setattr(sim_module, "_fill_uniforms", killing)
+        monkeypatch.setattr(sim_module, "_fill_window", killing)
         monkeypatch.setattr(sim_module, "_cpus", lambda: 3)
         monkeypatch.setattr(sim_module, "_BATCH", 100)
         with pytest.raises(ChildProcessError, match="worker 2 of 3 ended with exit code -9"):
@@ -215,9 +215,9 @@ from replab import GameParams, MonitoringStructure, SimulationConfig, construct_
 params, monitoring = GameParams(0.2, 0.5, 0.3, 0.05), MonitoringStructure.binary(0.75)
 automaton, _ = construct_non_efe(params, monitoring)
 sim = importlib.import_module("replab.simulate")
-parent, fill = os.getpid(), sim._fill_uniforms
+parent, fill = os.getpid(), sim._fill_window
 
-def logged(master_seed, start, t0, u):
+def logged(master_seed, start, t0, *window):
     if os.getpid() == parent:
         while not os.path.exists({str(log)!r}):
             time.sleep(0.01)
@@ -225,9 +225,9 @@ def logged(master_seed, start, t0, u):
     if t0 == 0:  # a batch begins
         with open({str(log)!r}, "a") as f:
             f.write(f"{{start}} ")
-    fill(master_seed, start, t0, u)
+    fill(master_seed, start, t0, *window)
 
-sim._cpus, sim._BATCH, sim._fill_uniforms = (lambda: 2), 10, logged
+sim._cpus, sim._BATCH, sim._fill_window = (lambda: 2), 10, logged
 sim.simulate(automaton, params, monitoring,
              SimulationConfig(horizon=500, paths=4000, master_seed=1))
 """
@@ -238,6 +238,21 @@ sim.simulate(automaton, params, monitoring,
         assert 1 <= len(log.read_text().split()) < 50
 
 
+def _stream(seed, path, horizon):
+    """Path ``path``'s uniforms, (horizon, 4) slots [vote, type, action,
+    signal], from its own freshly keyed Philox stream."""
+    key = np.array([seed, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((horizon, 4))
+
+
+def _signal_index(f, u):
+    """The signal the law ``f`` gives each uniform ``u``: ``searchsorted`` on
+    its cdf, whose last point is set to 1."""
+    cdf = np.cumsum(f)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
 class TestFastPathOracles:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_batch_columns_are_fresh_philox_streams(
@@ -245,20 +260,21 @@ class TestFastPathOracles:
     ):
         # 100 paths in batches of 40 (the last one partial), staged in blocks
         # of 16, over 7 periods in windows of 3 (from periods 0, 3 and 6) and
-        # in one window: each fill must equal its periods' rows of each path's
-        # own freshly keyed stream; one worker, so that every fill is
-        # recorded in this process
+        # in one window: each fill must hold its periods' vote and action
+        # doubles of each path's own freshly keyed stream, and the type and
+        # signal decisions its type and signal doubles give; one worker, so
+        # that every fill is recorded in this process
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         monkeypatch.setattr(sim_module, "_BATCH", 40)
         monkeypatch.setattr(sim_module, "_BLOCK", 16)
-        fill = sim_module._fill_uniforms
+        fill = sim_module._fill_window
         filled = {}
 
-        def recording_fill(master_seed, start, t0, u):
-            fill(master_seed, start, t0, u)
-            filled[start, t0] = u.copy()
+        def recording_fill(master_seed, start, t0, pi0, thresholds, draws, codes):
+            fill(master_seed, start, t0, pi0, thresholds, draws, codes)
+            filled[start, t0] = draws.copy(), codes.copy()
 
-        monkeypatch.setattr(sim_module, "_fill_uniforms", recording_fill)
+        monkeypatch.setattr(sim_module, "_fill_window", recording_fill)
         horizon = 7
         for window in (3, 256):
             monkeypatch.setattr(sim_module, "_WINDOW", window)
@@ -267,33 +283,37 @@ class TestFastPathOracles:
                      SimulationConfig(horizon=horizon, paths=100, master_seed=seed))
             t0s = list(range(0, horizon, window))
             assert sorted(filled) == [(start, t0) for start in (0, 40, 80) for t0 in t0s]
-            assert filled[80, t0s[-1]].shape == (horizon - t0s[-1], 4, 20)
-            for (start, t0), u in filled.items():
-                for i in range(u.shape[2]):
-                    key = np.array([seed, start + i], dtype=np.uint64)
-                    expected = np.random.Generator(np.random.Philox(key=key)).random(
-                        (horizon, 4)
-                    )
-                    assert np.array_equal(u[:, :, i], expected[t0 : t0 + len(u)]), start + i
+            periods = horizon - t0s[-1]
+            assert [a.shape for a in filled[80, t0s[-1]]] == [(periods, 2, 20), (periods, 3, 20)]
+            for (start, t0), (draws, codes) in filled.items():
+                for i in range(draws.shape[2]):
+                    u = _stream(seed, start + i, horizon)[t0 : t0 + len(draws)]
+                    assert np.array_equal(draws[:, :, i], u[:, ::2]), start + i
+                    assert np.array_equal(codes[:, 0, i], u[:, 1] < ref_params.pi0), start + i
+                    assert np.array_equal(codes[:, 1, i], _signal_index(binary75.f0, u[:, 3]))
+                    assert np.array_equal(codes[:, 2, i], _signal_index(binary75.f1, u[:, 3]))
 
     def test_uniforms_are_held_one_window_at_a_time(
         self, non_efe_automaton, ref_params, binary75, monkeypatch
     ):
-        # a batch's uniforms no longer grow with the horizon
+        # a batch's draws no longer grow with the horizon, and on binary
+        # signals a path-period holds 19 bytes: two doubles and three codes
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
-        fill = sim_module._fill_uniforms
+        fill = sim_module._fill_window
         shapes = {}
 
-        def recording_fill(master_seed, start, t0, u):
-            assert u.shape[0] <= sim_module._WINDOW
-            shapes[t0] = u.shape
-            fill(master_seed, start, t0, u)
+        def recording_fill(master_seed, start, t0, pi0, thresholds, draws, codes):
+            assert len(draws) <= sim_module._WINDOW
+            assert (draws.dtype, codes.dtype) == (np.float64, np.uint8)
+            assert draws[0, :, 0].nbytes + codes[0, :, 0].nbytes == 19
+            shapes[t0] = draws.shape, codes.shape
+            fill(master_seed, start, t0, pi0, thresholds, draws, codes)
 
-        monkeypatch.setattr(sim_module, "_fill_uniforms", recording_fill)
+        monkeypatch.setattr(sim_module, "_fill_window", recording_fill)
         simulate(non_efe_automaton, ref_params, binary75,
                  SimulationConfig(horizon=1000, paths=50, master_seed=1))
-        assert shapes == {0: (256, 4, 50), 256: (256, 4, 50), 512: (256, 4, 50),
-                          768: (232, 4, 50)}
+        assert shapes == {t0: ((periods, 2, 50), (periods, 3, 50))
+                          for t0, periods in [(0, 256), (256, 256), (512, 256), (768, 232)]}
 
     @pytest.mark.parametrize("f0, f1", [
         ((0.25, 0.75), (0.75, 0.25)),
@@ -301,36 +321,35 @@ class TestFastPathOracles:
         ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)),
     ])
     def test_signal_lookup_equals_searchsorted(self, f0, f1):
-        monitoring = MonitoringStructure(tuple("ABCD"[: len(f0)]), f0=f0, f1=f1)
+        # every slot of every path holds the same uniform; the signal codes
+        # must equal searchsorted on each law's cdf and the type code u < pi0
+        pi0 = 0.3
         cdfs = [np.cumsum(f0), np.cumsum(f1)]
-        for cdf in cdfs:
-            cdf[-1] = 1.0
-        interior = np.concatenate([cdf[:-1] for cdf in cdfs])
+        interior = np.concatenate([cdf[:-1] for cdf in cdfs] + [[pi0]])
         u = np.concatenate([
             np.random.default_rng(0).random(5000),
             interior,  # exactly on a cut point
             np.nextafter(interior, 0.0),
             [0.0, np.nextafter(1.0, 0.0)],
         ])
-        u = np.concatenate([u, u])
-        act = np.arange(len(u)) >= len(u) // 2
-        expected = np.where(
-            act,
-            np.searchsorted(cdfs[1], u, side="right"),
-            np.searchsorted(cdfs[0], u, side="right"),
-        )
-        thresholds = sim_module._signal_thresholds(monitoring)
-        assert np.array_equal(sim_module._signals(thresholds, act, u), expected)
+        draws, codes = np.empty((1, 2, len(u))), np.empty((1, 3, len(u)), np.uint8)
+        thresholds = np.cumsum([f0, f1], axis=1)[:, :-1]
+        sim_module._encode(np.broadcast_to(u, (1, 4, len(u))), pi0, thresholds, draws, codes,
+                           np.empty((1, len(u))))
+        assert np.array_equal(draws[0], [u, u])
+        assert np.array_equal(codes[0, 0], u < pi0)
+        assert np.array_equal(codes[0, 1], _signal_index(f0, u))
+        assert np.array_equal(codes[0, 2], _signal_index(f1, u))
 
 
 def _replayed_means(automaton, params, monitoring, config):
     """Each period's exact mean belief and mean effort of the acting
-    incumbents, replayed over all paths at once from their uniforms in plain
-    numpy: the vote, a fresh type on replacement, the action, and the signal
-    by ``searchsorted`` on the action law's cdf."""
-    u = np.empty((config.horizon, 4, config.paths))
-    sim_module._fill_uniforms(config.master_seed, 0, 0, u)
-    cdfs = np.cumsum(monitoring.f0)[:-1], np.cumsum(monitoring.f1)[:-1]
+    incumbents, replayed over all paths at once in plain numpy from each
+    path's own freshly keyed Philox stream: the vote, a fresh type on
+    replacement, the action, and the signal by ``searchsorted`` on the
+    action law's cdf."""
+    u = np.stack([_stream(config.master_seed, p, config.horizon) for p in range(config.paths)],
+                 axis=2)
     state = np.full(config.paths, automaton.initial)
     good = np.zeros(config.paths, bool)
     beliefs, efforts = [], []
@@ -341,8 +360,8 @@ def _replayed_means(automaton, params, monitoring, config):
         beliefs.append(sum(map(Fraction, automaton.belief[state].tolist())) / config.paths)
         act = (draw_act < automaton.effort_prob[state]) | good
         efforts.append(np.count_nonzero(act) / config.paths)
-        sig = np.where(act, np.searchsorted(cdfs[1], draw_sig, side="right"),
-                       np.searchsorted(cdfs[0], draw_sig, side="right"))
+        sig = np.where(act, _signal_index(monitoring.f1, draw_sig),
+                       _signal_index(monitoring.f0, draw_sig))
         state = automaton.next_state[state, sig]
     return beliefs, efforts
 
@@ -378,6 +397,34 @@ class TestExactBeliefMeans:
         beliefs, _ = _replayed_means(automaton, ref_params, binary75, config)
         assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
         assert 0.0 < stats.mean_belief.min() and stats.mean_belief.max() == 1.0
+
+    def test_wide_signal_alphabet_holds_uint16_codes(self, ref_params, monkeypatch):
+        # 300 signals: signal indices up to 299 need uint16 codes, and an index
+        # off by one moves a path to another state
+        signals = tuple(f"s{j}" for j in range(300))
+        weights = np.arange(1.0, 301.0)
+        monitoring = MonitoringStructure(signals, f0=tuple((weights / weights.sum()).tolist()),
+                                         f1=(1 / 300,) * 300)
+        automaton = EquilibriumAutomaton(
+            replace_prob=[0.0, 0.1, 0.2, 0.3, 0.4], effort_prob=[0.9, 0.7, 0.5, 0.3, 0.1],
+            belief=[0.3, 0.1, 0.45, 0.6, 0.8],
+            next_state=(np.arange(5)[:, None] + np.arange(300)) % 5,
+            regime=list("ABCDE"), initial=0, signals=signals, kind="custom",
+        )
+        fill, dtypes = sim_module._fill_window, set()
+
+        def recording_fill(master_seed, start, t0, pi0, thresholds, draws, codes):
+            dtypes.add(codes.dtype)
+            fill(master_seed, start, t0, pi0, thresholds, draws, codes)
+
+        monkeypatch.setattr(sim_module, "_fill_window", recording_fill)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
+        config = SimulationConfig(horizon=60, paths=400, master_seed=13)
+        stats = simulate(automaton, ref_params, monitoring, config)
+        beliefs, efforts = _replayed_means(automaton, ref_params, monitoring, config)
+        assert dtypes == {np.dtype(np.uint16)}
+        assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
+        assert stats.mean_effort.tolist() == efforts
 
 
 def _transient_curves(automaton, params, monitoring, horizon):
