@@ -7,6 +7,20 @@ simulation with analytic stationary-chain oracles.
 """
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# Every BLAS call replab makes is tiny, so an OpenBLAS pool of more than one thread
+# only spins. OpenBLAS reads its size when numpy loads it: unless the caller chose
+# one, load numpy with one thread, then restore the caller's environment.
+if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        _os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
 from .model import (  # noqa: F401
     Belief,
     GameParams,

@@ -213,8 +213,9 @@ def _fork_join(run, workers: int) -> None:
     try:
         for k in range(1, workers):
             with warnings.catch_warnings():
-                # Python 3.12+ warns on a fork with live threads (OpenBLAS's idle
-                # pool); the child runs numpy kernels only: no BLAS, no import, no lock
+                # Python 3.12+ warns on a fork with live threads: OpenBLAS's pool, one
+                # thread unless numpy was loaded before replab. The child runs numpy
+                # kernels and the tally's gemv; it imports nothing and takes no lock
                 warnings.filterwarnings(
                     "ignore", "This process .* is multi-threaded", DeprecationWarning)
                 pid = os.fork()

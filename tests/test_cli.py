@@ -689,8 +689,7 @@ def _run_capped(*argv, timeout=10, address_space=2**30):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run([sys.executable, "-m", "replab.cli", *argv], capture_output=True,
-                          text=True, timeout=timeout, preexec_fn=cap,
-                          env=child_env(OPENBLAS_NUM_THREADS="1"))
+                          text=True, timeout=timeout, preexec_fn=cap, env=child_env())
 
 
 @pytest.mark.probe
@@ -897,11 +896,14 @@ def test_long_chain_simulates_within_the_memory_cap(tmp_path, ref_params, binary
 @pytest.mark.probe
 def test_long_horizon_simulates_within_the_memory_cap(reference_payload, tmp_path):
     # one batch held the whole horizon's uniforms, 293 MiB at horizon 2,500,
-    # and ran out of 384 MiB; a window of periods takes the same at any horizon
+    # and ran out of 384 MiB; a window of periods takes the same at any horizon.
+    # OpenBLAS reserved 40 MiB of address space for each pool thread beyond
+    # the first, so on 2 CPUs this ran out of 192 MiB before replab held the
+    # pool to one thread
     automaton = tmp_path / "automaton.json"
     automaton.write_text(json.dumps(reference_payload))
     done = _run_capped("simulate", "--automaton", str(automaton), "--paths", "3840",
-                       "--horizon", "2500", timeout=60, address_space=384 * 2**20)
+                       "--horizon", "2500", timeout=60, address_space=192 * 2**20)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["horizon"] == 2500
 
@@ -928,9 +930,53 @@ def test_large_tree_simulates_within_the_memory_cap(capsys, tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
 
 
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_needs_2_cpus = pytest.mark.skipif(_CPUS < 2, reason="needs 2 CPUs for 2 BLAS threads")
+_needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="counts threads in Linux's /proc/self/task")
+
+
+def _threads_after_import(prelude: str = "", **extra: str) -> list:
+    """[thread count, BLAS thread variables set] in a child Python that runs
+    ``prelude`` and then imports replab, with none of the three variables
+    set in its environment but ``extra``."""
+    env = {k: v for k, v in child_env(**extra).items() if k in extra or k not in _BLAS_THREAD_VARS}
+    probe = (f"{prelude}import json, os, replab; print(json.dumps([len(os.listdir("
+             f"'/proc/self/task')), {{k: os.environ[k] for k in {_BLAS_THREAD_VARS!r} "
+             f"if k in os.environ}}]))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60, env=env)
+    return json.loads(done.stdout)
+
+
 @pytest.mark.probe
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
-                    else (os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+@_needs_proc
+def test_import_loads_numpy_with_one_blas_thread():
+    # OpenBLAS started a thread per CPU that only spun: 2 threads and 0.13 s
+    # of CPU in every CLI process on 2 CPUs. The pin leaves no variable behind
+    assert _threads_after_import() == [1, {}]
+
+
+@pytest.mark.probe
+@_needs_proc
+@_needs_2_cpus
+@pytest.mark.parametrize("variable", _BLAS_THREAD_VARS)
+def test_caller_sized_blas_pool_is_kept(variable):
+    assert _threads_after_import(**{variable: "2"}) == [2, {variable: "2"}]
+
+
+@pytest.mark.probe
+@_needs_proc
+@_needs_2_cpus
+def test_numpy_imported_first_keeps_its_pool():
+    threads, variables = _threads_after_import("import numpy; ")
+    assert threads > 1 and variables == {}
+
+
+@pytest.mark.probe
+@_needs_2_cpus
 def test_stats_are_identical_for_any_blas_thread_count(capsys, tmp_path):
     # mean_belief was a BLAS product over the states, whose last bit
     # followed OpenBLAS's thread split at horizon 500 on this tree
