@@ -10,16 +10,21 @@ __version__ = "0.1.0"
 import os as _os
 import sys as _sys
 
-# Every BLAS call replab makes is tiny, so an OpenBLAS pool of more than one thread
-# only spins. OpenBLAS reads its size when numpy loads it: unless the caller chose
-# one, load numpy with one thread, then restore the caller's environment.
-if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(
-        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        __import__("numpy")
-    finally:
-        _os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+def _one_blas_thread(name: str) -> None:
+    """Import module ``name`` with OpenBLAS's pool held to one thread, unless it is
+    loaded or the caller chose a size: numpy and scipy (with ``scipy.linalg``) each
+    load an OpenBLAS, and replab's BLAS calls are too small for a second thread."""
+    if name not in _sys.modules and _os.environ.keys().isdisjoint(
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        _os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read as the library loads
+        try:
+            __import__(name)
+        finally:
+            _os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+_one_blas_thread("numpy")
 
 from .model import (  # noqa: F401
     Belief,

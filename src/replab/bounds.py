@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
-from .model import GameParams, MonitoringStructure, belief_growth_bound
+from .model import GameParams, MonitoringStructure, _bisect, belief_growth_bound
 
 G_RISE_TOL = 1e-12  # relative rise in g that bound_sweep calls a fault; rounding gives < 1e-15
 
@@ -36,22 +36,16 @@ class OutsideOptionBound:
 def minimize_g(pi0: float, horizon_T: int) -> tuple[float, float]:
     """(eta_star, g(eta_star)). g'(eta) = 0 reduces to the root of
     h(eta) = eta^(T+1) + (T+1) q eta - T q, q = pi0/(1-pi0), on (0, 1);
-    h(0) < 0 < h(1) and h' > 0, so bisection finds it to the last bit.
-    At a huge T the root lies within rounding of 1 and the bracket can close
-    at 1.0; eta_star is then the bracket's lower end, the largest double
-    below 1, so eta_star < 1 and c + g(eta_star) <= c + 1 is still a
-    ceiling."""
+    h(0) < 0 < h(1) and h' > 0, so ``_bisect`` closes on it to two adjacent
+    doubles, and eta_star is their rounded midpoint, one of the two. At a huge
+    T the root lies within rounding of 1 and that midpoint can be 1.0;
+    eta_star is then the lower end, the largest double below 1, so
+    eta_star < 1 and c + g(eta_star) <= c + 1 is still a ceiling."""
     q = pi0 / (1.0 - pi0)
     t = horizon_T
-    lo, hi = 0.0, 1.0
-    while True:
-        eta_star = 0.5 * (lo + hi)
-        if eta_star in (lo, hi):
-            break
-        if eta_star ** (t + 1) + (t + 1) * q * eta_star - t * q < 0.0:
-            lo = eta_star
-        else:
-            hi = eta_star
+    lo, hi = _bisect(lambda eta: eta ** (t + 1) + (t + 1) * q * eta - t * q >= 0.0,
+                     0.0, 1.0, 0.0)
+    eta_star = 0.5 * (lo + hi)
     if eta_star == 1.0:
         eta_star = lo
     return eta_star, belief_growth_bound(pi0, eta_star, horizon_T)

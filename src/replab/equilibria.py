@@ -54,7 +54,8 @@ from .errors import (
     Violation,
 )
 from .model import (
-    GameParams, MonitoringStructure, _as_float, _posterior, model_from_dict, model_to_dict,
+    GameParams, MonitoringStructure, _as_float, _bisect, _posterior, model_from_dict,
+    model_to_dict,
 )
 
 REGIME_INITIAL = "Initial"
@@ -261,24 +262,15 @@ def select_a0(params: GameParams, monitoring: MonitoringStructure) -> float:
 def _a0(pi0: float, c: float, f0: tuple, f1: tuple) -> float:
     """:func:`select_a0` on the only inputs it reads; the last answer is kept,
     since a sweep asks for one (pi0, c, f0, f1) many times in a row."""
-    lo = c / (1.0 - pi0)
-    hi = 1.0
-    eps = 1e-12
-    if _a0_slack(pi0, c, f0, f1, hi - eps) < 0.0:
+    def feasible(a: float) -> bool:
+        return _a0_slack(pi0, c, f0, f1, a) >= 0.0
+
+    lo, hi = c / (1.0 - pi0) + 1e-12, 1.0 - 1e-12  # 1e-12 inside (c/(1-pi0), 1)
+    if not feasible(hi):
         raise NoFeasibleA0("no feasible initial effort probability near 1")
-    if _a0_slack(pi0, c, f0, f1, lo + eps) >= 0.0:
-        a_min = lo + eps
-    else:
-        a, b = lo + eps, hi - eps
-        while b - a > A0_BISECTION_TOL:
-            mid = 0.5 * (a + b)
-            if _a0_slack(pi0, c, f0, f1, mid) >= 0.0:
-                b = mid
-            else:
-                a = mid
-        a_min = b
+    a_min = lo if feasible(lo) else _bisect(feasible, lo, hi, A0_BISECTION_TOL)[1]
     a0 = 0.5 * (1.0 + a_min)
-    if _a0_slack(pi0, c, f0, f1, a0) < 0.0:
+    if not feasible(a0):
         raise NoFeasibleA0("midpoint rule landed on an infeasible a0")
     return a0
 

@@ -202,6 +202,18 @@ def _posterior(pi: Belief, a: float, q1: float, q0: float) -> Belief:
     return pi * q1 / ((pi + (1.0 - pi) * a) * q1 + (1.0 - pi) * (1.0 - a) * q0)
 
 
+def _bisect(holds, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Halve [lo, hi] around the point where ``holds`` turns true: it fails at
+    lo and holds at hi, as at the (lo, hi) returned once the bracket is no
+    wider than ``width`` or no double lies strictly inside it."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return lo, hi
+
+
 def max_update(monitoring: MonitoringStructure, pi: Belief, eta: float) -> Belief:
     """Highest one-period posterior when the opportunist's effort is known
     to be at least ``eta``:

@@ -55,6 +55,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _one_blas_thread
 from .equilibria import EquilibriumAutomaton, check_signals
 from .errors import DepthInsufficient, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
@@ -479,6 +480,7 @@ def analytic_long_run_effort(
     lump = _try_lumped(automaton, states, efforts, law)
     if lump is not None:
         return lump
+    _one_blas_thread("scipy.linalg")
     from scipy.sparse import csc_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _one_blas_thread
 from .equilibria import EquilibriumAutomaton, check_signals
 from .errors import NonContractive, ValidationError, Violation
 from .model import GameParams, MonitoringStructure
@@ -188,6 +189,7 @@ def batch_values(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
                 order.append(p)
     values[rest[order]], errors[rest[order]] = np.take(acc_b, order), np.take(acc_miss, order)
     if len(order) < len(rest):  # the states on or upstream of a cycle
+        _one_blas_thread("scipy.linalg")
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -78,11 +80,31 @@ def test_minimize_g_matches_stationarity_root(horizon_T):
 
 
 def test_minimize_g_stays_inside_the_unit_interval_at_a_huge_horizon():
-    # the stationarity root lies within rounding of 1, so the bisection's
-    # bracket closes at 1.0; the bracket's lower end is returned instead
+    # the stationarity root lies within rounding of 1, so the bracket's
+    # midpoint rounds to 1.0; the bracket's lower end is returned instead
     eta_star, g_min = minimize_g(0.3, 14_411_518_807_585_590)
     assert 0.0 < eta_star < 1.0
     assert g_min == belief_growth_bound(0.3, eta_star, 14_411_518_807_585_590) <= 1.0
+
+
+def _h(pi0: float, horizon_T: int, eta: float) -> float:
+    q = pi0 / (1.0 - pi0)
+    return eta ** (horizon_T + 1) + (horizon_T + 1) * q * eta - horizon_T * q
+
+
+def test_eta_star_sits_on_the_sign_change_to_the_last_bit():
+    # eta_star and one neighbouring double straddle the sign change of h; at the
+    # huge-T fallback eta_star is the largest double below 1, and its upper neighbour 1.0
+    rng = np.random.default_rng(2029)
+    cases = [(float(10.0 ** rng.uniform(-12, -1e-9)), int(10.0 ** rng.uniform(0, 17.2)))
+             for _ in range(2000)]
+    cases += [(pi0, 14_411_518_807_585_590) for pi0 in (1e-9, 0.3, 0.999999)]
+    for pi0, horizon_T in cases:
+        eta_star = minimize_g(pi0, horizon_T)[0]
+        below, above = math.nextafter(eta_star, 0.0), math.nextafter(eta_star, 1.0)
+        assert 0.0 < eta_star < 1.0
+        assert (_h(pi0, horizon_T, below) < 0.0 <= _h(pi0, horizon_T, eta_star)
+                or _h(pi0, horizon_T, eta_star) < 0.0 <= _h(pi0, horizon_T, above))
 
 
 class TestBoundSweep:

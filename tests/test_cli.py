@@ -975,6 +975,34 @@ def test_numpy_imported_first_keeps_its_pool():
     assert threads > 1 and variables == {}
 
 
+# the reference non-efe automaton with FirstRegime state 2's Fail edge sent back to
+# the initial state, so verify solves a cyclic value block with scipy's splu
+_CYCLIC_VERIFY = """\
+import sys
+from dataclasses import replace
+from replab import GameParams, MonitoringStructure, construct_non_efe, verify
+monitoring, params = MonitoringStructure.binary(0.75), GameParams(0.2, 0.5, 0.3, 0.05)
+automaton = construct_non_efe(params, monitoring)[0]
+next_state = automaton.next_state.copy()
+next_state[2, monitoring.index("Fail")] = automaton.initial
+assert automaton.regime[2] == "FirstRegime" and "scipy.linalg" not in sys.modules
+verify(replace(automaton, next_state=next_state), params, monitoring)
+assert "scipy.linalg" in sys.modules
+"""
+
+
+@pytest.mark.probe
+@_needs_proc
+@_needs_2_cpus
+def test_cyclic_verify_loads_scipy_with_one_blas_thread():
+    # scipy's wheels bundle an OpenBLAS of their own, which loaded with its
+    # default pool once import replab had restored the environment: 2 threads
+    assert _threads_after_import(_CYCLIC_VERIFY) == [1, {}]
+    # a caller's size holds for both pools: the main thread and one more in each
+    assert _threads_after_import(_CYCLIC_VERIFY, OPENBLAS_NUM_THREADS="2") == [
+        3, {"OPENBLAS_NUM_THREADS": "2"}]
+
+
 @pytest.mark.probe
 @_needs_2_cpus
 def test_stats_are_identical_for_any_blas_thread_count(capsys, tmp_path):

@@ -146,6 +146,29 @@ class TestClosedForms:
         assert a0 == pytest.approx((1 + root) / 2, abs=1e-9)
         assert a0 == pytest.approx(9.0 / 14.0, abs=1e-9)
 
+    def test_a0_bisects_to_the_feasibility_bound(self, monkeypatch):
+        # a_min, the bracket's upper end, is feasible and its lower end is not
+        brackets, bisect = [], equilibria._bisect
+
+        def recorded(*args):
+            brackets.append(bisect(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(equilibria, "_bisect", recorded)
+        rng = np.random.default_rng(2029)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            f0, f1 = tuple(rng.dirichlet(np.ones(n))), tuple(rng.dirichlet(np.ones(n)))
+            pi0 = rng.uniform(0.01, 0.99)
+            c = rng.uniform(0.0, 1.0 - pi0) * rng.choice([0.0, 0.1, 1.0])
+            a0 = equilibria._a0.__wrapped__(pi0, c, f0, f1)
+            (lo, a_min), = brackets  # one search per call
+            brackets.clear()
+            assert a0 == 0.5 * (1.0 + a_min)
+            assert equilibria._a0_slack(pi0, c, f0, f1, a_min) >= 0.0
+            assert equilibria._a0_slack(pi0, c, f0, f1, lo) < 0.0
+            assert 0.0 < a_min - lo <= equilibria.A0_BISECTION_TOL
+
     def test_indifference_effort_guard(self):
         assert indifference_effort(0.7, 0.2) == pytest.approx(0.625, abs=1e-12)
         with pytest.raises(IndifferenceOutOfRange):

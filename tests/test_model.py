@@ -22,6 +22,7 @@ from replab import (
     model_from_dict,
     model_to_dict,
 )
+from replab import model
 from replab.errors import ReplacementCostTooLargeForConstruction, ValidationError
 
 
@@ -325,3 +326,20 @@ _HOLDING = GameParams(0.2, 0.5, 0.3, 0.0)
 def test_argument_refusals(call, args, message):
     with pytest.raises(ValueError, match=message):
         call(*args)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-10, 1e-3])
+def test_bisect_keeps_a_bracket_down_to_its_width(width):
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        lo, cut, hi = np.sort(rng.uniform(-1.0, 1.0, 3)) * 10.0 ** rng.uniform(-20, 20)
+        calls = []
+
+        def holds(x, cut=cut):
+            calls.append(x)
+            return x >= cut
+
+        a, b = model._bisect(holds, lo, hi, width)
+        assert lo <= a < cut <= b <= hi
+        assert b - a <= width or np.nextafter(a, np.inf) == b
+        assert all(lo < x < hi for x in calls)  # the ends are the caller's to check
