@@ -8,35 +8,42 @@ always work, opportunists work with the state's effort probability); the
 signal is drawn from the action's distribution and advances the state. At
 t = 0 there is no vote.
 
-Determinism contract: path p consumes a fixed layout of uniforms,
-(horizon x 4) slots [vote, type, action, signal], from a counter-based
-Philox stream keyed by (master_seed, p); period t's four slots are the
-block at counter t + 1. Paths run in batches of ``_BATCH``, and a batch's
-draws are held one window of ``_WINDOW`` periods at a time, period-major,
-so that each period reads contiguous rows: the vote and action doubles,
-(periods, 2, paths), and the decisions the type and signal slots encode
-against fixed cut points, (periods, 3, paths), in the smallest unsigned
-dtype that holds S - 1: good type (u < pi0) and the signal index under
-shirking and under working. One Philox per window is rekeyed to
-(master_seed, p) for each path with its counter at the window's first
-period, so a window holds what the whole stream's rows it covers give. W
-contiguous ranges of paths run at once, W the smaller of the batch count
-and the CPUs in the affinity mask (1 off Linux): the first here, the
-others in forked children, each worker adding its integer counts into its
-own row of shared memory. Every per-period statistic is an integer sum,
-added over the rows once every child is reaped, and per-path aggregates
-are reduced once at the end. The belief sum is one too: each belief is the
-integer pi * 2^k, k = 53 - the least frexp exponent of a positive belief,
-split into 31-bit limbs, and each period's mean is one correctly rounded
-integer division. The stats are therefore bit-identical under any
-batching, window size, worker count, BLAS thread count or scheduling.
+Determinism contract: path p consumes a fixed layout of uniforms, (horizon
+x 4) slots [vote, type, action, signal], from a counter-based Philox
+stream keyed by (master_seed, p); period t's four slots are the block at
+counter t + 1. Paths run in batches of ``_BATCH``, and a batch's draws are
+held one window of ``_WINDOW`` periods at a time, period-major, so that
+each period reads contiguous rows: the vote and action uniforms as 16-bit
+codes floor(u * 2^16), (periods, 2, paths) uint16, and the decisions the
+type and signal slots encode against fixed cut points, (periods, 3,
+paths), in the smallest unsigned dtype that holds S - 1: good type (u <
+pi0) and the signal index under shirking and under working. The kernel
+decides u < p on a code against the state's cut min(floor(p * 2^16),
+65535); only a code equal to its cut, once in 2^16 draws, leaves the
+decision open, and that path's double is drawn again from its stream and
+compared exactly, so every decision is the one the double gives. One
+Philox per window is rekeyed to (master_seed, p) for each path with its
+counter at the window's first period, so a window holds what the whole
+stream's rows it covers give; a redraw rekeys one Philox per worker the
+same way. W contiguous ranges of paths run at once, W the smaller of the
+batch count and the CPUs in the affinity mask (1 off Linux): the first
+here, the others in forked children, each worker adding its integer counts
+into its own row of shared memory. Every per-period statistic is an
+integer sum, added over the rows once every child is reaped, and per-path
+aggregates are reduced once at the end. The belief sum is one too: each
+belief is the integer pi * 2^k, k = 53 - the least frexp exponent of a
+positive belief, split into 31-bit limbs, and each period's mean is one
+correctly rounded integer division. The stats are therefore bit-identical
+under any batching, window size, worker count, BLAS thread count or
+scheduling.
 
 The per-period kernel reads the automaton's own per-state arrays: one
-lookup per table gives a state's replacement and effort probabilities and
-its belief, which a replacement there compares with pi0, and per edge
-(state * S + signal) the next state and the belief increment. Each path
-carries its incumbent's type as a flag, drawn at t = 0 and redrawn only
-on replacement; a good type works whatever the state's effort probability.
+lookup per table gives a state's replacement and effort cut points (its
+probabilities only on a tie) and its belief, which a replacement there
+compares with pi0, and per edge (state * S + signal) the next state and
+the belief increment. Each path carries its incumbent's type as a flag,
+drawn at t = 0 and redrawn only on replacement; a good type works whatever
+the state's effort probability.
 
 The belief-martingale residual averages one-step increments of the acting
 incumbent's reputation, pi(successor) - pi(state), over every acting
@@ -62,7 +69,7 @@ from .model import GameParams, MonitoringStructure
 from .verifier import _on_path_states, expected_effort
 
 # paths per batch and per staging block, and periods per window: the window's
-# (_WINDOW, 2, _BATCH) doubles and (_WINDOW, 3, _BATCH) codes are 18.7 MB up to
+# (_WINDOW, 2, _BATCH) 16-bit draws and (_WINDOW, 3, _BATCH) codes are 6.9 MB up to
 # 256 signals and the (_BLOCK, _WINDOW, 4) block 1 MB at any horizon; a window
 # rekeys every path, about 1.5 us each
 _BATCH = 3840
@@ -131,39 +138,49 @@ class SimulationStats:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _streams(master_seed: int):
+    """``seek(path, t)``: one Philox, rekeyed to path ``path``'s stream (key
+    [master_seed, path]) at counter ``t`` with an empty buffer, and its
+    Generator, whose next four doubles are period t's four slots (a period's
+    doubles are one Philox block, drawn after the counter steps). Rekeying
+    assigns a state; a fresh ``Philox(key=...)`` would read OS entropy
+    through ``SeedSequence`` for every path."""
+    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    # the state setter reads plain ints about 3x faster than arrays
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [master_seed, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    counter, key = state["state"]["counter"], state["state"]["key"]
+
+    def seek(path: int, t: int) -> np.random.Generator:
+        counter[0], key[1] = t, path
+        bitgen.state = state
+        return gen
+
+    return seek
+
+
 def _fill_window(master_seed: int, start: int, t0: int, pi0: float, thresholds: np.ndarray,
                  draws: np.ndarray, codes: np.ndarray) -> None:
     """Fill the period-major window ``draws``, (periods, 2, nb), and
     ``codes``, (periods, 3, nb), as :func:`_encode` lays them out, from rows
     ``t0`` .. ``t0 + periods - 1`` of ``Generator(Philox(key=[master_seed,
-    start + i])).random((horizon, 4))`` for each path ``start + i``.
-
-    One Philox is rekeyed per path by assigning it a state with the path's
-    key, counter ``t0`` and an empty buffer; a period's four doubles are one
-    Philox block, drawn after the counter steps, so period t reads counter
-    t + 1 in every window. A fresh ``Philox(key=...)`` would read OS entropy
-    through ``SeedSequence`` for every path. Paths are drawn path-major in
-    blocks of ``_BLOCK``, and each block is written into the window while it
-    is still in cache.
+    start + i])).random((horizon, 4))`` for each path ``start + i``, each
+    path drawn from one Philox rekeyed at counter ``t0`` (:func:`_streams`).
+    Paths are drawn path-major in blocks of ``_BLOCK``, and each block is
+    written into the window while it is still in cache.
     """
     periods, _, nb = draws.shape
-    bitgen = np.random.Philox(key=np.array([master_seed, start], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    # the state setter reads plain ints about 3x faster than arrays
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [t0, 0, 0, 0], "key": [master_seed, 0]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    key = state["state"]["key"]
+    seek = _streams(master_seed)
     block = np.empty((min(_BLOCK, nb), periods, _UNIFORM_SLOTS))
     signal = np.empty((periods, len(block)))
     for lo in range(0, nb, len(block)):
         rows = block[: min(len(block), nb - lo)]
         for i, row in enumerate(rows):
-            key[1] = start + lo + i
-            bitgen.state = state
-            gen.random(out=row)
+            seek(start + lo + i, t0).random(out=row)
         hi = lo + len(rows)
         _encode(rows.transpose(1, 2, 0), pi0, thresholds, draws[:, :, lo:hi],
                 codes[:, :, lo:hi], signal[:, : len(rows)])
@@ -171,20 +188,48 @@ def _fill_window(master_seed: int, start: int, t0: int, pi0: float, thresholds: 
 
 def _encode(u, pi0: float, thresholds: np.ndarray, draws, codes, sig) -> None:
     """Write uniforms ``u``, (periods, 4, paths) slots [vote, type, action,
-    signal], into ``draws`` as the vote and action doubles and into ``codes``
-    as the decisions the type and signal slots encode: the type is good
-    (``u < pi0``), and the signal index under shirking and under working,
-    the number of the law's interior cdf points (rows 0 and 1 of
-    ``thresholds``) at or below ``u``, which equals ``searchsorted(cdf, u,
-    side="right")``. The signal slot is gathered once into ``sig``,
-    (periods, paths), and compared there."""
-    draws[:] = u[:, ::2]
+    signal], into ``draws`` as the vote and action codes floor(u * 2^16)
+    (uint16; the cast truncates) and into ``codes`` as the decisions the
+    type and signal slots encode: the type is good (``u < pi0``), and the
+    signal index under shirking and under working, the number of the law's
+    interior cdf points (rows 0 and 1 of ``thresholds``) at or below ``u``,
+    which equals ``searchsorted(cdf, u, side="right")``. The signal slot is
+    gathered once into ``sig``, (periods, paths), and compared there."""
+    np.multiply(u[:, ::2], 65536.0, out=draws, casting="unsafe")
     np.less(u[:, 1], pi0, out=codes[:, 0])
     np.copyto(sig, u[:, 3])
     for j, cuts in enumerate(thresholds, 1):  # the shirk law, then the work law
         np.greater_equal(sig, cuts[0], out=codes[:, j])
         for point in cuts[1:]:
             codes[:, j] += sig >= point
+
+
+def _cuts(prob: np.ndarray) -> np.ndarray:
+    """The 16-bit cut points min(floor(p * 2^16), 2^16 - 1) of probabilities
+    ``prob``. A code c = floor(u * 2^16) below its cut has u < (c + 1) / 2^16
+    <= p, and one above it has u >= c / 2^16 > p; only c equal to the cut
+    leaves u < p open."""
+    return np.minimum(np.floor(prob * 65536.0), 65535.0).astype(np.uint16)
+
+
+def _decide(code: np.ndarray, state: np.ndarray, prob: np.ndarray, cut: np.ndarray,
+            redraw) -> np.ndarray:
+    """``u < prob[state]`` per path, for uniforms ``u`` held as the codes
+    ``code`` and ``cut = _cuts(prob)``: decided on the code, except where it
+    equals its state's cut; ``redraw(ties)`` gives those paths' uniforms,
+    which are compared exactly."""
+    cut = cut.take(state)
+    below = code < cut
+    ties = np.flatnonzero(code == cut)
+    if len(ties):
+        below[ties] = redraw(ties) < prob.take(state.take(ties))
+    return below
+
+
+def _redraw(seek, paths: np.ndarray, t: int, slot: int) -> np.ndarray:
+    """Slot ``slot`` of period ``t`` of each path in ``paths``, drawn again
+    through ``seek`` (:func:`_streams`)."""
+    return np.array([seek(p, t).random(slot + 1)[slot] for p in paths.tolist()])
 
 
 def _cpus() -> int:
@@ -266,6 +311,7 @@ def simulate(
     walks_off = not automaton.complete
     # belief increment per edge (state * S + signal); 0 on a missing edge
     step = np.where(nxt >= 0, pi.take(nxt) - pi[:, None], 0.0)
+    vote_cut, act_cut = _cuts(automaton.replace_prob), _cuts(automaton.effort_prob)
     # limb i of the integer pi * 2^k as doubles, a shift outside [0, 84] giving 0
     # anyway, so none overflows; a batch's limb sums stay below 2^43, exact in any order
     mant, exp = np.frexp(pi)
@@ -286,7 +332,7 @@ def simulate(
         tally = _shared((workers, horizon * (len(limbs) + 5) + 6), np.int64)
         # per-path aggregates, reduced once at the end in a batching-independent order
         per_path = _shared((len(cutoffs) + 1, paths), np.float64)
-        draws = np.empty((min(_WINDOW, horizon), 2, min(_BATCH, paths)))  # vote, action
+        draws = np.empty((min(_WINDOW, horizon), 2, min(_BATCH, paths)), np.uint16)  # vote, action
         codes = np.empty((len(draws), 3, draws.shape[2]), np.min_scalar_type(n_signals - 1))
     except ValueError as exc:  # numpy's refusal of a size past its index range
         raise MemoryError(str(exc)) from exc
@@ -300,6 +346,7 @@ def simulate(
         """Worker w's batches, tallied into row w; yields after each batch."""
         (effort_sum, replace_count, favorable_count, tenure_hist, first_rep_hist,
          exceed_counts, belief_sum) = (part[w] for part in parts)
+        seek = _streams(config.master_seed)  # for the doubles of tied codes
         for start in starts[w]:
             stop = min(start + _BATCH, starts[w].stop)
             nb = stop - start
@@ -318,7 +365,9 @@ def simulate(
                 if t == 0:
                     good = is_good.astype(bool)  # the incumbent's type
                 else:
-                    out = np.flatnonzero(vote < automaton.replace_prob.take(state))  # voted out
+                    out = np.flatnonzero(_decide(  # voted out
+                        vote, state, automaton.replace_prob, vote_cut,
+                        lambda i: _redraw(seek, start + i, t, 0)))
                     if len(out):
                         favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
                         began = since.take(out)
@@ -332,7 +381,8 @@ def simulate(
                     prefix[t][:] = path_effort
 
                 belief_sum[t] += (limbs @ np.bincount(state, minlength=n)).astype(np.int64)
-                act = (draw_act < automaton.effort_prob.take(state)) | good
+                act = _decide(draw_act, state, automaton.effort_prob, act_cut,
+                              lambda i: _redraw(seek, start + i, t, 2)) | good
                 effort_sum[t] += np.count_nonzero(act)
                 path_effort += act
 

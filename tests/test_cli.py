@@ -1276,6 +1276,23 @@ class TestPinnedFiles:
         counts = manifest_record(tmp_path, "simulation_stats.json")["counts"]
         assert counts["workers"] == workers
 
+    def test_simulation_pins_hold_through_tied_codes(self, capsys, reference_payload, tmp_path,
+                                                     monkeypatch):
+        # the pinned run decides some votes or actions on a 16-bit code equal
+        # to its cut, and so on the redrawn double; one worker, so that every
+        # redraw is counted in this process
+        sim_module = importlib.import_module("replab.simulate")
+        redraw, tied = sim_module._redraw, []
+
+        def counted(seek, paths, t, slot):
+            tied.extend((t, slot) for _ in paths)
+            return redraw(seek, paths, t, slot)
+
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
+        monkeypatch.setattr(sim_module, "_redraw", counted)
+        self.test_simulation_stats_and_per_period(capsys, reference_payload, tmp_path)
+        assert len(tied) >= 1
+
     @pytest.mark.parametrize("model, name", [(_HOLDING, "fei-holds"), (_FAILING, "fei-fails")])
     def test_fei_certificate(self, capsys, tmp_path, model, name):
         assert run(capsys, "check-fei", *model, "--out", str(tmp_path))[0] == 0

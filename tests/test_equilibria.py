@@ -169,6 +169,21 @@ class TestClosedForms:
             assert equilibria._a0_slack(pi0, c, f0, f1, lo) < 0.0
             assert 0.0 < a_min - lo <= equilibria.A0_BISECTION_TOL
 
+    @pytest.mark.parametrize("shrink, a0, bracketed", [
+        (5e-12, 0.999999999998, True), (2e-12, 0.9999999999995, False),
+    ])
+    def test_a0_takes_a_feasible_lower_end(self, binary75, monkeypatch, shrink, a0, bracketed):
+        # c just below 1 - pi0: the bound already holds at the lower end, so
+        # a_min is that end and nothing is bisected; at 5e-12 the two ends
+        # still form a bracket, where a bisection would return at once with
+        # a_min at the upper end (a0 0.9999999999995) and a feasible lower end
+        pi0, c = 0.3, 0.7 * (1.0 - shrink)
+        f0, f1 = tuple(binary75.f0), tuple(binary75.f1)
+        lo, hi = c / (1.0 - pi0) + 1e-12, 1.0 - 1e-12
+        assert (lo < hi) == bracketed and equilibria._a0_slack(pi0, c, f0, f1, lo) >= 0.0
+        monkeypatch.setattr(equilibria, "_bisect", None)  # never called
+        assert equilibria._a0.__wrapped__(pi0, c, f0, f1) == a0 == 0.5 * (1.0 + lo)
+
     def test_indifference_effort_guard(self):
         assert indifference_effort(0.7, 0.2) == pytest.approx(0.625, abs=1e-12)
         with pytest.raises(IndifferenceOutOfRange):

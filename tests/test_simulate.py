@@ -260,10 +260,10 @@ class TestFastPathOracles:
     ):
         # 100 paths in batches of 40 (the last one partial), staged in blocks
         # of 16, over 7 periods in windows of 3 (from periods 0, 3 and 6) and
-        # in one window: each fill must hold its periods' vote and action
-        # doubles of each path's own freshly keyed stream, and the type and
-        # signal decisions its type and signal doubles give; one worker, so
-        # that every fill is recorded in this process
+        # in one window: each fill must hold the 16-bit codes of its periods'
+        # vote and action doubles of each path's own freshly keyed stream, and
+        # the type and signal decisions its type and signal doubles give; one
+        # worker, so that every fill is recorded in this process
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         monkeypatch.setattr(sim_module, "_BATCH", 40)
         monkeypatch.setattr(sim_module, "_BLOCK", 16)
@@ -288,7 +288,7 @@ class TestFastPathOracles:
             for (start, t0), (draws, codes) in filled.items():
                 for i in range(draws.shape[2]):
                     u = _stream(seed, start + i, horizon)[t0 : t0 + len(draws)]
-                    assert np.array_equal(draws[:, :, i], u[:, ::2]), start + i
+                    assert np.array_equal(draws[:, :, i], np.floor(u[:, ::2] * 2**16)), start + i
                     assert np.array_equal(codes[:, 0, i], u[:, 1] < ref_params.pi0), start + i
                     assert np.array_equal(codes[:, 1, i], _signal_index(binary75.f0, u[:, 3]))
                     assert np.array_equal(codes[:, 2, i], _signal_index(binary75.f1, u[:, 3]))
@@ -297,15 +297,15 @@ class TestFastPathOracles:
         self, non_efe_automaton, ref_params, binary75, monkeypatch
     ):
         # a batch's draws no longer grow with the horizon, and on binary
-        # signals a path-period holds 19 bytes: two doubles and three codes
+        # signals a path-period holds 7 bytes: two 16-bit draws and three codes
         monkeypatch.setattr(sim_module, "_cpus", lambda: 1)
         fill = sim_module._fill_window
         shapes = {}
 
         def recording_fill(master_seed, start, t0, pi0, thresholds, draws, codes):
             assert len(draws) <= sim_module._WINDOW
-            assert (draws.dtype, codes.dtype) == (np.float64, np.uint8)
-            assert draws[0, :, 0].nbytes + codes[0, :, 0].nbytes == 19
+            assert (draws.dtype, codes.dtype) == (np.uint16, np.uint8)
+            assert draws[0, :, 0].nbytes + codes[0, :, 0].nbytes == 7
             shapes[t0] = draws.shape, codes.shape
             fill(master_seed, start, t0, pi0, thresholds, draws, codes)
 
@@ -321,8 +321,9 @@ class TestFastPathOracles:
         ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)),
     ])
     def test_signal_lookup_equals_searchsorted(self, f0, f1):
-        # every slot of every path holds the same uniform; the signal codes
-        # must equal searchsorted on each law's cdf and the type code u < pi0
+        # every slot of every path holds the same uniform; the vote and action
+        # codes must be floor(u * 2^16), the signal codes searchsorted on each
+        # law's cdf and the type code u < pi0
         pi0 = 0.3
         cdfs = [np.cumsum(f0), np.cumsum(f1)]
         interior = np.concatenate([cdf[:-1] for cdf in cdfs] + [[pi0]])
@@ -332,14 +333,56 @@ class TestFastPathOracles:
             np.nextafter(interior, 0.0),
             [0.0, np.nextafter(1.0, 0.0)],
         ])
-        draws, codes = np.empty((1, 2, len(u))), np.empty((1, 3, len(u)), np.uint8)
+        draws, codes = np.empty((1, 2, len(u)), np.uint16), np.empty((1, 3, len(u)), np.uint8)
         thresholds = np.cumsum([f0, f1], axis=1)[:, :-1]
         sim_module._encode(np.broadcast_to(u, (1, 4, len(u))), pi0, thresholds, draws, codes,
                            np.empty((1, len(u))))
-        assert np.array_equal(draws[0], [u, u])
+        assert np.array_equal(draws[0], np.floor([u * 2**16] * 2))
         assert np.array_equal(codes[0, 0], u < pi0)
         assert np.array_equal(codes[0, 1], _signal_index(f0, u))
         assert np.array_equal(codes[0, 2], _signal_index(f1, u))
+
+    def test_decision_on_16_bit_codes_equals_the_exact_comparison(self):
+        # each probability against uniforms in its own 2^-16 cell on both
+        # sides of it, the cell's ends, 0, the largest double below 1 and
+        # random ones; a code equal to its cut is decided on the redrawn double
+        half, ref = 0.5, 0.6417910447761195
+        probs = np.array([0.0, np.nextafter(0.0, 1.0), 1.0, np.nextafter(1.0, 0.0),
+                          *(np.nextafter(p, d) for p in (half, ref) for d in (0.0, p, 1.0))])
+        assert half * 2**16 == 32768 and probs[4:].tolist().count(ref) == 1
+        cell = np.floor(probs * 2**16) / 2**16
+        u = np.unique(np.concatenate([
+            cell, np.nextafter(cell + 2.0**-16, 0.0), probs, np.nextafter(probs, 0.0),
+            np.nextafter(probs, 1.0), [0.0, 1.0 - 2.0**-53],
+            np.random.default_rng(3).random(2000),
+        ]))
+        u = u[u < 1.0]
+        state, i = (a.ravel() for a in np.meshgrid(np.arange(len(probs)), np.arange(len(u))))
+        code = np.floor(u[i] * 2**16).astype(np.uint16)
+        cut = sim_module._cuts(probs)
+        asked = []
+
+        def redraw(ties):
+            asked.append(ties)
+            return u[i[ties]]
+
+        decided = sim_module._decide(code, state, probs, cut, redraw)
+        assert np.array_equal(decided, u[i] < probs[state])
+        # only the codes equal to their cut were redrawn, in one call
+        assert len(asked) == 1 and np.array_equal(asked[0], np.flatnonzero(code == cut[state]))
+        assert len(asked[0]) > 4 * len(probs)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_redraw_is_the_streams_double(self, seed):
+        # one Philox, rekeyed for every (path, period) in any order, gives
+        # the double a freshly keyed stream holds there
+        rng = np.random.default_rng(seed % 1000)
+        seek, horizon = sim_module._streams(seed), 40
+        for _ in range(30):
+            paths = rng.integers(0, 2**40, size=rng.integers(1, 4))
+            t, slot = int(rng.integers(horizon)), int(rng.integers(4))
+            redrawn = sim_module._redraw(seek, paths, t, slot)
+            assert redrawn.tolist() == [_stream(seed, p, horizon)[t, slot] for p in paths]
 
 
 def _replayed_means(automaton, params, monitoring, config):
