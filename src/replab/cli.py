@@ -99,10 +99,12 @@ def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
     """Record this run in ``out_dir/manifest.json``, which maps each output
     file to the record of the run that last wrote it; so two commands into
     one directory keep both records. A manifest that cannot be read that
-    way is replaced."""
+    way is replaced. scipy's version is recorded when the run loaded scipy,
+    and null otherwise, rather than importing scipy (about 12 ms) only to
+    read it."""
     import numpy
-    import scipy
 
+    scipy = sys.modules.get("scipy")
     canonical = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
     record = {
         "command": command,
@@ -113,7 +115,7 @@ def _write_manifest(out_dir: Path, command: str, result: Result) -> None:
             "replab": __version__,
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy and scipy.__version__,
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": list(result.files),
@@ -348,13 +350,13 @@ def _cmd_bound_sweep(args) -> Result:
     return _table(cfg, "bound_sweep.csv", header, [[r[key] for key in header] for r in rows])
 
 
-def _phase_cell(precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
+def _phase_cell(monitoring, precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
     """A phase-sweep row, with its two verified columns left None, and the
     (automaton, params, monitoring) cases that fill them: the full-effort
     and the non-efe construction on a cell where full-effort incentives
-    hold, none elsewhere. A construction that refuses the cell gives None,
-    and its column stays empty."""
-    monitoring = MonitoringStructure.binary(precision)
+    hold, none elsewhere. ``monitoring`` is the binary one at ``precision``.
+    A construction that refuses the cell gives None, and its column stays
+    empty."""
     params = GameParams(kappa, delta, pi0, c)
     cert = _sweep_cert(params, monitoring)
     row = [precision, kappa, delta, pi0, c, cert and cert.holds, None, None, None]
@@ -381,9 +383,10 @@ def _cmd_phase_sweep(args) -> Result:
     # checked up front: a grid with no holding cell never reaches them
     verifier.check_tolerance(args.tol)
     equilibria.check_depth(args.depth)
+    monitorings = {p: MonitoringStructure.binary(p) for p in precisions}
     cells = itertools.product(precisions, kappas, deltas)
     rows = []
-    while block := [_phase_cell(*cell, pi0, c, args.depth)
+    while block := [_phase_cell(monitorings[cell[0]], *cell, pi0, c, args.depth)
                     for cell in itertools.islice(cells, PHASE_BLOCK_CELLS)]:
         cases = [case for _, cell_cases in block for case in cell_cases if case]
         passed = iter([report.passed for report in verifier.verify_many(cases, args.tol)])

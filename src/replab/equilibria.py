@@ -37,9 +37,12 @@ sweep that moves kappa and delta under one precision builds one tree.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -75,17 +78,21 @@ _UNIT_FIELDS = ("replace_prob", "effort_prob", "belief")
 def _violations(units, regime, kind, initial, n, name, middle) -> list[Violation]:
     """Violations in check order: numbers outside [0, 1], regimes that are not
     strings, a mistyped kind, ``middle``, the initial; ``name(i)`` is i's id."""
-    bad = []
-    for field_name, values in zip(_UNIT_FIELDS, units):
-        inside = (values >= 0.0) & (values <= 1.0)  # NaN is not
-        if not inside.all():
-            out = np.flatnonzero(~inside)
-            bad.append(Violation(
-                "BadState", f"{field_name} is not a number in [0, 1] in {len(out)} state(s), "
-                f"first {float(values[out[0]])!r} at state {name(out[0])!r}",
-            ))
-    not_str = [i for i, label in enumerate(regime.tolist()) if not isinstance(label, str)]
-    if not_str:
+    bad, every = [], np.concatenate(units)
+    if every.size and not (0.0 <= every.min() and every.max() <= 1.0):  # NaN is neither
+        for field_name, values in zip(_UNIT_FIELDS, units):
+            inside = (values >= 0.0) & (values <= 1.0)
+            if not inside.all():
+                out = np.flatnonzero(~inside)
+                bad.append(Violation(
+                    "BadState", f"{field_name} is not a number in [0, 1] in {len(out)} "
+                    f"state(s), first {float(values[out[0]])!r} at state {name(out[0])!r}",
+                ))
+    labels = regime.tolist()
+    try:
+        "".join(labels)  # one C pass that refuses what isinstance(label, str) would
+    except TypeError:
+        not_str = [i for i, label in enumerate(labels) if not isinstance(label, str)]
         bad.append(Violation("BadState", f"regime is not a string in {len(not_str)} "
                              f"state(s), first at state {name(not_str[0])!r}"))
     if not isinstance(kind, str):
@@ -134,7 +141,7 @@ class EquilibriumAutomaton:
                 and nxt.shape == (n, len(self.signals)) and nxt.dtype.kind in "iu"):
             raise ValidationError([Violation("BadState", "need float vectors and a regime "
                                              "of length n, integer next_state (n, S)")])
-        middle = [
+        middle = [] if not nxt.size or (nxt.min() >= -1 and nxt.max() < n) else [
             Violation("BadTransition", f"{q} --{self.signals[j]}--> {nxt[q, j]}: "
                       f"state outside [0, {n})")
             for q, j in np.argwhere((nxt < -1) | (nxt >= n)).tolist()
@@ -309,10 +316,10 @@ def construct_non_efe(
         base = replace(base, a0=a0_override)
     e_star = pi0 + (1.0 - pi0) * base.a0 - params.c
     passing = tuple(s in base.s_star for s in monitoring.signals)
-    regime, effort_prob, belief, nxt = _tree(
+    regime, effort_prob, belief, nxt, first, third = _tree(
         pi0, base.a0, e_star, f1, f0, passing, max_depth, MAX_STATES)
     automaton = EquilibriumAutomaton(
-        replace_prob=np.where(regime == REGIME_FIRST, base.x, regime == REGIME_THIRD),
+        replace_prob=np.where(first, base.x, third),
         effort_prob=effort_prob, belief=belief, next_state=nxt, regime=regime,
         initial=0, signals=monitoring.signals, kind="non-efe",
         meta={**fei.cutoff_to_dict(base), "e_star": e_star},
@@ -324,7 +331,8 @@ def construct_non_efe(
 def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
     """The non-efe automaton but for the FirstRegime replacement probability
     x, which is all that kappa and delta reach: read-only ``regime``,
-    ``effort_prob``, ``belief`` and ``next_state`` arrays.
+    ``effort_prob``, ``belief`` and ``next_state`` arrays, then the
+    FirstRegime and ThirdRegime masks that place x and certain replacement.
     At most ``cap`` states are built; a branch that would pass it, or a
     FirstRegime state deeper than ``max_depth``, is left at -1. The last
     tree built is kept, so a sweep that holds the precision while it moves
@@ -375,8 +383,10 @@ def _tree(pi0, a0, e_star, f1, f0, passing, max_depth, cap) -> tuple:
                 nxt[sid * n_signals + j] = first_ids[b]
         level, depth = deeper, depth + 1
 
-    arrays = (np.array(regime, dtype=object), np.array(effort_prob), np.array(beliefs),
-              np.array(nxt, dtype=np.int64).reshape(-1, n_signals))
+    labels = np.array(regime, dtype=object)
+    arrays = (labels, np.array(effort_prob), np.array(beliefs),
+              np.array(nxt, dtype=np.int64).reshape(-1, n_signals),
+              labels == REGIME_FIRST, labels == REGIME_THIRD)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -418,7 +428,7 @@ def _columns(rows: list, fields: tuple[str, ...]) -> list[list]:
     """Each field of every row, column by column. A malformed row raises the
     KeyError or TypeError that reading row by row would raise first."""
     try:
-        return [[row[name] for row in rows] for name in fields]
+        return [list(map(itemgetter(name), rows)) for name in fields]
     except (KeyError, TypeError):
         [[row[name] for name in fields] for row in rows]  # raises the first row's error
         raise
@@ -427,6 +437,8 @@ def _columns(rows: list, fields: tuple[str, ...]) -> list[list]:
 def _unit_column(values: list) -> np.ndarray:
     """A state field as floats, with NaN, which the automaton refuses, for
     anything that is not a JSON number."""
+    if set(map(type, values)) <= {float}:  # as automaton_to_dict writes it
+        return np.array(values, dtype=float)
     return np.array([np.nan if x is None else x for x in map(_as_float, values)], dtype=float)
 
 
@@ -459,7 +471,7 @@ def automaton_from_dict(
     try:
         rows = list(payload["states"])
         froms, signals, tos = _columns(list(payload["transitions"]), ("from", "signal", "to"))
-        cols = np.array([column.get(s, -1) for s in signals], dtype=np.int64)
+        cols = np.fromiter(map(column.get, signals, repeat(-1)), np.int64, len(signals))
     except (KeyError, TypeError) as exc:
         raise ValidationError([Violation(
             "BadAutomatonFile", f"missing or mistyped field: {exc!r}")]) from exc
@@ -478,6 +490,10 @@ def automaton_from_dict(
         middle.append(Violation("BadStateIds", "state ids must be 0 .. n-1"))
 
     def state_ids(values):  # each entry that is an integer in [0, n), else -1
+        if set(map(type, values)) <= {int}:
+            with contextlib.suppress(OverflowError):  # past int64: entry by entry below
+                given = np.array(values, np.int64)
+                return np.where((given >= 0) & (given < n), given, -1)
         return np.array([v if type(v) is int and 0 <= v < n else -1 for v in values], np.int64)
 
     src, dst = state_ids(froms), state_ids(tos)
@@ -488,7 +504,7 @@ def automaton_from_dict(
     ]
     units = [_unit_column(values)[order] for values in units]
     # fromiter keeps the array 1-D even where every entry is a list
-    regime = np.fromiter((regimes[i] for i in order), dtype=object, count=n)
+    regime = np.fromiter(map(regimes.__getitem__, order), dtype=object, count=n)
     bad = _violations(units, regime, kind, payload["initial"], n,
                       lambda i: ids[order[i]], middle)
     if bad:

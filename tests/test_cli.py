@@ -1438,34 +1438,42 @@ print(loaded())
 @pytest.mark.probe
 @pytest.mark.parametrize("cyclic", [False, True], ids=["constructed", "cyclic"])
 def test_scipy_sparse_loads_only_for_a_cyclic_value_block(reference_payload, tmp_path, cyclic):
-    # constructed automata are solved sinks first; only a cycle needs a sparse LU
+    # constructed automata are solved sinks first; only a cycle needs a sparse LU,
+    # and only a run that loaded scipy records its version in the manifest
     payload = copy.deepcopy(reference_payload)
     if cyclic:  # FirstRegime state 2's fail edge back to the initial state
         edge = next(t for t in payload["transitions"] if (t["from"], t["signal"]) == (2, "Fail"))
         edge["to"] = payload["initial"]
-    automaton = tmp_path / "automaton.json"
+    automaton, out = tmp_path / "automaton.json", tmp_path / "out"
     automaton.write_text(json.dumps(payload))
-    commands = [["verify", "--automaton", str(automaton)]]
+    commands = [["verify", "--automaton", str(automaton), "--out", str(out)]]
     if not cyclic:
         commands.append(["phase-sweep", "--binary-precision", "0.6:0.9:0.3",
-                         "--kappa", "0.1:0.3:0.2", "--delta", "0.4:0.8:0.4"])
+                         "--kappa", "0.1:0.3:0.2", "--delta", "0.4:0.8:0.4", "--out", str(out)])
     probe = """
 import contextlib, io, json, sys
 from replab.cli import main
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+    with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print(argv[0], code, out.getvalue().count("true,true,true"))  # cells verified twice
-print("scipy.sparse" in sys.modules)
+    print(argv[0], code)
+print("scipy.sparse" in sys.modules, "scipy" in sys.modules)
 """
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
                           capture_output=True, text=True, check=True, timeout=60,
                           env=child_env())
     lines = done.stdout.split("\n")
+    runs = json.loads((out / "manifest.json").read_text())["outputs"]
+    versions = {name: record["versions"]["scipy"] for name, record in runs.items()}
     if cyclic:
-        assert lines[:2] == ["verify 3 0", "True"]
+        import scipy
+
+        assert lines[:2] == ["verify 3", "True True"]
+        assert versions == {"verification.json": scipy.__version__}
     else:  # 5 of the 8 cells hold, and both of their constructions verify
-        assert lines[:3] == ["verify 0 0", "phase-sweep 0 5", "False"]
+        assert lines[:3] == ["verify 0", "phase-sweep 0", "False False"]
+        assert (out / "phase_sweep.csv").read_text().count("true,true,true") == 5
+        assert versions == {"verification.json": None, "phase_sweep.csv": None}
 
 
 class TestArgparseContract:

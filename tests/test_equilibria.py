@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import tracemalloc
 
@@ -21,7 +22,7 @@ from replab import (
     non_efe_parameters,
     verify,
 )
-from replab import cli, equilibria
+from replab import cli, equilibria, fei
 from replab.equilibria import (
     REGIME_DEAD,
     REGIME_FIRST,
@@ -369,6 +370,19 @@ class TestTreeReuse:
         np.testing.assert_array_equal(a.replace_prob[~first], b.replace_prob[~first])
         for array in (*_arrays(a), *_arrays(b)):
             assert not array.flags.writeable
+        # the tree's masks place x as the regime labels did, on every holding cell
+        holding = 0
+        for precision, kappa, delta in itertools.product(
+                (0.65, 0.75, 0.9), (0.1, 0.2, 0.3), (0.3, 0.6, 0.9)):
+            params = GameParams(kappa, delta, ref_params.pi0, ref_params.c)
+            monitoring = MonitoringStructure.binary(precision)
+            if not fei.check_fei(params, monitoring).holds:
+                continue
+            auto, nep = construct_non_efe(params, monitoring)
+            old = np.where(auto.regime == "FirstRegime", nep.x, auto.regime == "ThirdRegime")
+            assert auto.replace_prob.tobytes() == old.tobytes()
+            holding += 1
+        assert 0 < holding < 27
 
     def test_rebuilt_tree_is_bit_identical(self, ref_params, binary75):
         a = construct_non_efe(ref_params, binary75)[0]

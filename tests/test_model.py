@@ -122,6 +122,7 @@ class TestBuiltObjectsCheckThemselves:
         ("BadState", lambda: _loaded(state={"replace_prob": float("nan")})),
         ("BadState", lambda: _loaded(state={"belief": -0.25})),
         ("BadState", lambda: _loaded(state={"regime": 3})),
+        ("BadState", lambda: _loaded(state={"belief": 10**400})),
         ("BadAutomatonFile", lambda: _automaton(kind=None)),
         ("BadAutomatonFile", lambda: _loaded(complete="false")),
         ("BadStateIds", lambda: _loaded(state={"id": 2})),
@@ -130,6 +131,7 @@ class TestBuiltObjectsCheckThemselves:
         ("BadTransition", lambda: _automaton(next_state=[[1, -2], [1, 1]])),
         ("BadTransition", lambda: _loaded(transition={"from": 0, "signal": "Maybe", "to": 1})),
         ("BadTransition", lambda: _loaded(transition={"from": 0, "signal": "Pass", "to": 2})),
+        ("BadTransition", lambda: _loaded(transition={"from": 2**70, "signal": "Pass", "to": 1})),
         ("BadInitial", lambda: _automaton(initial=2)),
         ("BadSimulationConfig", lambda: SimulationConfig(horizon=0, paths=1, master_seed=1)),
         ("BadSimulationConfig", lambda: SimulationConfig(horizon=1, paths=1, master_seed=-1)),
@@ -140,7 +142,25 @@ class TestBuiltObjectsCheckThemselves:
     def test_the_base_objects_build(self):
         assert _automaton().next_state.tolist() == [[1, 0], [1, 1]]
         assert _loaded().next_state.tolist() == [[1, 0], [1, 1]]
+        assert _loaded(state={"belief": 0}).belief.tolist() == [0.3, 0.0]
         assert SimulationConfig(horizon=1, paths=1, master_seed=2**64 - 1).master_seed > 0
+
+    def test_str_subclass_labels_pass(self):
+        labels = [np.str_("Pass"), np.str_("Dead")]
+        assert _automaton(regime=labels).regime.tolist() == ["Pass", "Dead"]
+
+    @pytest.mark.parametrize("labels, first, count", [
+        (["Pass", True], 1, 1), (["Pass", 3], 1, 1), ([True, 3], 0, 2),
+    ])
+    def test_labels_that_are_not_strings_are_named(self, labels, first, count):
+        with pytest.raises(ValidationError) as exc:
+            _automaton(regime=labels)
+        assert [str(v) for v in exc.value.violations] == [
+            f"BadState: regime is not a string in {count} state(s), first at state {first}"]
+
+    def test_all_open_next_states_pass(self):
+        auto = _automaton(next_state=[[-1, -1], [-1, -1]])
+        assert auto.next_state.tolist() == [[-1, -1], [-1, -1]] and not auto.complete
 
     def test_replace_checks_again(self, ref_params, binary75, fe_automaton):
         with pytest.raises(ValidationError):
