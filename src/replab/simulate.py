@@ -8,34 +8,33 @@ always work, opportunists work with the state's effort probability); the
 signal is drawn from the action's distribution and advances the state. At
 t = 0 there is no vote.
 
-Determinism contract: path p consumes a fixed layout of uniforms, (horizon
-x 4) slots [vote, type, action, signal], from a counter-based Philox
-stream keyed by (master_seed, p); period t's four slots are the block at
-counter t + 1. Paths run in batches of ``_BATCH``, and a batch's draws are
-held one window of ``_WINDOW`` periods at a time, period-major, so that
-each period reads contiguous rows: the vote and action uniforms as 16-bit
-codes floor(u * 2^16), (periods, 2, paths) uint16, and the decisions the
-type and signal slots encode against fixed cut points, (periods, 3,
-paths), in the smallest unsigned dtype that holds S - 1: good type (u <
-pi0) and the signal index under shirking and under working. The kernel
-decides u < p on a code against the state's cut min(floor(p * 2^16),
-65535); only a code equal to its cut, once in 2^16 draws, leaves the
-decision open, and that path's double is drawn again from its stream and
-compared exactly, so every decision is the one the double gives. One
-Philox per window is rekeyed to (master_seed, p) for each path with its
-counter at the window's first period, so a window holds what the whole
-stream's rows it covers give; a redraw rekeys one Philox per worker the
-same way. W contiguous ranges of paths run at once, W the smaller of the
-batch count and the CPUs in the affinity mask (1 off Linux): the first
-here, the others in forked children, each worker adding its integer counts
-into its own row of shared memory. Every per-period statistic is an
-integer sum, added over the rows once every child is reaped, and per-path
-aggregates are reduced once at the end. The belief sum is one too: each
-belief is the integer pi * 2^k, k = 53 - the least frexp exponent of a
-positive belief, split into 31-bit limbs, and each period's mean is one
-correctly rounded integer division. The stats are therefore bit-identical
-under any batching, window size, worker count, BLAS thread count or
-scheduling.
+Determinism contract: path p consumes a fixed layout of 64-bit words x,
+(horizon x 4) slots [vote, type, action, signal], from a counter-based
+Philox stream keyed by (master_seed, p); period t's four slots are the
+block at counter t + 1, and each decision is the one the slot's double u =
+(x >> 11) * 2^-53 (``Generator.random``'s) gives. Paths run in batches of
+``_BATCH``, and a batch's draws are held one window of ``_WINDOW`` periods
+at a time, period-major, so that each period reads contiguous rows: the
+vote and action codes floor(u * 2^16), the words' top 16 bits, (periods,
+2, paths) uint16, and the type and signal decisions, exact integer
+comparisons of the words, (periods, 3, paths) in the smallest unsigned
+dtype that holds S - 1: good type (u < pi0) and the signal index under
+shirking and under working. The kernel decides u < p on a code against the
+state's cut min(floor(p * 2^16), 65535); only a code equal to its cut,
+once in 2^16 draws, leaves the decision open, and that path's double is
+drawn again and compared exactly. One Philox per window is rekeyed to
+(master_seed, p) for each path with its counter at the window's first
+period; a redraw rekeys one per worker the same way. W contiguous ranges
+of paths run at once, W the smaller of the batch count and the CPUs in the
+affinity mask (1 off Linux): the first here, the others in forked
+children, each worker adding its integer counts into its own row of shared
+memory. Every per-period statistic is an integer sum, added over the rows
+once every child is reaped, and per-path aggregates are reduced once at
+the end. The belief sum is one too: each belief is the integer pi * 2^k,
+k = 53 - the least frexp exponent of a positive belief, split into 31-bit
+limbs, and each period's mean is one correctly rounded integer division.
+The stats are therefore bit-identical under any batching, window size,
+worker count, BLAS thread count or scheduling.
 
 The per-period kernel reads the automaton's own per-state arrays: one
 lookup per table gives a state's replacement and effort cut points (its
@@ -56,6 +55,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,12 +70,13 @@ from .verifier import _on_path_states, expected_effort
 
 # paths per batch and per staging block, and periods per window: the window's
 # (_WINDOW, 2, _BATCH) 16-bit draws and (_WINDOW, 3, _BATCH) codes are 6.9 MB up to
-# 256 signals and the (_BLOCK, _WINDOW, 4) block 1 MB at any horizon; a window
-# rekeys every path, about 1.5 us each
+# 256 signals and the (_BLOCK, _WINDOW, 4) block of words 1 MB at any horizon; a
+# window rekeys every path, about 0.5 us each on a 2 vCPU host
 _BATCH = 3840
 _BLOCK = 128
 _WINDOW = 256
 _UNIFORM_SLOTS = 4  # vote, type, action, signal
+_TOP = 3 if sys.byteorder == "little" else 0  # a word's high 16-bit quarter
 TENURE_THRESHOLDS = (10, 50, 100, 200)
 
 
@@ -141,8 +142,8 @@ class SimulationStats:
 def _streams(master_seed: int):
     """``seek(path, t)``: one Philox, rekeyed to path ``path``'s stream (key
     [master_seed, path]) at counter ``t`` with an empty buffer, and its
-    Generator, whose next four doubles are period t's four slots (a period's
-    doubles are one Philox block, drawn after the counter steps). Rekeying
+    Generator, whose next four words or doubles are period t's four slots
+    (one Philox block, drawn after the counter steps). Rekeying
     assigns a state; a fresh ``Philox(key=...)`` would read OS entropy
     through ``SeedSequence`` for every path."""
     bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
@@ -165,43 +166,42 @@ def _streams(master_seed: int):
 
 def _fill_window(master_seed: int, start: int, t0: int, pi0: float, thresholds: np.ndarray,
                  draws: np.ndarray, codes: np.ndarray) -> None:
-    """Fill the period-major window ``draws``, (periods, 2, nb), and
-    ``codes``, (periods, 3, nb), as :func:`_encode` lays them out, from rows
-    ``t0`` .. ``t0 + periods - 1`` of ``Generator(Philox(key=[master_seed,
-    start + i])).random((horizon, 4))`` for each path ``start + i``, each
-    path drawn from one Philox rekeyed at counter ``t0`` (:func:`_streams`).
-    Paths are drawn path-major in blocks of ``_BLOCK``, and each block is
-    written into the window while it is still in cache.
-    """
+    """Fill the window ``draws``, (periods, 2, nb), and ``codes``, (periods,
+    3, nb), by :func:`_encode` from counters ``t0 + 1`` .. ``t0 + periods``
+    of each path ``start + i``'s stream (:func:`_streams`), in blocks of
+    ``_BLOCK`` paths, each encoded while still in cache; ``pi0`` and the laws'
+    interior cdf points ``thresholds`` are the type and signal cut points."""
     periods, _, nb = draws.shape
     seek = _streams(master_seed)
-    block = np.empty((min(_BLOCK, nb), periods, _UNIFORM_SLOTS))
-    signal = np.empty((periods, len(block)))
+    # u >= p exactly when x >> 11 >= ceil(p * 2^53); no word reaches a point past 1 - 2^-53
+    cuts = np.ceil(np.ldexp(thresholds, 53)).astype(np.uint64)
+    type_cut = np.uint64(np.ceil(np.ldexp(pi0, 53))) << np.uint64(11)  # pi0 < 1: below 2^64
+    block = np.empty((min(_BLOCK, nb), periods * _UNIFORM_SLOTS), np.uint64)
+    signal = np.empty((periods, len(block)), np.uint64)
     for lo in range(0, nb, len(block)):
         rows = block[: min(len(block), nb - lo)]
         for i, row in enumerate(rows):
-            seek(start + lo + i, t0).random(out=row)
+            row[:] = seek(start + lo + i, t0).bit_generator.random_raw(len(row))
         hi = lo + len(rows)
-        _encode(rows.transpose(1, 2, 0), pi0, thresholds, draws[:, :, lo:hi],
-                codes[:, :, lo:hi], signal[:, : len(rows)])
+        _encode(rows.reshape(len(rows), periods, _UNIFORM_SLOTS), type_cut, cuts,
+                draws[:, :, lo:hi], codes[:, :, lo:hi], signal[:, : len(rows)])
 
 
-def _encode(u, pi0: float, thresholds: np.ndarray, draws, codes, sig) -> None:
-    """Write uniforms ``u``, (periods, 4, paths) slots [vote, type, action,
-    signal], into ``draws`` as the vote and action codes floor(u * 2^16)
-    (uint16; the cast truncates) and into ``codes`` as the decisions the
-    type and signal slots encode: the type is good (``u < pi0``), and the
-    signal index under shirking and under working, the number of the law's
-    interior cdf points (rows 0 and 1 of ``thresholds``) at or below ``u``,
-    which equals ``searchsorted(cdf, u, side="right")``. The signal slot is
-    gathered once into ``sig``, (periods, paths), and compared there."""
-    np.multiply(u[:, ::2], 65536.0, out=draws, casting="unsafe")
-    np.less(u[:, 1], pi0, out=codes[:, 0])
-    np.copyto(sig, u[:, 3])
-    for j, cuts in enumerate(thresholds, 1):  # the shirk law, then the work law
-        np.greater_equal(sig, cuts[0], out=codes[:, j])
-        for point in cuts[1:]:
-            codes[:, j] += sig >= point
+def _encode(words, type_cut, cuts, draws, codes, sig) -> None:
+    """Write Philox words ``words``, (paths, periods, 4) slots [vote, type,
+    action, signal], into ``draws`` as the vote and action words' top 16 bits
+    and into ``codes`` as the decisions: good type (a word below ``type_cut``)
+    and the signal index under shirking and under working, the number of the
+    law's ``cuts`` at or below the signal word's top 53 bits (gathered in ``sig``)."""
+    np.copyto(draws, words.view(np.uint16)[:, :, _TOP::8].transpose(1, 2, 0))
+    words = words.transpose(1, 2, 0)
+    np.less(words[:, 1], type_cut, out=codes[:, 0])
+    np.copyto(sig, words[:, 3])  # shifted in place: a strided shift allocates a buffer
+    np.right_shift(sig, np.uint64(11), out=sig)
+    for j, row in enumerate(cuts, 1):  # the shirk law, then the work law
+        np.greater_equal(sig, row[0], out=codes[:, j])
+        for cut in row[1:]:
+            codes[:, j] += sig >= cut
 
 
 def _cuts(prob: np.ndarray) -> np.ndarray:
@@ -220,7 +220,7 @@ def _decide(code: np.ndarray, state: np.ndarray, prob: np.ndarray, cut: np.ndarr
     which are compared exactly."""
     cut = cut.take(state)
     below = code < cut
-    ties = np.flatnonzero(code == cut)
+    ties = (code == cut).nonzero()[0]
     if len(ties):
         below[ties] = redraw(ties) < prob.take(state.take(ties))
     return below
@@ -352,8 +352,8 @@ def simulate(
             nb = stop - start
             state = np.full(nb, automaton.initial)
             since = np.zeros(nb, dtype=np.int64)  # period the incumbent took office
-            path_effort = np.zeros(nb)
-            prefix = {cut: np.zeros(nb) for cut in cutoffs}
+            path_effort = np.zeros(nb, np.int64)  # counts, exact in the division
+            prefix = {cut: np.zeros(nb, np.int64) for cut in cutoffs}
             path_mart = np.zeros(nb)
 
             for t in range(horizon):
@@ -365,9 +365,9 @@ def simulate(
                 if t == 0:
                     good = is_good.astype(bool)  # the incumbent's type
                 else:
-                    out = np.flatnonzero(_decide(  # voted out
+                    out = _decide(  # voted out
                         vote, state, automaton.replace_prob, vote_cut,
-                        lambda i: _redraw(seek, start + i, t, 0)))
+                        lambda i: _redraw(seek, start + i, t, 0)).nonzero()[0]
                     if len(out):
                         favorable_count[t] += np.count_nonzero(pi.take(state.take(out)) > pi0)
                         began = since.take(out)
@@ -386,7 +386,7 @@ def simulate(
                 effort_sum[t] += np.count_nonzero(act)
                 path_effort += act
 
-                edge = state * n_signals + np.where(act, sig_work, sig_shirk)
+                edge = state * n_signals + (sig_shirk ^ (act * (sig_work ^ sig_shirk)))
                 state_next = nxt.take(edge)
                 if walks_off and np.any(state_next < 0):
                     raise DepthInsufficient(

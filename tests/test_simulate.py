@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,32 +316,75 @@ class TestFastPathOracles:
         assert shapes == {t0: ((periods, 2, 50), (periods, 3, 50))
                           for t0, periods in [(0, 256), (256, 256), (512, 256), (768, 232)]}
 
+    @pytest.mark.parametrize("pi0", [0.3, 5e-324, 1.0 - 2.0**-53])
     @pytest.mark.parametrize("f0, f1", [
         ((0.25, 0.75), (0.75, 0.25)),
         ((0.2, 0.2, 0.6), (0.5, 0.3, 0.2)),
         ((0.1, 0.2, 0.3, 0.4), (0.4, 0.3, 0.2, 0.1)),
+        ((0.0, 0.4, 0.6), (0.5, 0.3, 0.2)),  # an interior cdf point of exactly 0.0
+        ((0.4, 0.6, 0.0), (0.2, 0.3, 0.5)),  # ... of exactly 1.0
+        ((0.0, 1.0, 0.0, 0.0), (0.4, 0.3, 0.2, 0.1)),  # 0.0, 1.0 and 1.0
+        ((1.0, 0.0, 0.0), (0.2, 0.3, 0.5)),  # 1.0 and 1.0: no word reaches a cut
+        ((0.5, 0.5 + 5e-13, 0.0), (0.5, 0.25, 0.25)),  # one past 1, within the simplex tol
     ])
-    def test_signal_lookup_equals_searchsorted(self, f0, f1):
-        # every slot of every path holds the same uniform; the vote and action
-        # codes must be floor(u * 2^16), the signal codes searchsorted on each
-        # law's cdf and the type code u < pi0
-        pi0 = 0.3
-        cdfs = [np.cumsum(f0), np.cumsum(f1)]
-        interior = np.concatenate([cdf[:-1] for cdf in cdfs] + [[pi0]])
-        u = np.concatenate([
-            np.random.default_rng(0).random(5000),
-            interior,  # exactly on a cut point
-            np.nextafter(interior, 0.0),
-            [0.0, np.nextafter(1.0, 0.0)],
-        ])
-        draws, codes = np.empty((1, 2, len(u)), np.uint16), np.empty((1, 3, len(u)), np.uint8)
-        thresholds = np.cumsum([f0, f1], axis=1)[:, :-1]
-        sim_module._encode(np.broadcast_to(u, (1, 4, len(u))), pi0, thresholds, draws, codes,
-                           np.empty((1, len(u))))
-        assert np.array_equal(draws[0], np.floor([u * 2**16] * 2))
-        assert np.array_equal(codes[0, 0], u < pi0)
-        assert np.array_equal(codes[0, 1], _signal_index(f0, u))
-        assert np.array_equal(codes[0, 2], _signal_index(f1, u))
+    def test_signal_lookup_equals_searchsorted(self, f0, f1, pi0, monkeypatch):
+        # every slot of a path's one-period window holds the same Philox word
+        # x, built from a uniform; with u = (x >> 11) * 2^-53 its double, the
+        # vote and action codes must be floor(u * 2^16) = x >> 48, the signal
+        # codes searchsorted on each law's interior cdf points and the type
+        # code u < pi0. The uniforms are random ones, each cut point, the
+        # double below it, 0 and the largest double below 1; from each, the
+        # words of the doubles at and around it, with low 11 bits 0 and 2047,
+        # so that every cut has words on both sides of it
+        MonitoringStructure(tuple("ABCD"[: len(f0)]), f0=f0, f1=f1)  # a valid law pair
+        cdfs = [np.cumsum(f0)[:-1], np.cumsum(f1)[:-1]]
+        interior = np.concatenate(cdfs + [[pi0]])
+        u = np.concatenate([interior, np.nextafter(interior, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        near = np.concatenate([np.floor(u * 2**53) + d for d in (-1, 0, 1, 2)])
+        m = np.concatenate([np.random.default_rng(0).random(5000) * 2**53,
+                            np.clip(near, 0, 2**53 - 1)]).astype(np.uint64)
+        words = np.concatenate([m << np.uint64(11), m << np.uint64(11) | np.uint64(2047)])
+        exact = (words >> np.uint64(11)) * 2.0**-53
+        for point in interior[(0.0 < interior) & (interior < 1.0)]:
+            assert np.count_nonzero(exact < point) and np.count_nonzero(exact >= point)
+        draws = np.empty((1, 2, len(words)), np.uint16)
+        codes = np.empty((1, 3, len(words)), np.uint8)
+        # a stand-in for the rekeyed Philox: path p's slots all hold words[p]
+        monkeypatch.setattr(sim_module, "_streams", lambda seed: lambda path, t: SimpleNamespace(
+            bit_generator=SimpleNamespace(random_raw=lambda n: np.full(n, words[path]))))
+        sim_module._fill_window(0, 0, 0, pi0, np.array(cdfs), draws, codes)
+        assert np.array_equal(draws[0], [words >> np.uint64(48)] * 2)
+        assert np.array_equal(draws[0], np.floor([exact * 2**16] * 2))
+        assert np.array_equal(codes[0, 0], exact < pi0)
+        assert np.array_equal(codes[0, 1], np.searchsorted(cdfs[0], exact, side="right"))
+        assert np.array_equal(codes[0, 2], np.searchsorted(cdfs[1], exact, side="right"))
+
+    def test_xor_signal_select_equals_where(self):
+        # the kernel picks the work signal where the incumbent acts and the
+        # shirk signal elsewhere by shirk ^ (act * (work ^ shirk)): equal to
+        # np.where for every pair of uint8 codes under either action
+        work, shirk = (a.ravel() for a in np.meshgrid(*[np.arange(256, dtype=np.uint8)] * 2))
+        alternating = np.arange(len(work)) % 2 == 1
+        for act in (np.zeros(len(work), bool), np.ones(len(work), bool), alternating):
+            picked = shirk ^ (act * (work ^ shirk))
+            assert picked.dtype == np.uint8
+            assert np.array_equal(picked, np.where(act, work, shirk))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_generator_doubles_are_the_raw_words_shifted(self, seed):
+        # the window decides on raw Philox words because Generator.random
+        # forms each double as (x >> 11) * 2^-53 from one word x, and a
+        # rekeyed Philox gives a fresh stream's words; a numpy release that
+        # changes either fails here
+        key = np.array([seed, 12345], dtype=np.uint64)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(4000)
+        words = np.random.Philox(key=key).random_raw(4000)
+        assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
+        seek = sim_module._streams(seed)
+        for path, t in [(12345, 0), (7, 3), (12345, 250), (2**63, 1)]:
+            fresh = np.random.Philox(key=np.array([seed, path], dtype=np.uint64))
+            expected = fresh.random_raw(4 * (t + 10))[4 * t:]
+            assert np.array_equal(seek(path, t).bit_generator.random_raw(40), expected)
 
     def test_decision_on_16_bit_codes_equals_the_exact_comparison(self):
         # each probability against uniforms in its own 2^-16 cell on both
@@ -423,6 +467,21 @@ class TestExactBeliefMeans:
         beliefs, efforts = _replayed_means(non_efe_automaton, ref_params, binary75, config)
         stats = simulate(non_efe_automaton, ref_params, binary75, config)
         assert stats.counts == {"batches": 4, "workers": 2}
+        assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
+        assert stats.mean_effort.tolist() == efforts
+
+    def test_zero_probability_signal_is_replayed_exactly(self, monkeypatch):
+        # the shirk law never gives signal A: its first interior cdf point
+        # is exactly 0.0, a cut every word reaches
+        monitoring = MonitoringStructure(("A", "B", "C"), f0=(0.0, 0.4, 0.6),
+                                         f1=(0.5, 0.3, 0.2))
+        params = GameParams(0.1, 0.6, 0.3, 0.05)
+        automaton, _ = construct_non_efe(params, monitoring)
+        monkeypatch.setattr(sim_module, "_cpus", lambda: 2)
+        monkeypatch.setattr(sim_module, "_BATCH", 150)
+        config = SimulationConfig(horizon=80, paths=300, master_seed=5)
+        stats = simulate(automaton, params, monitoring, config)
+        beliefs, efforts = _replayed_means(automaton, params, monitoring, config)
         assert stats.mean_belief.tolist() == [float(mean) for mean in beliefs]
         assert stats.mean_effort.tolist() == efforts
 

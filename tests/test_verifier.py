@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from replab import (
 )
 from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import ValidationError
-from replab.verifier import expected_effort
+from replab.verifier import DEFAULT_TOL, compute_values, expected_effort
 
 FOUR_SIGNAL = MonitoringStructure(
     signals=("A", "B", "C", "D"), f0=(0.1, 0.2, 0.3, 0.4), f1=(0.4, 0.3, 0.2, 0.1)
@@ -274,3 +275,64 @@ class TestVerifyMany:
         assert verify_many([]) == []
         with pytest.raises(ValidationError):
             verify_many([], tol=float("nan"))
+
+
+def best_response_gain(auto, params, monitoring):
+    """Bounds (lower, upper) on the opportunist's gain max_q V*(q) - V_eq(q)
+    from deviating against the voters' strategy on a complete automaton.
+
+    V* is the value of the best-response MDP over states x {shirk, work}:
+    flow (1 - delta)(1 - kappa a), signal law f_a, and continuation delta (1
+    - replace_prob(succ)) V(succ). Value iteration starts at the prescribed
+    values V_eq (``compute_values``), where T V_eq >= V_eq, so its iterates
+    rise to V* from below; T is a delta-contraction, so V* is at most the
+    last iterate plus delta / (1 - delta) times the last step. No code is
+    shared with the verifier's one-shot gap.
+    """
+    assert auto.complete
+    v_eq = compute_values(auto, params, monitoring).values
+    nxt, laws = auto.next_state, np.array([monitoring.f0, monitoring.f1])
+    flow = (1.0 - params.delta) * (1.0 - params.kappa * np.array([0.0, 1.0]))
+    weight = params.delta * (1.0 - auto.replace_prob[nxt])
+    v = v_eq
+    for _ in range(2000):  # about 20 steps at delta 0.5
+        new = (flow + (weight * v[nxt]) @ laws.T).max(axis=1)
+        step, v = np.abs(new - v).max(), new
+        if step <= 1e-15:
+            break
+    gain = float((v - v_eq).max())
+    return gain, gain + params.delta / (1.0 - params.delta) * step
+
+
+class TestBestResponseOracle:
+    """An independent judge of the officeholder checks. Where verify's
+    politician residual is at most tol at every state, each state's one-shot
+    gain (T V_eq - V_eq)(q) is at most that residual (it is the shortfall of
+    the prescribed mix against the better pure action), so by the
+    contraction V* - V_eq <= tol / (1 - delta). A gain past that bound must
+    therefore fail verify, the bound's contrapositive."""
+
+    @pytest.mark.parametrize("kind, scale, passes", [
+        ("fe", 1.0, True),
+        ("non-efe", 1.0, True),
+        ("non-efe", 0.9, False),  # the FirstRegime replacement scaled by 0.9
+        ("non-efe", 1.05, False),  # ... and by 1.05 (test_perturb_x_globally)
+    ])
+    def test_gain_is_within_the_bound_exactly_where_verify_passes(
+        self, fe_automaton, non_efe_automaton, ref_params, binary75, kind, scale, passes
+    ):
+        auto = fe_automaton if kind == "fe" else non_efe_automaton
+        replace_prob = auto.replace_prob.copy()
+        replace_prob[first_ids(auto)] *= scale
+        auto = dataclasses.replace(auto, replace_prob=replace_prob)
+        report = verify(auto, ref_params, binary75, tol=DEFAULT_TOL)
+        began = time.perf_counter()
+        lower, upper = best_response_gain(auto, ref_params, binary75)
+        assert time.perf_counter() - began < 2.0
+        bound = DEFAULT_TOL / (1.0 - ref_params.delta)
+        assert report.passed == passes
+        if passes:
+            assert lower <= upper <= bound
+        else:
+            assert {o.category for o in report.offenders} == {"politician_ic"}
+            assert lower > bound
