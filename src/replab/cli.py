@@ -178,13 +178,16 @@ def _floats(tokens: list[str], spec: str) -> list[float]:
 
 
 def _parse_range(spec: str) -> list[float]:
-    """'a:b:step' (inclusive endpoints) or a single scalar, as the distinct
-    points min(a + k step, b), k = 0, 1, ..., while a + k step <= b + 1e-9 step,
-    in increasing order.
-    An axis of more than MAX_GRID_CELLS points is refused: at once when
+    """An axis: a scalar, a comma list taken as given (order and repeats
+    kept, empty entries skipped), or 'a:b:step' (inclusive endpoints) as
+    the distinct points min(a + k step, b), k = 0, 1, ..., while
+    a + k step <= b + 1e-9 step, in increasing order.
+    A range of more than MAX_GRID_CELLS points is refused: at once when
     its span says so, else as soon as it passes the cap."""
     if ":" not in spec:
-        return _floats([spec], spec)
+        if not (values := _floats([tok for tok in spec.split(",") if tok], spec)):
+            raise ConfigParse(f"empty grid {spec!r}")
+        return values
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigParse(f"bad range {spec!r}; expected a:b:step")
@@ -205,20 +208,13 @@ def _parse_range(spec: str) -> list[float]:
     return sorted(set(points))  # a step below the float spacing at a repeats points
 
 
-def _grid_axes(*specs: str, parse=_parse_range) -> list[list[float]]:
-    """The points ``parse`` reads from each axis of a grid, refused when the
-    grid has more than MAX_GRID_CELLS cells."""
-    axes = [parse(spec) for spec in specs]
+def _grid_axes(*specs: str) -> list[list[float]]:
+    """The points :func:`_parse_range` reads from each axis of a grid,
+    refused when the grid has more than MAX_GRID_CELLS cells."""
+    axes = [_parse_range(spec) for spec in specs]
     if math.prod(map(len, axes)) > MAX_GRID_CELLS:
         raise ConfigParse(f"grid has more than {MAX_GRID_CELLS} cells; use a coarser step")
     return axes
-
-
-def _grid_list(spec: str) -> list[float]:
-    values = _floats([tok for tok in spec.split(",") if tok], spec)
-    if not values:
-        raise ConfigParse(f"empty grid {spec!r}")
-    return values
 
 
 def _sweep_cert(params: GameParams, monitoring: MonitoringStructure):
@@ -238,13 +234,14 @@ def _cmd_check_fei(args) -> Result:
     if args.sweep:
         axis, sep, spec = args.sweep.partition("=")
         if not sep or axis != "delta":
-            raise ConfigParse("check-fei sweeps support delta=a:b:step")
+            raise ConfigParse("check-fei sweeps support delta=SPEC")
         rows = []
-        for d in _parse_range(spec):
+        for d in _grid_axes(spec)[0]:
             cert = _sweep_cert(GameParams(params.kappa, d, params.pi0, params.c), monitoring)
             w = cert and cert.witness
             rows.append([d, cert and cert.holds, w and w.slack, w and w.v_bar])
-        return _table(cfg, "fei_sweep.csv", ["delta", "holds", "slack", "v_bar"], rows)
+        return _table({**cfg, "delta": spec}, "fei_sweep.csv",
+                      ["delta", "holds", "slack", "v_bar"], rows)
     text = _json(fei.check_fei(params, monitoring))
     return Result(cfg, echo=text, files={"fei_certificate.json": text})
 
@@ -256,6 +253,7 @@ def _cmd_horizon(args) -> Result:
 
 def _cmd_construct(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
+    cfg.update(kind=args.kind, depth=args.depth, a0=args.a0)  # they shape the file too
     if args.kind == "fe":
         automaton = equilibria.construct_full_effort(params, monitoring)
     else:
@@ -344,13 +342,14 @@ def _cmd_bound(args) -> Result:
 
 def _cmd_bound_sweep(args) -> Result:
     params, monitoring, cfg = _resolve_model(args)
-    pi0s, cs = _grid_axes(args.pi0_grid, args.c_grid, parse=_grid_list)
+    pi0s, cs = _grid_axes(args.pi0_grid, args.c_grid)
     rows = bounds.bound_sweep(params, monitoring, pi0s, cs)
     header = ["pi0", "c", "T", "eta_star", "bound"]
-    return _table(cfg, "bound_sweep.csv", header, [[r[key] for key in header] for r in rows])
+    return _table({**cfg, "pi0": args.pi0_grid, "c": args.c_grid}, "bound_sweep.csv", header,
+                  [[r[key] for key in header] for r in rows])
 
 
-def _phase_cell(monitoring, precision, kappa, delta, pi0, c, depth) -> tuple[list, list]:
+def _phase_cell(monitoring, precision, pi0, c, kappa, delta, depth) -> tuple[list, list]:
     """A phase-sweep row, with its two verified columns left None, and the
     (automaton, params, monitoring) cases that fill them: the full-effort
     and the non-efe construction on a cell where full-effort incentives
@@ -377,16 +376,16 @@ def _phase_cell(monitoring, precision, kappa, delta, pi0, c, depth) -> tuple[lis
 
 
 def _cmd_phase_sweep(args) -> Result:
-    pi0 = args.pi0 if args.pi0 is not None else 0.3
-    c = args.c if args.c is not None else 0.0
-    precisions, kappas, deltas = _grid_axes(args.binary_precision, args.kappa, args.delta)
+    # precision, then pi0 and c, which set a0 and the tree, are the outer axes
+    specs = {key: getattr(args, key) for key in ("binary_precision", "pi0", "c", "kappa", "delta")}
+    axes = _grid_axes(*specs.values())
     # checked up front: a grid with no holding cell never reaches them
     verifier.check_tolerance(args.tol)
     equilibria.check_depth(args.depth)
-    monitorings = {p: MonitoringStructure.binary(p) for p in precisions}
-    cells = itertools.product(precisions, kappas, deltas)
+    monitorings = {p: MonitoringStructure.binary(p) for p in axes[0]}
+    cells = itertools.product(*axes)
     rows = []
-    while block := [_phase_cell(monitorings[cell[0]], *cell, pi0, c, args.depth)
+    while block := [_phase_cell(monitorings[cell[0]], *cell, args.depth)
                     for cell in itertools.islice(cells, PHASE_BLOCK_CELLS)]:
         cases = [case for _, cell_cases in block for case in cell_cases if case]
         passed = iter([report.passed for report in verifier.verify_many(cases, args.tol)])
@@ -400,9 +399,7 @@ def _cmd_phase_sweep(args) -> Result:
         "fei_holds", "fe_construction_verified", "non_efe_construction_verified",
         "outside_option_bound",
     ]
-    cfg = {"binary_precision": args.binary_precision, "kappa": args.kappa,
-           "delta": args.delta, "pi0": pi0, "c": c}
-    return _table(cfg, "phase_sweep.csv", header, rows)
+    return _table(specs, "phase_sweep.csv", header, rows)
 
 
 # --- argument parsing --------------------------------------------------------
@@ -433,10 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Replacement-and-reputation accountability game toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    axis = "scalar, a:b:step or comma list"  # every sweep axis: cli._parse_range
 
     p = sub.add_parser("check-fei", help="decide full-effort incentives")
     _add_model_flags(p)
-    p.add_argument("--sweep", help="delta=a:b:step emits a CSV sweep")
+    p.add_argument("--sweep", help=f"delta=SPEC emits a CSV sweep; SPEC is a {axis}")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_fei)
 
@@ -474,18 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-sweep", help="bound table over (pi0, c) grids")
     _add_model_flags(p)
-    p.add_argument("--pi0-grid", dest="pi0_grid", required=True, help="comma list")
-    p.add_argument("--c-grid", dest="c_grid", required=True, help="comma list")
+    p.add_argument("--pi0-grid", dest="pi0_grid", required=True, help=axis)
+    p.add_argument("--c-grid", dest="c_grid", required=True, help=axis)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bound_sweep)
 
     p = sub.add_parser("phase-sweep", help="dichotomy table over parameter grids")
-    p.add_argument("--binary-precision", dest="binary_precision", required=True,
-                   help="scalar or a:b:step")
-    p.add_argument("--kappa", required=True, help="scalar or a:b:step")
-    p.add_argument("--delta", required=True, help="scalar or a:b:step")
-    p.add_argument("--pi0", type=float)
-    p.add_argument("--c", type=float)
+    p.add_argument("--binary-precision", dest="binary_precision", required=True, help=axis)
+    p.add_argument("--kappa", required=True, help=axis)
+    p.add_argument("--delta", required=True, help=axis)
+    p.add_argument("--pi0", default="0.3", help=axis)
+    p.add_argument("--c", default="0", help=axis)
     p.add_argument("--tol", type=float, default=verifier.DEFAULT_TOL)
     p.add_argument("--depth", type=int, default=equilibria.DEFAULT_DEPTH)
     p.add_argument("--out")

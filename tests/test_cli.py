@@ -3,6 +3,7 @@ import copy
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import replab
-from replab import cli, equilibria, fei, verifier
+from replab import GameParams, MonitoringStructure, cli, equilibria, fei, verifier
 from replab.cli import main
 from replab.errors import ConfigParse, ValidationError, Violation
 
@@ -616,6 +617,30 @@ class TestPhaseSweep:
         keys = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in lines[1:]]
         assert keys == sorted(keys)
 
+    def test_pi0_and_c_are_axes_in_grid_order(self, capsys, tmp_path):
+        # cells run precision -> pi0 -> c -> kappa -> delta, a list axis is
+        # taken as given, and each row is what the cell gives on its own
+        code, _, _ = run(capsys, "phase-sweep", "--binary-precision", "0.8,0.7",
+                         "--pi0", "0.1:0.3:0.2", "--c", "0.2,0", "--kappa", "0.2",
+                         "--delta", "0.3,0.5", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "phase_sweep.csv").read_text().splitlines()[1:]
+        cells = list(itertools.product([0.8, 0.7], [0.1, 0.3], [0.2, 0.0], [0.2], [0.3, 0.5]))
+        assert len(lines) == len(cells) == 16
+        for line, (p, pi0, c, kappa, delta) in zip(lines, cells):
+            params, monitoring = GameParams(kappa, delta, pi0, c), MonitoringStructure.binary(p)
+            holds = replab.check_fei(params, monitoring).holds
+            verified = [verifier.verify(build, params, monitoring).passed for build in (
+                replab.construct_full_effort(params, monitoring),
+                replab.construct_non_efe(params, monitoring)[0],
+            )] if holds else [None, None]
+            bound = None if holds else replab.outside_option_bound(params, monitoring).bound_value
+            row = [p, kappa, delta, pi0, c, holds, *verified, bound]
+            assert line == ",".join(map(cli._fmt, row))
+        assert manifest_record(tmp_path, "phase_sweep.csv")["config"] == {
+            "binary_precision": "0.8,0.7", "pi0": "0.1:0.3:0.2", "c": "0.2,0",
+            "kappa": "0.2", "delta": "0.3,0.5"}
+
     def test_pi0_and_c_default_to_0_3_and_0(self, capsys):
         # phase-sweep reads no config, and its defaults are not the model's
         code, out, _ = run(capsys, "phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
@@ -836,6 +861,38 @@ def test_bound_sweep_grid_cap_is_on_cells(capsys):
     assert out == ""
     assert_one_json_error(code, err, "ConfigParse")
     assert "grid has more than 1000000 cells" in json.loads(err)["message"]
+
+
+def test_axis_list_is_taken_as_given():
+    assert cli._parse_range("0.3") == [0.3]
+    assert cli._parse_range("0.3,0.1,,0.3,") == [0.3, 0.1, 0.3]  # order and repeats kept
+
+
+@pytest.mark.parametrize("command, name, flag, spec, points", [
+    (["check-fei", *_MODEL], "fei_sweep.csv", "--sweep", "delta=0.3:0.5:0.1",
+     "delta=0.3,0.4,0.5"),
+    (["bound-sweep", *_FAILING, "--c-grid", "0"], "bound_sweep.csv", "--pi0-grid",
+     "0.1:0.5:0.2", "0.1,0.30000000000000004,0.5"),
+    (["bound-sweep", *_FAILING, "--pi0-grid", "0.3"], "bound_sweep.csv", "--c-grid",
+     "0:0.1:0.05", "0,0.05,0.1"),
+    (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.3,0.5"],
+     "phase_sweep.csv", "--c", "0:0.1:0.05", "0,0.05,0.1"),
+])
+def test_a_range_and_its_points_write_one_table(capsys, tmp_path, command, name, flag, spec,
+                                               points):
+    tables = []
+    for axis in (spec, points):
+        assert run(capsys, *command, flag, axis, "--out", str(tmp_path))[0] == 0
+        tables.append((tmp_path / name).read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_check_fei_list_obeys_the_cell_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 3)
+    code, out, err = run(capsys, "check-fei", *_MODEL, "--sweep", "delta=0.3,0.4,0.5,0.6")
+    assert out == ""
+    assert_one_json_error(code, err, "ConfigParse")
+    assert "grid has more than 3 cells" in json.loads(err)["message"]
 
 
 def test_out_of_memory_exits_2(capsys, reference_payload, tmp_path, monkeypatch):
@@ -1100,6 +1157,35 @@ class TestOutputPath:
         rewritten = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
         assert rewritten["automaton-fe.json"]["config"]["delta"] == 0.6
         assert rewritten["automaton-non-efe.json"] == outputs["automaton-non-efe.json"]
+
+    @pytest.mark.parametrize("name, runs, config", [
+        # 13 states at --depth 3 and 172 at the default depth
+        ("automaton-non-efe.json", [["construct", "--kind", "non-efe", *_HOLDING, "--depth", "3"],
+                                    ["construct", "--kind", "non-efe", *_HOLDING]],
+         {"kind": "non-efe", "depth": 3, "a0": None}),
+        ("automaton-non-efe.json", [["construct", "--kind", "non-efe", *_HOLDING, "--a0", "0.7"],
+                                    ["construct", "--kind", "non-efe", *_HOLDING]],
+         {"depth": equilibria.DEFAULT_DEPTH, "a0": 0.7}),
+        # the grids, not the unused model defaults pi0 0.5 and c 0
+        ("bound_sweep.csv", [["bound-sweep", *_FAILING, "--pi0-grid", "0.3,0.1", "--c-grid", "0"],
+                             ["bound-sweep", *_FAILING, "--pi0-grid", "0.01",
+                              "--c-grid", "0.5"]],
+         {"pi0": "0.3,0.1", "c": "0"}),
+        ("fei_sweep.csv", [["check-fei", *_MODEL, "--sweep", "delta=0.3:0.5:0.1"],
+                           ["check-fei", *_MODEL, "--sweep", "delta=0.3,0.4"]],
+         {"delta": "0.3:0.5:0.1", "kappa": 0.2}),
+    ])
+    def test_runs_that_write_different_files_have_different_records(
+        self, capsys, tmp_path, name, runs, config
+    ):
+        records, files = [], []
+        for k, argv in enumerate(runs):
+            assert run(capsys, *argv, "--out", str(tmp_path / str(k)))[0] == 0
+            records.append(manifest_record(tmp_path / str(k), name))
+            files.append((tmp_path / str(k) / name).read_bytes())
+        assert files[0] != files[1]
+        assert records[0]["config_hash"] != records[1]["config_hash"]
+        assert {key: records[0]["config"][key] for key in config} == config
 
     # not JSON, not an object, or an object whose outputs are not one
     @pytest.mark.parametrize("text", ["{not json", "[]", '{"outputs": []}', '{"outputs": "x"}'])
@@ -1512,25 +1598,46 @@ class TestArgparseContract:
         assert json.loads(err)["error"] == "ConfigParse"
 
 
-def _readme_commands():
-    """Each ``replab ...`` command in README's ``sh`` blocks, continuations joined."""
+def _readme_section(title):
+    """The text of README's ``## title`` section."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
+def _readme_commands():
+    """Each ``replab ...`` command in the ``sh`` blocks of README's CLI
+    section, continuations joined, with simulate's --paths lowered to keep
+    the run short."""
     commands = []
-    for block in text.split("```sh\n")[1:]:
+    for block in _readme_section("CLI").split("```sh\n")[1:]:
         joined = block.split("```")[0].replace("\\\n", " ")
         commands += [line.split()[1:] for line in joined.splitlines()
                      if line.startswith("replab ")]
+    for argv in commands:
+        if argv[0] == "simulate":
+            argv[argv.index("--paths") + 1] = "1000"
     return commands
 
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
-    # in order, since later examples read what earlier ones wrote; only
-    # simulate's --paths is lowered, to keep the run short
+    # in order, since later examples read what earlier ones wrote
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert commands
     for argv in commands:
-        if argv[0] == "simulate":
-            argv[argv.index("--paths") + 1] = "1000"
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+@pytest.mark.probe
+def test_readme_examples_run_in_children(tmp_path):
+    # the CLI section's commands as python -m replab.cli, then the Library
+    # example, each in a child that finds replab only through child_env
+    library = _readme_section("Library example").split("```python\n")[1].split("```")[0]
+    assert "paths=100_000" in library
+    runs = [["-m", "replab.cli", *argv] for argv in _readme_commands()]
+    runs.append(["-c", library.replace("paths=100_000", "paths=1_000")])
+    for argv in runs:
+        done = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=60, env=child_env())
+        assert (done.returncode, done.stderr) == (0, ""), argv

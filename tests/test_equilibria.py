@@ -437,6 +437,16 @@ class TestTreeReuse:
         holding = {row[0] for row in rows if row[5] == "true"}
         assert len(holding) == 2 and len(holding) < sum(row[5] == "true" for row in rows)
         assert equilibria._tree.cache_info().misses == len(holding)
+        # pi0 and c, which set a0 and so the tree, run outside kappa and delta
+        equilibria._tree.cache_clear()
+        assert cli.main(["phase-sweep", "--binary-precision", "0.7:0.9:0.2", "--pi0", "0.2,0.3",
+                         "--c", "0:0.05:0.05", "--kappa", "0.1:0.2:0.1", "--delta",
+                         "0.3:0.9:0.3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 48
+        holding = {(row[0], row[3], row[4]) for row in rows if row[5] == "true"}
+        assert len(holding) == 8 and len(holding) < sum(row[5] == "true" for row in rows)
+        assert equilibria._tree.cache_info().misses == len(holding)
 
 
 class TestValueRecursion:

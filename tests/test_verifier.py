@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from replab import (
-    EquilibriumAutomaton, GameParams, MonitoringStructure, construct_non_efe, verify, verify_many,
+    EquilibriumAutomaton, GameParams, MonitoringStructure, check_fei, cli, construct_full_effort,
+    construct_non_efe, verify, verify_many,
 )
 from replab.equilibria import REGIME_FIRST, REGIME_SECOND, REGIME_THIRD
 from replab.errors import ValidationError
@@ -336,3 +338,22 @@ class TestBestResponseOracle:
         else:
             assert {o.category for o in report.offenders} == {"politician_ic"}
             assert lower > bound
+
+    def test_gain_agrees_with_verify_on_every_phase_grid_automaton(self):
+        # phase-grid's 525 cells (pi0 0.3, c 0.05): both constructions on each
+        # of its 363 holding cells, 726 complete automata
+        began, cases = time.perf_counter(), 0
+        grid = cli._grid_axes("0.60:0.90:0.05", "0.10:0.30:0.05", "0.20:0.90:0.05")
+        for p, kappa, delta in itertools.product(*grid):
+            params, monitoring = GameParams(kappa, delta, 0.3, 0.05), MonitoringStructure.binary(p)
+            if not check_fei(params, monitoring).holds:
+                continue
+            for auto in (construct_full_effort(params, monitoring),
+                         construct_non_efe(params, monitoring)[0]):
+                report = verify(auto, params, monitoring, tol=DEFAULT_TOL)
+                politician_ok = "politician_ic" not in {o.category for o in report.offenders}
+                _, upper = best_response_gain(auto, params, monitoring)
+                assert (upper <= DEFAULT_TOL / (1.0 - delta), politician_ok) == (True, True)
+                cases += 1
+        assert cases == 726
+        assert time.perf_counter() - began < 2.0
