@@ -17,6 +17,7 @@ so callers can substitute a sharper horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 from . import fei
 from .errors import FeiHoldsNoBound, ReplabError
@@ -78,9 +79,8 @@ def bound_sweep(
     ``G_RISE_TOL`` for rounding in :func:`minimize_g`, and moves exactly
     additively in c.
     """
-    for pi0 in pi0_grid:
-        for c in c_grid:
-            GameParams(params.kappa, params.delta, pi0, c)  # refuses an invalid cell
+    for pi0, c in [*product(pi0_grid[:1], c_grid), *product(pi0_grid, c_grid[:1])]:
+        GameParams(params.kappa, params.delta, pi0, c)  # refuses the grid's first invalid cell
     by_pi0 = {
         pi0: outside_option_bound(replace(params, pi0=pi0, c=0.0), monitoring)
         for pi0 in pi0_grid

@@ -3,7 +3,7 @@
 Subcommands: check-fei, horizon, construct, verify, simulate,
 bound-outside-option, bound-sweep, phase-sweep.
 
-Model inputs come from --config (TOML or JSON) and/or flags; flags win.
+Model inputs: the defaults < --config (TOML or JSON) < flags < a sweep's axes.
 Subcommands return a Result; main alone writes its files and a run manifest
 under --out and prints it. CSV files use '.' decimals and 17 significant
 digits so doubles round-trip exactly; JSON uses Python's shortest repr.
@@ -154,16 +154,17 @@ def _load_config(path: str) -> dict:
 _MODEL_DEFAULTS = {"kappa": 0.2, "delta": 0.5, "pi0": 0.5, "c": 0.0}
 
 
-def _resolve_model(args) -> tuple[GameParams, MonitoringStructure, dict]:
-    """Merge the defaults, --config and flags (each overriding the one
-    before) into (params, monitoring) plus the resolved config dict used
-    for hashing."""
+def _resolve_model(args, **cell) -> tuple[GameParams, MonitoringStructure, dict]:
+    """(params, monitoring) and the config dict used for hashing, from the
+    defaults, --config, flags and a sweep's first ``cell``, each overriding
+    the one before: a value that a sweep's axis replaces is never checked."""
     cfg = dict(_MODEL_DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_load_config(args.config))
     for key in (*_MODEL_DEFAULTS, "binary_precision"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
+    cfg.update(cell)
     if cfg.keys().isdisjoint({"signals", "binary_precision"}):
         raise ConfigParse("specify --binary-precision or a config with signals")
     params, monitoring = model_from_dict(cfg)
@@ -230,18 +231,19 @@ def _sweep_cert(params: GameParams, monitoring: MonitoringStructure):
 # --- subcommand bodies -------------------------------------------------------
 
 def _cmd_check_fei(args) -> Result:
-    params, monitoring, cfg = _resolve_model(args)
-    if args.sweep:
-        axis, sep, spec = args.sweep.partition("=")
-        if not sep or axis != "delta":
-            raise ConfigParse("check-fei sweeps support delta=SPEC")
+    if args.sweep is not None:
+        if args.delta is not None:
+            raise ConfigParse("--sweep is the delta axis; drop --delta")
+        deltas = _grid_axes(args.sweep)[0]
+        params, monitoring, cfg = _resolve_model(args, delta=deltas[0])
         rows = []
-        for d in _grid_axes(spec)[0]:
+        for d in deltas:
             cert = _sweep_cert(GameParams(params.kappa, d, params.pi0, params.c), monitoring)
             w = cert and cert.witness
             rows.append([d, cert and cert.holds, w and w.slack, w and w.v_bar])
-        return _table({**cfg, "delta": spec}, "fei_sweep.csv",
+        return _table({**cfg, "delta": args.sweep}, "fei_sweep.csv",
                       ["delta", "holds", "slack", "v_bar"], rows)
+    params, monitoring, cfg = _resolve_model(args)
     text = _json(fei.check_fei(params, monitoring))
     return Result(cfg, echo=text, files={"fei_certificate.json": text})
 
@@ -341,11 +343,11 @@ def _cmd_bound(args) -> Result:
 
 
 def _cmd_bound_sweep(args) -> Result:
-    params, monitoring, cfg = _resolve_model(args)
-    pi0s, cs = _grid_axes(args.pi0_grid, args.c_grid)
+    pi0s, cs = _grid_axes(args.pi0, args.c)
+    params, monitoring, cfg = _resolve_model(args, pi0=pi0s[0], c=cs[0])
     rows = bounds.bound_sweep(params, monitoring, pi0s, cs)
     header = ["pi0", "c", "T", "eta_star", "bound"]
-    return _table({**cfg, "pi0": args.pi0_grid, "c": args.c_grid}, "bound_sweep.csv", header,
+    return _table({**cfg, "pi0": args.pi0, "c": args.c}, "bound_sweep.csv", header,
                   [[r[key] for key in header] for r in rows])
 
 
@@ -404,13 +406,11 @@ def _cmd_phase_sweep(args) -> Result:
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p, names=("binary-precision", "kappa", "delta", "pi0", "c")) -> None:
+    """--config and a number flag per model field in ``names``."""
     p.add_argument("--config", help="TOML or JSON model config")
-    p.add_argument("--binary-precision", dest="binary_precision", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--pi0", type=float)
-    p.add_argument("--c", type=float)
+    for name in names:
+        p.add_argument(f"--{name}", type=float)
 
 
 def _fail(error: str, message: str) -> int:
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-fei", help="decide full-effort incentives")
     _add_model_flags(p)
-    p.add_argument("--sweep", help=f"delta=SPEC emits a CSV sweep; SPEC is a {axis}")
+    p.add_argument("--sweep", help=f"the delta axis of a CSV sweep: a {axis}")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_check_fei)
 
@@ -471,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("bound-sweep", help="bound table over (pi0, c) grids")
-    _add_model_flags(p)
-    p.add_argument("--pi0-grid", dest="pi0_grid", required=True, help=axis)
-    p.add_argument("--c-grid", dest="c_grid", required=True, help=axis)
+    _add_model_flags(p, ("binary-precision", "kappa", "delta"))  # pi0 and c are the axes
+    p.add_argument("--pi0", required=True, help=axis)
+    p.add_argument("--c", required=True, help=axis)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bound_sweep)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -135,10 +136,24 @@ class TestBoundSweep:
         assert below["bound"] < 1.0
         assert above["bound"] >= 1.0
 
-    @pytest.mark.parametrize("pi0_grid, c_grid", [([0.3, 5.0], [0.0]), ([0.3], [0.0, -1.0])])
+    @pytest.mark.parametrize("pi0_grid, c_grid", [
+        ([0.3, 5.0], [0.0]), ([0.3], [0.0, -1.0]), ([5.0, 0.3], [-1.0, 0.0]),
+        ([0.3, 0.03, math.nan], [0.0, 0.05]), ([0.3, 0.03], [0.0, math.inf, -2.0]),
+        ([math.inf], [math.nan]), ([0.3, 0.0], [0.05, -math.inf]), ([0.3, 0.1], [0.0, -1.0]),
+    ])
     def test_every_cell_is_validated(self, fail_params, binary75, pi0_grid, c_grid):
-        with pytest.raises(ValidationError):
+        # refused as the first invalid cell in grid order (pi0 outer) is on its own
+        def refusal(pi0, c):
+            try:
+                GameParams(fail_params.kappa, fail_params.delta, pi0, c)
+            except ValidationError as exc:
+                return str(exc)
+
+        cells = itertools.product(pi0_grid, c_grid)
+        first = next(filter(None, itertools.starmap(refusal, cells)))
+        with pytest.raises(ValidationError) as refused:
             bound_sweep(fail_params, binary75, pi0_grid, c_grid)
+        assert str(refused.value) == first
 
     def test_comparative_statics_violation_is_raised(self, fail_params, binary75, monkeypatch):
         # checked with a raised error, which survives python -O

@@ -57,7 +57,7 @@ class TestCheckFei:
     def test_sweep_csv(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
-            "--sweep", "delta=0.30:0.45:0.01", "--out", str(tmp_path),
+            "--sweep", "0.30:0.45:0.01", "--out", str(tmp_path),
         )
         assert code == 0
         lines = (tmp_path / "fei_sweep.csv").read_text().strip().splitlines()
@@ -70,7 +70,9 @@ class TestCheckFei:
         assert holds[flip - 1] == "false"
         assert (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("sweep", ["delta", "kappa=0.1:0.2:0.1", "delta=0.3:x:0.1"])
+    # the axis takes no field name, and an empty one is no axis
+    @pytest.mark.parametrize("sweep", ["delta", "kappa=0.1:0.2:0.1", "delta=0.3:x:0.1",
+                                       "delta=0.4", ""])
     def test_bad_sweep_is_config_error(self, capsys, sweep):
         code, out, err = run(
             capsys, "check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
@@ -538,8 +540,7 @@ class TestBoundsCommands:
     def test_bound_sweep_csv(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "bound-sweep", "--binary-precision", "0.75",
-            "--kappa", "0.2", "--delta", "0.3", "--pi0", "0.3", "--c", "0.05",
-            "--pi0-grid", "0.3,0.03,0.003", "--c-grid", "0,0.05",
+            "--kappa", "0.2", "--delta", "0.3", "--pi0", "0.3,0.03,0.003", "--c", "0,0.05",
             "--out", str(tmp_path),
         )
         assert code == 0
@@ -551,8 +552,7 @@ class TestBoundsCommands:
         # g at the smaller prior rounds a few ulps above g at the larger one
         code, _, err = run(
             capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
-            "--delta", "0.3", "--pi0", "0.3", "--c", "0.05",
-            "--pi0-grid", "0.1416769592301532,0.14167695923015317", "--c-grid", "0",
+            "--delta", "0.3", "--pi0", "0.1416769592301532,0.14167695923015317", "--c", "0",
             "--out", str(tmp_path),
         )
         assert code == 0 and err == ""
@@ -563,22 +563,31 @@ class TestBoundsCommands:
     def test_bad_grid_is_config_error(self, capsys, grid):
         code, out, err = run(
             capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
-            "--delta", "0.3", "--pi0-grid", grid, "--c-grid", "0",
+            "--delta", "0.3", "--pi0", grid, "--c", "0",
         )
         assert out == ""
         assert_one_json_error(code, err, "ConfigParse")
 
-    @pytest.mark.parametrize("pi0_grid, c_grid", [
-        ("0.3,5", "0,-1"), ("0.3,5", "0"), ("0.3", "0,-1"), ("0.3,0.03", "0,0.05,-1"),
+    @pytest.mark.parametrize("pi0_grid, c_grid, message", [
+        ("0.3,5", "0,-1", "c=-1.0 must be >= 0"),
+        ("0.3,5", "0", "pi0=5.0 not in (0.0, 1.0)"),
+        ("0.3", "0,-1", "c=-1.0 must be >= 0"),
+        ("0.3,0.03", "0,0.05,-1", "c=-1.0 must be >= 0"),
+        ("0.3,0.03,nan", "0,0.05", "pi0=nan not in (0.0, 1.0)"),
+        ("0.3", "0,inf,-1", "c=inf must be >= 0"),
+        ("0.3,-inf", "0", "pi0=-inf not in (0.0, 1.0)"),
+        ("inf,0.3", "nan,0", "pi0=inf not in (0.0, 1.0); ParamOutOfRange: c=nan must be >= 0"),
     ])
-    def test_every_grid_cell_is_validated(self, capsys, pi0_grid, c_grid):
-        # an impossible prior or a negative cost past the first cell is refused
+    def test_every_grid_cell_is_validated(self, capsys, pi0_grid, c_grid, message):
+        # an impossible prior or a negative cost past the first cell is refused,
+        # as the first such cell in grid order (pi0 outer) is on its own
         code, out, err = run(
             capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
-            "--delta", "0.3", "--pi0", "0.3", "--pi0-grid", pi0_grid, "--c-grid", c_grid,
+            "--delta", "0.3", "--pi0", pi0_grid, "--c", c_grid,
         )
         assert out == ""
         assert_one_json_error(code, err, "ValidationError")
+        assert json.loads(err)["message"] == f"ParamOutOfRange: {message}"
 
 
 class TestPhaseSweep:
@@ -697,10 +706,10 @@ class TestPhaseSweep:
 _MODEL = ("--binary-precision", "0.75", "--kappa", "0.2", "--pi0", "0.3", "--c", "0.05")
 _HOLDING = (*_MODEL, "--delta", "0.5")  # full-effort incentives hold
 _FAILING = (*_MODEL, "--delta", "0.3")  # they fail
+_BOUND_FAILING = (*_MODEL[:4], "--delta", "0.3")  # bound-sweep's pi0 and c are its axes
 _TABLES = [
-    (["check-fei", *_HOLDING, "--sweep", "delta=0.3:0.5:0.1"], "fei_sweep.csv"),
-    (["bound-sweep", *_FAILING, "--pi0-grid", "0.3,0.03", "--c-grid", "0,0.05"],
-     "bound_sweep.csv"),
+    (["check-fei", *_MODEL, "--sweep", "0.3:0.5:0.1"], "fei_sweep.csv"),
+    (["bound-sweep", *_BOUND_FAILING, "--pi0", "0.3,0.03", "--c", "0,0.05"], "bound_sweep.csv"),
     (["phase-sweep", *_MODEL, "--delta", "0.3:0.5:0.2"], "phase_sweep.csv"),
 ]
 
@@ -719,8 +728,8 @@ def _run_capped(*argv, timeout=10, address_space=2**30):
 
 @pytest.mark.probe
 @pytest.mark.parametrize("argv", [
-    ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:nan"],
-    ["check-fei", "--kappa", "0.2", "--sweep", "delta=nan:0.45:0.01"],
+    ["check-fei", "--kappa", "0.2", "--sweep", "0.3:0.45:nan"],
+    ["check-fei", "--kappa", "0.2", "--sweep", "nan:0.45:0.01"],
     ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:inf:0.01"],
     ["phase-sweep", "--kappa", "0.2", "--delta=-inf:0.45:0.01"],
     ["phase-sweep", "--kappa", "0.2:0.3:inf", "--delta", "0.4"],
@@ -734,7 +743,7 @@ def test_non_finite_range_exits_2(argv):
 
 @pytest.mark.probe
 @pytest.mark.parametrize("argv", [
-    ["check-fei", "--kappa", "0.2", "--sweep", "delta=0.3:0.45:1e-12"],
+    ["check-fei", "--kappa", "0.2", "--sweep", "0.3:0.45:1e-12"],
     ["phase-sweep", "--kappa", "0.2", "--delta", "0.3:0.45:1e-12"],
     ["phase-sweep", "--kappa", "0.1:0.2:1e-4", "--delta", "0.3:0.4:1e-4"],  # 1001 x 1001
     # an endless axis beside a reversed one, which has no point: refused either way
@@ -769,7 +778,7 @@ def test_frontier_check_fei_ends_cleanly(model):
 
 @pytest.mark.parametrize("argv, holds", [
     (["phase-sweep", "--delta", "0.2612542990737442:0.8:0.5", "--pi0", "0.3", "--c", "0.05"], 5),
-    (["check-fei", "--sweep", "delta=0.2612542990737442:0.8:0.5"], 1),
+    (["check-fei", "--sweep", "0.2612542990737442:0.8:0.5"], 1),
 ])
 def test_frontier_cell_is_left_undecided(capsys, argv, holds):
     # the first cell lies within rounding of the frontier; it used to refuse
@@ -834,8 +843,8 @@ def test_grid_cap_is_on_cells():
     (["phase-sweep", "--binary-precision", "0.9:0.6:0.05", "--kappa", "0.2", "--delta", "0.5"],
      "a > b leaves no point"),
     (["check-fei", "--binary-precision", "0.75", "--kappa", "0.2",
-      "--sweep", "delta=0.9:0.1:0.1"], "a > b leaves no point"),
-    (["check-fei", "--binary-precision", "0.75", "--kappa", "0.2", "--sweep", "delta=1:2"],
+      "--sweep", "0.9:0.1:0.1"], "a > b leaves no point"),
+    (["check-fei", "--binary-precision", "0.75", "--kappa", "0.2", "--sweep", "1:2"],
      "bad range '1:2'; expected a:b:step"),
     (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0:1:0", "--delta", "0.5"],
      "range step must be positive"),
@@ -857,7 +866,7 @@ def test_bound_sweep_grid_cap_is_on_cells(capsys):
     pi0s = ",".join(str(0.1 + k * 1e-4) for k in range(1001))
     cs = ",".join(str(k * 1e-5) for k in range(1000))
     code, out, err = run(capsys, "bound-sweep", "--binary-precision", "0.75", "--kappa", "0.2",
-                         "--delta", "0.3", "--pi0-grid", pi0s, "--c-grid", cs)
+                         "--delta", "0.3", "--pi0", pi0s, "--c", cs)
     assert out == ""
     assert_one_json_error(code, err, "ConfigParse")
     assert "grid has more than 1000000 cells" in json.loads(err)["message"]
@@ -869,11 +878,10 @@ def test_axis_list_is_taken_as_given():
 
 
 @pytest.mark.parametrize("command, name, flag, spec, points", [
-    (["check-fei", *_MODEL], "fei_sweep.csv", "--sweep", "delta=0.3:0.5:0.1",
-     "delta=0.3,0.4,0.5"),
-    (["bound-sweep", *_FAILING, "--c-grid", "0"], "bound_sweep.csv", "--pi0-grid",
+    (["check-fei", *_MODEL], "fei_sweep.csv", "--sweep", "0.3:0.5:0.1", "0.3,0.4,0.5"),
+    (["bound-sweep", *_BOUND_FAILING, "--c", "0"], "bound_sweep.csv", "--pi0",
      "0.1:0.5:0.2", "0.1,0.30000000000000004,0.5"),
-    (["bound-sweep", *_FAILING, "--pi0-grid", "0.3"], "bound_sweep.csv", "--c-grid",
+    (["bound-sweep", *_BOUND_FAILING, "--pi0", "0.3"], "bound_sweep.csv", "--c",
      "0:0.1:0.05", "0,0.05,0.1"),
     (["phase-sweep", "--binary-precision", "0.75", "--kappa", "0.2", "--delta", "0.3,0.5"],
      "phase_sweep.csv", "--c", "0:0.1:0.05", "0,0.05,0.1"),
@@ -887,9 +895,35 @@ def test_a_range_and_its_points_write_one_table(capsys, tmp_path, command, name,
     assert tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("command, config, axes", [
+    (["bound-sweep", *_BOUND_FAILING, "--pi0", "0.3", "--c", "0"], {"pi0": 5, "c": -1},
+     {"pi0": "0.3", "c": "0"}),
+    (["check-fei", *_MODEL, "--sweep", "0.4"], {"delta": 1.5}, {"delta": "0.4"}),
+])
+def test_a_sweep_never_checks_a_scalar_its_axis_replaces(capsys, tmp_path, command, config,
+                                                        axes):
+    # the axis wins over the config, so the config's invalid value for the
+    # swept field is neither checked nor recorded
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, *command, "--config", str(path))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2  # the header and one row
+    assert run(capsys, *command, "--config", str(path), "--out", str(tmp_path))[0] == 0
+    record, = json.loads((tmp_path / "manifest.json").read_text())["outputs"].values()
+    assert {key: record["config"][key] for key in axes} == axes
+
+
+def test_check_fei_delta_beside_its_sweep_is_refused(capsys):
+    code, out, err = run(capsys, "check-fei", *_MODEL, "--delta", "0.9", "--sweep", "0.4")
+    assert out == ""
+    assert_one_json_error(code, err, "ConfigParse")
+    assert json.loads(err)["message"] == "--sweep is the delta axis; drop --delta"
+
+
 def test_check_fei_list_obeys_the_cell_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_CELLS", 3)
-    code, out, err = run(capsys, "check-fei", *_MODEL, "--sweep", "delta=0.3,0.4,0.5,0.6")
+    code, out, err = run(capsys, "check-fei", *_MODEL, "--sweep", "0.3,0.4,0.5,0.6")
     assert out == ""
     assert_one_json_error(code, err, "ConfigParse")
     assert "grid has more than 3 cells" in json.loads(err)["message"]
@@ -1167,12 +1201,11 @@ class TestOutputPath:
                                     ["construct", "--kind", "non-efe", *_HOLDING]],
          {"depth": equilibria.DEFAULT_DEPTH, "a0": 0.7}),
         # the grids, not the unused model defaults pi0 0.5 and c 0
-        ("bound_sweep.csv", [["bound-sweep", *_FAILING, "--pi0-grid", "0.3,0.1", "--c-grid", "0"],
-                             ["bound-sweep", *_FAILING, "--pi0-grid", "0.01",
-                              "--c-grid", "0.5"]],
+        ("bound_sweep.csv", [["bound-sweep", *_BOUND_FAILING, "--pi0", "0.3,0.1", "--c", "0"],
+                             ["bound-sweep", *_BOUND_FAILING, "--pi0", "0.01", "--c", "0.5"]],
          {"pi0": "0.3,0.1", "c": "0"}),
-        ("fei_sweep.csv", [["check-fei", *_MODEL, "--sweep", "delta=0.3:0.5:0.1"],
-                           ["check-fei", *_MODEL, "--sweep", "delta=0.3,0.4"]],
+        ("fei_sweep.csv", [["check-fei", *_MODEL, "--sweep", "0.3:0.5:0.1"],
+                           ["check-fei", *_MODEL, "--sweep", "0.3,0.4"]],
          {"delta": "0.3:0.5:0.1", "kappa": 0.2}),
     ])
     def test_runs_that_write_different_files_have_different_records(
@@ -1386,8 +1419,8 @@ class TestPinnedFiles:
 
     def test_bound_and_bound_sweep(self, capsys, tmp_path):
         assert run(capsys, "bound-outside-option", *_FAILING, "--out", str(tmp_path))[0] == 0
-        assert run(capsys, "bound-sweep", *_FAILING, "--pi0-grid", "0.1,0.3,0.5,0.3",
-                   "--c-grid", "0,0.05", "--out", str(tmp_path))[0] == 0
+        assert run(capsys, "bound-sweep", *_BOUND_FAILING, "--pi0", "0.1,0.3,0.5,0.3",
+                   "--c", "0,0.05", "--out", str(tmp_path))[0] == 0
         assert _sha256(tmp_path / "bound.csv") == _PINNED["bound"]
         assert _sha256(tmp_path / "bound_sweep.csv") == _PINNED["bound-sweep"]
 
@@ -1578,6 +1611,9 @@ class TestArgparseContract:
         ["check-fei", "--kappa", "abc"],  # a mistyped value
         ["simulate", "--paths", "10"],  # a missing required flag
         [],  # no subcommand
+        # bound-sweep's axes are --pi0 and --c, and no flag spells them twice
+        ["bound-sweep", *_BOUND_FAILING, "--pi0-grid", "0.3", "--c", "0"],
+        ["bound-sweep", *_BOUND_FAILING, "--pi0", "0.3", "--c-grid", "0"],
     ])
     def test_bad_flag_is_one_json_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1585,6 +1621,14 @@ class TestArgparseContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert_one_json_error(exc.value.code, captured.err, "ConfigParse")
+
+    def test_bound_sweep_takes_pi0_and_c_as_its_axes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bound-sweep", "--help"])
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert usage == ("usage: replab bound-sweep [-h] [--config CONFIG] [--binary-precision "
+                         "BINARY_PRECISION] [--kappa KAPPA] [--delta DELTA] --pi0 PI0 --c C "
+                         "[--out OUT]")
 
     def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:

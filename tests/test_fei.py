@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from replab import (
     outside_option_bound,
     uniform_failure_horizon,
 )
+from replab.cli import _parse_range
 from replab.errors import (
     FeiFails, FeiHoldsNoBound, FeiHoldsNoHorizon, ResolutionTooCoarse, ValidationError,
 )
@@ -221,6 +224,23 @@ class TestUniformFailureHorizon:
             assert 1.0 / ref.horizon_T < ref.min_gap
             assert 1.0 / (ref.horizon_T - 1) >= ref.min_gap
             found += 1
+
+    def test_horizon_is_past_the_gap_exactly(self):
+        # 1/T < gap in exact arithmetic on the doubles, not only in floats, on
+        # the benchmark's 525-cell phase grid and on a seeded 2-5-signal
+        # sample. T need not be the least such integer: in 8 of the grid's
+        # failing cells 1/(T-1) < gap holds exactly too (ROADMAP item 1)
+        axes = [_parse_range(spec) for spec in ("0.60:0.90:0.05", "0.10:0.30:0.05",
+                                                "0.20:0.90:0.05")]
+        cases = [(GameParams(kappa, delta, 0.3, 0.05), MonitoringStructure.binary(p))
+                 for p, kappa, delta in itertools.product(*axes)]
+        rng = np.random.default_rng(2718)
+        cases += [random_instance(rng, int(rng.integers(2, 6))) for _ in range(3000)]
+        refutations = [cert.refutation for cert in itertools.starmap(check_fei, cases)
+                       if not cert.holds]
+        assert len(refutations) > 1000
+        for ref in refutations:
+            assert Fraction(1, ref.horizon_T) < Fraction(ref.min_gap)
 
     def test_strictness_guard_steps_past_a_float_edge(self, monkeypatch, binary75,
                                                       fail_params):
